@@ -33,13 +33,13 @@ def main() -> int:
     converged = fit_rescale(NeuralPotential.create(spec, hidden=(16, 16), seed=0,
                                                    name="converged"), d_train)
     cfg = TrainConfig(max_epochs=600, batch_size=50, lr0=0.01, amsgrad=True,
-                      weight_schedule=((0, 1.0, 25.0),), seed=0)
+                      weight_schedule=((0, 1.0, 25.0),))
     converged = converged.with_values(train(converged, d_train, cfg).best_params)
 
     undertrained = NeuralPotential.create(spec, hidden=(16, 16), seed=0,
                                           name="undertrained")
     cfg_short = TrainConfig(max_epochs=1, batch_size=50, lr0=0.01, amsgrad=True,
-                            weight_schedule=((0, 1.0, 25.0),), seed=0)
+                            weight_schedule=((0, 1.0, 25.0),))
     undertrained = undertrained.with_values(train(undertrained, d_train, cfg_short).final_params)
 
     start = Configuration(build_cluster(pot, 6, seed=1), ["Cu"] * 6)

@@ -5,7 +5,7 @@ label-noise robustness, and learning-curve slopes."""
 from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_stats,
                    generate_reference_dataset, parse_extxyz, split_by_temperature,
                    write_extxyz)
-from .descriptors import DescriptorSpec, descriptors
+from .descriptors import DescriptorSpec
 from .entropy import (EntropyReport, entropy_from_profile, loss_entropy,
                       temperature_sweep, weighted_entropy)
 from .landscape import (Direction, LandscapeProfile, Surface2D, filter_normalize,
@@ -13,10 +13,10 @@ from .landscape import (Direction, LandscapeProfile, Surface2D, filter_normalize
                         orthogonalize_pair, reweight_surface, sample_direction)
 from .md import MDConfig, TrajectoryRecord, detect_failure, init_velocities, md_step, run_ensemble
 from .model import (FilterPartition, NeuralPotential, ParameterVector, fit_rescale,
-                    load_checkpoint, loss_eval, nn_eval, save_checkpoint)
+                    load_checkpoint, loss_eval, save_checkpoint)
 from .analysis import (SlopeFit, ToyRegressionResult, correlate, extrapolation_slope,
                        learning_curve_slope, rmse_by_split, toy_regression_experiment)
-from .potentials import LennardJones, Morse, reference_eval
+from .potentials import LennardJones, Morse
 from .training import TrainConfig, TrainReport, apply_weight_schedule, train
 
 __version__ = "0.1.0"

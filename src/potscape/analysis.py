@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NeuralPotential, nn_eval
+from .model import NeuralPotential, NumericEvalError, loss_eval
 from .seeding import substream
 
 
@@ -55,20 +55,16 @@ def rmse_by_split(model: NeuralPotential, tests: dict):
         d = tests[T]
         if len(d) == 0:
             raise ValueError(f"empty test split at {T}")
-        se = sf = 0.0
-        ne = nf = 0
-        for c in d:
-            energy, forces, _ = nn_eval(model, c)
-            se += ((energy - c.energy) / c.n_atoms) ** 2
-            ne += 1
-            sf += float(np.sum((forces - c.forces) ** 2))
-            nf += 3 * c.n_atoms
-        rows.append({"T": T, "energy_rmse_mev_per_atom": np.sqrt(se / ne) * 1000.0,
-                     "force_rmse_mev_per_ang": np.sqrt(sf / nf) * 1000.0,
-                     "n_frames": ne})
-        e_sq += se
+        lv = loss_eval(model, d)
+        if not (np.isfinite(lv.mse_E) and np.isfinite(lv.mse_F)):
+            raise NumericEvalError(f"non-finite prediction on test split at {T}")
+        ne = len(d)
+        nf = 3 * sum(c.n_atoms for c in d)
+        rows.append({"T": T, "energy_rmse_mev_per_atom": lv.loss_E,
+                     "force_rmse_mev_per_ang": lv.loss_F, "n_frames": ne})
+        e_sq += lv.mse_E * ne
         e_n += ne
-        f_sq += sf
+        f_sq += lv.mse_F * nf
         f_n += nf
     rows.append({"T": "all", "energy_rmse_mev_per_atom": np.sqrt(e_sq / e_n) * 1000.0,
                  "force_rmse_mev_per_ang": np.sqrt(f_sq / f_n) * 1000.0,

@@ -119,7 +119,7 @@ def _fresh_model(config, seed) -> NeuralPotential:
                                   seed=init_seed)
 
 
-def _train_config(config, seed) -> TrainConfig:
+def _train_config(config) -> TrainConfig:
     schedule = _get(config, "train.weight_schedule", [[0, 1.0, 1000.0]])
     return TrainConfig(
         max_epochs=int(_get(config, "train.max_epochs", 500)),
@@ -131,7 +131,6 @@ def _train_config(config, seed) -> TrainConfig:
                               factor=float(_get(config, "train.plateau_factor", 0.5))),
         weight_schedule=tuple(tuple(row) for row in schedule),
         swa_tail=_get(config, "train.swa_tail", None),
-        seed=seed,
     )
 
 
@@ -157,7 +156,7 @@ def _train_on(config, seed, dataset, d_val=None):
     model = _fresh_model(config, seed)
     if bool(_get(config, "model.rescale", True)):
         model = fit_rescale(model, dataset)
-    report = train(model, dataset, _train_config(config, seed), d_val=d_val)
+    report = train(model, dataset, _train_config(config), d_val=d_val)
     return model.with_values(report.best_params), report
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pair_table
 from .potentials import quintic_switch
 
 
@@ -65,28 +64,3 @@ def basis_values(r, centers, widths, cutoff, with_param_grads=False):
     d2_rc = q * (2.0 * widths[None, :] * dr * a + 2.0 * widths[None, :] * fc[:, None])
     d2_rw = q * (-(dr**2) * a - 2.0 * dr * fc[:, None])
     return e, de_dr, (de_dc, de_dw, d2_rc, d2_rw)
-
-
-def descriptors(spec: DescriptorSpec, c, atom_index: int):
-    """Descriptor vector of one atom and its Jacobian w.r.t. all positions.
-
-    Returns (g, jac) with g of shape (K,) and jac of shape (K, N, 3) where
-    jac[k, a, :] = d g_k / d position_a.
-    """
-    n = c.n_atoms
-    g = np.zeros(spec.n_radial)
-    jac = np.zeros((spec.n_radial, n, 3))
-    pt = pair_table(c.positions, spec.cutoff, cell=c.cell, pbc=c.pbc)
-    mine = pt.i == atom_index
-    if not np.any(mine):
-        return g, jac
-    r = pt.r[mine]
-    unit = pt.unit[mine]
-    nbr = pt.j[mine]
-    e, de_dr, _ = basis_values(r, spec.centers, spec.widths, spec.cutoff)
-    g = e.sum(axis=0)
-    # d r_ij / d pos_j = +unit, d r_ij / d pos_i = -unit
-    for p in range(len(r)):
-        jac[:, nbr[p], :] += de_dr[p][:, None] * unit[p][None, :]
-        jac[:, atom_index, :] -= de_dr[p][:, None] * unit[p][None, :]
-    return g, jac

@@ -1,4 +1,5 @@
-"""Pair tables for small clusters and periodic cells (minimum image)."""
+"""Pair tables for small clusters and periodic cells (minimum image), and the
+scatter that sums per-pair values onto atoms."""
 
 from dataclasses import dataclass
 
@@ -63,10 +64,15 @@ def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
     return PairTable(ii, jj, rr, unit)
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish random proper rotation via QR of a Gaussian matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+def scatter_add(index, values, n: int) -> np.ndarray:
+    """Row sums onto n atoms: out[a] = sum of values[p] over pairs with index[p] == a.
+
+    Each row accumulates sequentially in pair order, so a pair table's fixed
+    order makes the sums reproducible bit for bit.  Rows that no pair reaches
+    are exactly zero.
+    """
+    k = values.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=n * k)
+    # bincount returns integers when there are no pairs
+    return out.astype(float, copy=False).reshape(n, k)

@@ -143,17 +143,13 @@ def detect_failure(c: Configuration, cfg: MDConfig):
     """First bonded pair strictly beyond the failure length, or None."""
     if not cfg.bond_list:
         raise ValueError("bond_list is empty")
-    for i, j in cfg.bond_list:
-        dist = float(np.linalg.norm(c.positions[j] - c.positions[i]))
-        if dist > cfg.failure_bond_length:
-            return (i, j), dist
-    return None
+    return _check_bonds(c.positions, cfg.bond_list, cfg.failure_bond_length)
 
 
 def _check_bonds(positions, bond_list, threshold):
     for i, j in bond_list:
         dist = float(np.linalg.norm(positions[j] - positions[i]))
-        if dist > threshold:
+        if not dist <= threshold:   # a NaN distance fails too
             return (i, j), dist
     return None
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import Configuration, Dataset
+from .data import Dataset
 from .descriptors import DescriptorSpec, basis_values
-from .geometry import pair_table
+from .geometry import pair_table, scatter_add
 
 
 class NumericEvalError(ArithmeticError):
@@ -204,52 +205,54 @@ class NeuralPotential:
 
     # -- evaluation --------------------------------------------------------
 
-    def _net_forward(self, Ws, bs, X):
-        act = ACTIVATIONS[self.activation][0]
-        hs, zs = [X], []
-        for W, b in zip(Ws[:-1], bs[:-1]):
-            z = hs[-1] @ W.T + b
-            zs.append(z)
-            hs.append(act(z))
-        y = (hs[-1] @ Ws[-1].T + bs[-1]).ravel()
-        return y, hs, zs
-
-    def _input_grad(self, Ws, hs):
-        d1 = ACTIVATIONS[self.activation][1]
-        u = np.broadcast_to(Ws[-1], (hs[0].shape[0], Ws[-1].shape[1])).copy()
-        for W, h in zip(reversed(Ws[:-1]), reversed(hs[1:])):
-            u = (u * d1(h)) @ W
-        return u  # (A, K) = d y / d descriptors
-
     def energy_forces(self, positions, species=None, cell=None, pbc=None):
         """Energy (eV), forces (eV/A), per-atom energies for raw arrays."""
         positions = np.asarray(positions, dtype=float)
         n = len(positions)
         centers, widths, Ws, bs = self.unpack()
-        scale, shift = self.rescale.effective()
         pt = pair_table(positions, self.descriptor.cutoff, cell=cell, pbc=pbc)
-        G = np.zeros((n, self.descriptor.n_radial))
         e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff)
-        np.add.at(G, pt.i, e)
-        y, hs, _ = self._net_forward(Ws, bs, G)
-        if not np.all(np.isfinite(y)):
-            bad = int(np.nonzero(~np.isfinite(y))[0][0])
+        out = _forward(self, Ws, bs, e, de, pt.i, pt.j, pt.unit, n, _ONE_FRAME, n)
+        if not np.all(np.isfinite(out.y)):
+            bad = int(np.nonzero(~np.isfinite(out.y))[0][0])
             raise NumericEvalError(f"non-finite site energy at atom {bad}")
-        g = self._input_grad(Ws, hs)
-        s = np.einsum("pd,pd->p", de, g[pt.i])
-        forces = np.zeros((n, 3))
-        contrib = (scale * s)[:, None] * pt.unit
-        np.add.at(forces, pt.i, contrib)
-        np.add.at(forces, pt.j, -contrib)
-        # sequential reduction, bitwise-consistent with the dataset-level loss path
-        energy = scale * float(np.add.reduceat(y, [0])[0]) + shift * n
-        per_atom = scale * y + shift
-        return energy, forces, per_atom
+        scale, shift = self.rescale.effective()
+        return float(out.E[0]), out.F, scale * out.y + shift
 
 
-def nn_eval(m: NeuralPotential, c: Configuration):
-    """Energy, forces, and per-atom energies of one configuration."""
-    return m.energy_forces(c.positions, species=c.species, cell=c.cell, pbc=c.pbc)
+_ONE_FRAME = np.zeros(1, dtype=int)
+
+
+class _Forward(NamedTuple):
+    y: np.ndarray     # (A,) network outputs (site energies before rescaling)
+    hs: list          # layer inputs; hs[0] is the descriptor matrix G
+    F: np.ndarray     # (A, 3) forces, eV/A
+    E: np.ndarray     # (M,) frame energies, eV
+
+
+def _forward(model, Ws, bs, e, de, gi, gj, unit, n_atoms, atom_start, natoms) -> _Forward:
+    """Basis values -> descriptors -> MLP -> input gradient -> forces and energies.
+
+    The frames' atoms are numbered consecutively: pairs (gi, gj) with unit
+    vectors gi -> gj, e and de the pairs' basis values and their
+    r-derivatives, atom_start the first atom of each frame and natoms the
+    frames' atom counts.  One frame is the case atom_start = [0].
+    """
+    scale, shift = model.rescale.effective()
+    act, d1 = ACTIVATIONS[model.activation][:2]
+    hs = [scatter_add(gi, e, n_atoms)]
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        hs.append(act(hs[-1] @ W.T + b))
+    y = (hs[-1] @ Ws[-1].T + bs[-1]).ravel()
+    g = np.repeat(Ws[-1], n_atoms, axis=0)   # d y / d G, back through the layers
+    for W, h in zip(reversed(Ws[:-1]), reversed(hs[1:])):
+        g = (g * d1(h)) @ W
+    s = np.einsum("pd,pd->p", de, g[gi])
+    contrib = (scale * s)[:, None] * unit
+    F = scatter_add(np.concatenate([gi, gj]), np.concatenate([contrib, -contrib]), n_atoms)
+    # sequential per-frame sums, so one frame and a table of frames agree bit for bit
+    E = scale * (np.add.reduceat(y, atom_start) if len(y) else np.zeros(0)) + shift * natoms
+    return _Forward(y, hs, F, E)
 
 
 # ---------------------------------------------------------------------------
@@ -342,35 +345,32 @@ class DatasetTables:
         return sub
 
 
-def _frame_sums(y, tables):
-    return np.add.reduceat(y, tables.atom_start) if len(y) else np.zeros(0)
+def _table_forward(model, tables, Ws, bs, e, de) -> _Forward:
+    return _forward(model, Ws, bs, e, de, tables.gi, tables.gj, tables.unit,
+                    tables.n_atoms, tables.atom_start, tables.natoms)
+
+
+def _residuals(tables, fw: _Forward, w_E, w_F):
+    """Per-atom energy and force residuals against the labels, and their loss."""
+    eres = (fw.E - tables.e_ref) / tables.natoms
+    fres = fw.F - tables.f_ref
+    mse_E = float(np.mean(eres**2))
+    mse_F = float(np.sum(fres**2) / (3.0 * tables.n_atoms))
+    combined = w_E * mse_E + w_F * mse_F
+    loss = LossValues(np.sqrt(mse_E) * 1000.0, np.sqrt(mse_F) * 1000.0,
+                      combined, mse_E, mse_F)
+    return eres, fres, loss
 
 
 def tables_loss(model: NeuralPotential, tables: DatasetTables, values, w_E, w_F) -> LossValues:
     """Loss of the model with the given flat parameters over the tables."""
     tables.eval_count += 1
     centers, widths, Ws, bs = model.unpack(values)
-    scale, shift = model.rescale.effective()
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         e, de, _ = tables.basis(np.asarray(centers), np.asarray(widths),
                                 model.descriptor.cutoff)
-        G = np.zeros((tables.n_atoms, model.descriptor.n_radial))
-        np.add.at(G, tables.gi, e)
-        y, hs, _ = model._net_forward(Ws, bs, G)
-        g = model._input_grad(Ws, hs)
-        s = np.einsum("pd,pd->p", de, g[tables.gi])
-        F = np.zeros((tables.n_atoms, 3))
-        contrib = (scale * s)[:, None] * tables.unit
-        np.add.at(F, tables.gi, contrib)
-        np.add.at(F, tables.gj, -contrib)
-        E = scale * _frame_sums(y, tables) + shift * tables.natoms
-        eres = (E - tables.e_ref) / tables.natoms
-        fres = F - tables.f_ref
-        mse_E = float(np.mean(eres**2))
-        mse_F = float(np.sum(fres**2) / (3.0 * tables.n_atoms))
-    combined = w_E * mse_E + w_F * mse_F
-    return LossValues(np.sqrt(mse_E) * 1000.0, np.sqrt(mse_F) * 1000.0,
-                      combined, mse_E, mse_F)
+        _, _, loss = _residuals(tables, _table_forward(model, tables, Ws, bs, e, de), w_E, w_F)
+    return loss
 
 
 def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E, w_F):
@@ -382,45 +382,26 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     """
     tables.eval_count += 1
     centers, widths, Ws, bs = model.unpack(values)
-    centers = np.asarray(centers)
-    widths = np.asarray(widths)
-    scale, shift = model.rescale.effective()
+    scale = model.rescale.effective()[0]
     trainable = model.descriptor.trainable_basis
     _, d1f, d2f = ACTIVATIONS[model.activation]
 
-    e, de, extra = tables.basis(centers, widths, model.descriptor.cutoff,
-                                with_param_grads=trainable)
-    K = model.descriptor.n_radial
-    G = np.zeros((tables.n_atoms, K))
-    np.add.at(G, tables.gi, e)
-
-    y, hs, zs = model._net_forward(Ws, bs, G)
-    g = model._input_grad(Ws, hs)
-    s = np.einsum("pd,pd->p", de, g[tables.gi])
-    F = np.zeros((tables.n_atoms, 3))
-    contrib = (scale * s)[:, None] * tables.unit
-    np.add.at(F, tables.gi, contrib)
-    np.add.at(F, tables.gj, -contrib)
-    E = scale * _frame_sums(y, tables) + shift * tables.natoms
-
+    e, de, extra = tables.basis(np.asarray(centers), np.asarray(widths),
+                                model.descriptor.cutoff, with_param_grads=trainable)
+    fw = _table_forward(model, tables, Ws, bs, e, de)
+    hs = fw.hs
+    eres, fres, loss = _residuals(tables, fw, w_E, w_F)
     M = tables.n_frames
     A = tables.n_atoms
-    eres = (E - tables.e_ref) / tables.natoms
-    fres = F - tables.f_ref
-    mse_E = float(np.mean(eres**2))
-    mse_F = float(np.sum(fres**2) / (3.0 * A))
-    combined = w_E * mse_E + w_F * mse_F
 
     # seeds: d combined / d y_a (energy path) and tangent V (force path)
     c_atom = scale * w_E * (2.0 / M) * (eres / tables.natoms)[tables.atom_frame]
     rho = (2.0 * w_F / (3.0 * A)) * fres
     beta = scale * np.einsum("pk,pk->p", tables.unit, rho[tables.gi] - rho[tables.gj])
-    V = np.zeros((A, K))
-    np.add.at(V, tables.gi, beta[:, None] * de)
+    V = scatter_add(tables.gi, beta[:, None] * de, A)
 
     # combined reverse pass: Phi = sum_a c_a * y_a + g_a . V_a
-    t = V
-    qs, ts = [], [t]
+    qs, ts = [], [V]
     for W, h in zip(Ws[:-1], hs[1:]):
         q = ts[-1] @ W.T
         qs.append(q)
@@ -453,8 +434,6 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
         g_widths = np.einsum("pd,pd->d", xb, de_dw) + np.einsum("pd,pd->d", vb, d2_rw)
 
     grad = model.pack_gradient(g_centers, g_widths, gWs, gbs)
-    loss = LossValues(np.sqrt(mse_E) * 1000.0, np.sqrt(mse_F) * 1000.0,
-                      combined, mse_E, mse_F)
     return loss, grad
 
 

@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Configuration
-from .geometry import pair_table
+from .geometry import pair_table, scatter_add
 
 KB_EV_PER_K = 8.617333262e-5  # Boltzmann constant, eV/K
 
@@ -48,9 +47,8 @@ class _PairPotential:
         """Total switched pair energy and analytic forces (eV, eV/A)."""
         positions = np.asarray(positions, dtype=float)
         n = len(positions)
-        forces = np.zeros((n, 3))
         if n < 2:
-            return 0.0, forces
+            return 0.0, np.zeros((n, 3))
         pt = pair_table(positions, self.cutoff, cell=cell, pbc=pbc)
         mask = pt.half
         r = pt.r[mask]
@@ -58,8 +56,8 @@ class _PairPotential:
         energy = float(np.sum(v))
         # dE/dr_j = dv * unit(i->j); F_j = -dv * unit, F_i = +dv * unit
         contrib = dv[:, None] * pt.unit[mask]
-        np.add.at(forces, pt.j[mask], -contrib)
-        np.add.at(forces, pt.i[mask], contrib)
+        forces = scatter_add(np.concatenate([pt.j[mask], pt.i[mask]]),
+                             np.concatenate([-contrib, contrib]), n)
         return energy, forces
 
 
@@ -118,11 +116,6 @@ class Morse(_PairPotential):
     @property
     def r_min(self) -> float:
         return self.r0
-
-
-def reference_eval(pot, c: Configuration):
-    """Energy (eV) and forces (eV/A) of a configuration under a pair potential."""
-    return pot.energy_forces(c.positions, species=c.species, cell=c.cell, pbc=c.pbc)
 
 
 def make_potential(kind: str, **kwargs):

@@ -14,9 +14,3 @@ def substream(seed: int, name: str, index: int | None = None) -> np.random.Gener
     key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
     entropy = [int(seed), key] if index is None else [int(seed), key, int(index)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def substream_seed(seed: int, name: str, index: int | None = None) -> int:
-    """Integer seed for the named substream (for APIs that take raw seeds)."""
-    rng = substream(seed, name, index)
-    return int(rng.integers(0, 2**63 - 1))

@@ -43,7 +43,6 @@ class TrainConfig:
     plateau: PlateauConfig = field(default_factory=PlateauConfig)
     weight_schedule: tuple = ((0, 1.0, 1000.0),)  # (epoch, w_E, w_F)
     swa_tail: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr0 < 0:

@@ -3,7 +3,7 @@ import pytest
 
 from potscape.data import Configuration, Dataset
 from potscape.descriptors import DescriptorSpec
-from potscape.model import NeuralPotential, Rescale, nn_eval
+from potscape.model import NeuralPotential, Rescale
 from potscape.potentials import Morse
 
 
@@ -16,6 +16,15 @@ def random_cluster(n_atoms, seed, box=2.5, min_dist=1.6):
         np.fill_diagonal(d, np.inf)
         if d.min() > min_dist:
             return pos
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform-ish random proper rotation via QR of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def random_model(seed, n_radial=6, hidden=(8, 7), trainable_basis=False,
@@ -34,8 +43,7 @@ def labeled_dataset(model, n_frames, n_atoms=5, seed=0, energy_offset=0.0,
     frames = []
     for k in range(n_frames):
         pos = random_cluster(n_atoms, seed + 1000 * k)
-        c = Configuration(pos, ["Ar"] * n_atoms)
-        e, f, _ = nn_eval(model, c)
+        e, f, _ = model.energy_forces(pos)
         if force_offset is not None:
             f = f + force_offset
         frames.append(Configuration(pos, ["Ar"] * n_atoms,

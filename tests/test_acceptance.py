@@ -234,7 +234,7 @@ def denoising_run():
     spec = DescriptorSpec.default(cutoff=5.0, n_radial=8)
     m = fit_rescale(NeuralPotential.create(spec, hidden=(16, 16), seed=0), noisy)
     cfg = TrainConfig(max_epochs=600, batch_size=50, lr0=0.01, amsgrad=True,
-                      weight_schedule=((0, 1.0, 25.0),), seed=0)
+                      weight_schedule=((0, 1.0, 25.0),))
     report = train(m, noisy, cfg)
     model = m.with_values(report.best_params)
     return ds, noisy, model
@@ -263,12 +263,12 @@ def ordering_run():
     m_conv = fit_rescale(NeuralPotential.create(spec, hidden=(16, 16), seed=0,
                                                 name="converged"), d_train)
     cfg = TrainConfig(max_epochs=600, batch_size=50, lr0=0.01, amsgrad=True,
-                      weight_schedule=((0, 1.0, 25.0),), seed=0)
+                      weight_schedule=((0, 1.0, 25.0),))
     m_conv = m_conv.with_values(train(m_conv, d_train, cfg).best_params)
 
     m_under = NeuralPotential.create(spec, hidden=(16, 16), seed=0, name="undertrained")
     cfg_u = TrainConfig(max_epochs=1, batch_size=50, lr0=0.01, amsgrad=True,
-                        weight_schedule=((0, 1.0, 25.0),), seed=0)
+                        weight_schedule=((0, 1.0, 25.0),))
     m_under = m_under.with_values(train(m_under, d_train, cfg_u).final_params)
 
     prof_conv = landscape_1d(m_conv, d_train, n_dirs=20, seed=1)

@@ -8,7 +8,6 @@ from potscape.analysis import (SlopeFit, correlate, extrapolation_slope,
                                toy_regression_experiment, write_rmse_csv,
                                write_slope_json, write_toy_csv)
 from potscape.data import Configuration, Dataset
-from potscape.model import nn_eval
 from tests.conftest import labeled_dataset, random_cluster, random_model
 
 
@@ -32,8 +31,7 @@ class TestRmseBySplit:
     def test_single_frame_energy_error(self):
         m = random_model(1)
         pos = random_cluster(1, 0, min_dist=0.0)
-        c = Configuration(pos, ["Ar"])
-        e, f, _ = nn_eval(m, c)
+        e, f, _ = m.energy_forces(pos)
         tests = {300.0: Dataset([Configuration(pos, ["Ar"], energy=e - 0.003, forces=f)])}
         rows = rmse_by_split(m, tests)
         assert rows[0]["energy_rmse_mev_per_atom"] == pytest.approx(3.0, rel=1e-12)

@@ -2,8 +2,35 @@ import numpy as np
 import pytest
 
 from potscape.data import Configuration
-from potscape.descriptors import DescriptorSpec, basis_values, descriptors, envelope
+from potscape.descriptors import DescriptorSpec, basis_values, envelope
+from potscape.geometry import pair_table
 from tests.conftest import random_cluster
+
+
+def descriptors(spec: DescriptorSpec, c, atom_index: int):
+    """Descriptor vector of one atom and its Jacobian w.r.t. all positions.
+
+    A per-pair loop, kept as an oracle independent of the model's scatters.
+    Returns (g, jac) with g of shape (K,) and jac of shape (K, N, 3) where
+    jac[k, a, :] = d g_k / d position_a.
+    """
+    n = c.n_atoms
+    g = np.zeros(spec.n_radial)
+    jac = np.zeros((spec.n_radial, n, 3))
+    pt = pair_table(c.positions, spec.cutoff, cell=c.cell, pbc=c.pbc)
+    mine = pt.i == atom_index
+    if not np.any(mine):
+        return g, jac
+    r = pt.r[mine]
+    unit = pt.unit[mine]
+    nbr = pt.j[mine]
+    e, de_dr, _ = basis_values(r, spec.centers, spec.widths, spec.cutoff)
+    g = e.sum(axis=0)
+    # d r_ij / d pos_j = +unit, d r_ij / d pos_i = -unit
+    for p in range(len(r)):
+        jac[:, nbr[p], :] += de_dr[p][:, None] * unit[p][None, :]
+        jac[:, atom_index, :] -= de_dr[p][:, None] * unit[p][None, :]
+    return g, jac
 
 
 def test_spec_validation():

@@ -136,6 +136,15 @@ class TestFailureDetection:
         cfg = MDConfig(bond_list=((0, 1),), failure_bond_length=2.0)
         assert detect_failure(Configuration(pos, ["C"] * 2), cfg) is None
 
+    def test_nan_position_fails(self):
+        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        pos[2, 1] = np.nan
+        cfg = MDConfig(bond_list=((0, 1), (0, 2)), failure_bond_length=2.0)
+        hit = detect_failure(Configuration(pos, ["C"] * 3), cfg)
+        assert hit is not None
+        pair, dist = hit
+        assert pair == (0, 2) and math.isnan(dist)
+
     def test_empty_bond_list_rejected(self):
         cfg = MDConfig()
         with pytest.raises(ValueError):

@@ -3,12 +3,11 @@ import pytest
 
 from potscape.data import Configuration, Dataset
 from potscape.descriptors import DescriptorSpec
-from potscape.geometry import random_rotation
 from potscape.model import (DatasetTables, FilterBlock, FilterPartition, NeuralPotential,
                             ParameterVector, Rescale, build_partition, fit_rescale,
-                            load_checkpoint, loss_eval, nn_eval, save_checkpoint,
+                            load_checkpoint, loss_eval, save_checkpoint,
                             tables_loss, tables_loss_grad)
-from tests.conftest import labeled_dataset, random_cluster, random_model
+from tests.conftest import labeled_dataset, random_cluster, random_model, random_rotation
 
 
 class TestPartition:
@@ -105,19 +104,27 @@ class TestEvaluation:
         assert worst < 1e-5
 
 
+def isolated_atom_dataset(m):
+    """Random frames plus a last frame whose atom 2 sits exactly at the cutoff
+    (5 A) from atom 0 and whose last atom has no neighbor at all."""
+    pos = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 5.0], [40.0, 0.0, 0.0]])
+    e, f, _ = m.energy_forces(pos)
+    frames = list(labeled_dataset(m, 3, seed=2))
+    return Dataset(frames + [Configuration(pos, ["Ar"] * 4, energy=e, forces=f)])
+
+
 class TestLoss:
     def test_perfect_model_zero_loss(self):
         m = random_model(1)
-        ds = labeled_dataset(m, 4, seed=2)
-        lv = loss_eval(m, ds)
-        assert lv.loss_E == 0.0 and lv.loss_F == 0.0 and lv.combined == 0.0
+        for ds in (labeled_dataset(m, 4, seed=2), isolated_atom_dataset(m)):
+            lv = loss_eval(m, ds)
+            assert lv.loss_E == 0.0 and lv.loss_F == 0.0 and lv.combined == 0.0
 
     def test_hand_computed_single_frame(self):
         # per-atom energy error 4 meV, force error (3, 0, 0) meV/A on one atom
         m = random_model(3)
         pos = random_cluster(1, 0, min_dist=0.0)
-        c = Configuration(pos, ["Ar"])
-        e, f, _ = nn_eval(m, c)
+        e, f, _ = m.energy_forces(pos)
         ds = Dataset([Configuration(pos, ["Ar"], energy=e - 0.004,
                                     forces=f - np.array([[0.003, 0.0, 0.0]]))])
         lv = loss_eval(m, ds)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from potscape.data import Configuration
-from potscape.geometry import SingularGeometryError, random_rotation
-from potscape.potentials import LennardJones, Morse, build_cluster, make_potential, reference_eval
-from tests.conftest import random_cluster
+from potscape.geometry import SingularGeometryError
+from potscape.potentials import LennardJones, Morse, build_cluster, make_potential
+from tests.conftest import random_cluster, random_rotation
 
 
 def dimer(r):
@@ -109,15 +109,6 @@ class TestForces:
     def test_single_atom_zero_interaction(self):
         e, f = Morse().energy_forces(np.zeros((1, 3)))
         assert e == 0.0 and f.shape == (1, 3)
-
-    def test_reference_eval_wrapper(self):
-        mo = Morse()
-        pos = random_cluster(4, 2)
-        c = Configuration(pos, ["Cu"] * 4)
-        e1, f1 = reference_eval(mo, c)
-        e2, f2 = mo.energy_forces(pos)
-        assert e1 == e2
-        np.testing.assert_array_equal(f1, f2)
 
 
 class TestPeriodic:
