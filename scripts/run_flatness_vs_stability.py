@@ -50,7 +50,7 @@ def main() -> int:
     rows = []
     print(f"{'model':14s} {'S_E':>8s} {'S_F':>8s} {'S':>8s} {'mean ttf (ps)':>14s} {'failed':>7s}")
     for model in (converged, undertrained):
-        profile = landscape_1d(model, d_train, n_dirs=20, seed=1, n_workers=2)
+        profile = landscape_1d(model, d_train, n_dirs=20, seed=1)
         write_profile_csv(profile, OUT / f"profile_{model.name}.csv")
         report = entropy_from_profile(profile, profile_ref=f"profile_{model.name}.csv")
         write_report_json(report, OUT / f"entropy_{model.name}.json")

@@ -160,6 +160,12 @@ def _train_on(config, seed, dataset, d_val=None):
     return model.with_values(report.best_params), report
 
 
+def _split(config, ds, train_t, seed):
+    return split_by_temperature(
+        ds, float(train_t),
+        holdout_fraction=float(_get(config, "data.holdout_fraction", 0.1)), seed=seed)
+
+
 def _landscape_grid(config, prefix="landscape"):
     lo = float(_get(config, f"{prefix}.t_min", -1.0))
     hi = float(_get(config, f"{prefix}.t_max", 1.0))
@@ -178,7 +184,7 @@ def _frozen_blocks(config, model):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(config, out: Path, seed: int, threads: int):
+def cmd_gen_data(config, out: Path, seed: int):
     pot = _potential(config)
     ds = generate_reference_dataset(
         pot,
@@ -199,14 +205,12 @@ def cmd_gen_data(config, out: Path, seed: int, threads: int):
     return ["dataset.extxyz", "stats.json"]
 
 
-def cmd_train(config, out: Path, seed: int, threads: int):
+def cmd_train(config, out: Path, seed: int):
     ds = _load_dataset(config)
     train_t = _get(config, "data.train_t", None)
     d_val = None
     if train_t is not None:
-        d_train, tests = split_by_temperature(
-            ds, float(train_t),
-            holdout_fraction=float(_get(config, "data.holdout_fraction", 0.1)), seed=seed)
+        d_train, tests = _split(config, ds, train_t, seed)
         d_val = tests.get(float(train_t))
     else:
         d_train = ds
@@ -217,12 +221,12 @@ def cmd_train(config, out: Path, seed: int, threads: int):
     return ["model.json", "history.csv"]
 
 
-def cmd_eval(config, out: Path, seed: int, threads: int):
+def cmd_eval(config, out: Path, seed: int):
     model = load_checkpoint(_get(config, "model.checkpoint", required=True))
     ds = _load_dataset(config)
     train_t = _get(config, "data.train_t", None)
     if train_t is not None:
-        _, tests = split_by_temperature(ds, float(train_t), seed=seed)
+        _, tests = _split(config, ds, train_t, seed)
     else:
         tags = {c.temperature_tag for c in ds}
         if None not in tags and len(tags) > 1:
@@ -235,7 +239,7 @@ def cmd_eval(config, out: Path, seed: int, threads: int):
     return ["rmse.csv"]
 
 
-def cmd_landscape1d(config, out: Path, seed: int, threads: int):
+def cmd_landscape1d(config, out: Path, seed: int):
     model = load_checkpoint(_get(config, "model.checkpoint", required=True))
     ds = _load_dataset(config)
     profile = landscape_mod.landscape_1d(
@@ -243,17 +247,17 @@ def cmd_landscape1d(config, out: Path, seed: int, threads: int):
         n_dirs=int(_get(config, "landscape.n_directions", 20)),
         t_grid=_landscape_grid(config),
         frozen=_frozen_blocks(config, model),
-        seed=seed, n_workers=threads)
+        seed=seed)
     landscape_mod.write_profile_csv(profile, out / "profile.csv")
     return ["profile.csv", "profile.csv.meta.json"]
 
 
-def cmd_landscape2d(config, out: Path, seed: int, threads: int):
+def cmd_landscape2d(config, out: Path, seed: int):
     model = load_checkpoint(_get(config, "model.checkpoint", required=True))
     ds = _load_dataset(config)
     surface = landscape_mod.landscape_2d(
         model, ds, t1_grid=_landscape_grid(config), t2_grid=_landscape_grid(config),
-        seed=seed, frozen=_frozen_blocks(config, model), n_workers=threads)
+        seed=seed, frozen=_frozen_blocks(config, model))
     combined = None
     if "landscape.w_e" in config or "landscape.w_f" in config:
         combined = landscape_mod.reweight_surface(
@@ -263,20 +267,19 @@ def cmd_landscape2d(config, out: Path, seed: int, threads: int):
     return ["surface.csv", "surface.csv.meta.json"]
 
 
-def cmd_interp(config, out: Path, seed: int, threads: int):
+def cmd_interp(config, out: Path, seed: int):
     m_a = load_checkpoint(_get(config, "model.checkpoint_a", required=True))
     m_b = load_checkpoint(_get(config, "model.checkpoint_b", required=True))
     ds = _load_dataset(config)
     n = int(_get(config, "landscape.points", 21))
     lo = float(_get(config, "landscape.t_min", 0.0))
     hi = float(_get(config, "landscape.t_max", 1.0))
-    profile = landscape_mod.interpolate_models(m_a, m_b, ds, np.linspace(lo, hi, n),
-                                               n_workers=threads)
+    profile = landscape_mod.interpolate_models(m_a, m_b, ds, np.linspace(lo, hi, n))
     landscape_mod.write_profile_csv(profile, out / "profile.csv")
     return ["profile.csv", "profile.csv.meta.json"]
 
 
-def cmd_entropy(config, out: Path, seed: int, threads: int):
+def cmd_entropy(config, out: Path, seed: int):
     ppath = _get(config, "profile.path", required=True)
     if not os.path.exists(ppath):
         raise ConfigError(f"profile not found: {ppath}")
@@ -291,7 +294,7 @@ def cmd_entropy(config, out: Path, seed: int, threads: int):
     return ["entropy.json"]
 
 
-def cmd_sweep_entropy(config, out: Path, seed: int, threads: int):
+def cmd_sweep_entropy(config, out: Path, seed: int):
     ppath = _get(config, "profile.path", required=True)
     if not os.path.exists(ppath):
         raise ConfigError(f"profile not found: {ppath}")
@@ -307,7 +310,7 @@ def cmd_sweep_entropy(config, out: Path, seed: int, threads: int):
     return ["sweep.csv", "sweep.csv.meta.json"]
 
 
-def cmd_md(config, out: Path, seed: int, threads: int):
+def cmd_md(config, out: Path, seed: int):
     if "model.checkpoint" in config:
         model = load_checkpoint(config["model.checkpoint"])
         name = model.name
@@ -327,8 +330,7 @@ def cmd_md(config, out: Path, seed: int, threads: int):
     if dump is not None:
         cfg.dump_interval = int(dump)
     records, summary = run_ensemble(model, start, cfg,
-                                    dump_dir=out if dump is not None else None,
-                                    n_workers=threads)
+                                    dump_dir=out if dump is not None else None)
     write_ensemble_json(records, summary, cfg, out / "ensemble.json", model_name=name)
     write_summary_csv([(name, summary)], out / "summary.csv")
     artifacts = ["ensemble.json", "summary.csv"]
@@ -337,7 +339,7 @@ def cmd_md(config, out: Path, seed: int, threads: int):
     return artifacts
 
 
-def cmd_noise_sweep(config, out: Path, seed: int, threads: int):
+def cmd_noise_sweep(config, out: Path, seed: int):
     base = _load_dataset(config)
     sigmas = [float(s) for s in _get(config, "noise.sigmas", [0.0, 0.02, 0.05, 0.1])]
     target = _get(config, "noise.target", "forces")
@@ -359,12 +361,9 @@ def cmd_noise_sweep(config, out: Path, seed: int, threads: int):
     return ["noise_sweep.csv"]
 
 
-def cmd_learning_curve(config, out: Path, seed: int, threads: int):
+def cmd_learning_curve(config, out: Path, seed: int):
     ds = _load_dataset(config)
-    train_t = float(_get(config, "data.train_t", required=True))
-    d_train, tests = split_by_temperature(
-        ds, train_t, holdout_fraction=float(_get(config, "data.holdout_fraction", 0.1)),
-        seed=seed)
+    d_train, tests = _split(config, ds, _get(config, "data.train_t", required=True), seed)
     sizes = [int(n) for n in _get(config, "curve.sizes", [25, 50, 100, 200])]
     points = []
     for n in sizes:
@@ -385,7 +384,7 @@ def cmd_learning_curve(config, out: Path, seed: int, threads: int):
     return ["learning_curve.csv", "slope.json"]
 
 
-def cmd_toy_regression(config, out: Path, seed: int, threads: int):
+def cmd_toy_regression(config, out: Path, seed: int):
     result = analysis.toy_regression_experiment(
         _get(config, "toy.n_list", [2, 10, 100, 1000, 10000]),
         _get(config, "toy.sigma_list", [0.0, 0.5, 1.0, 2.0]),
@@ -395,7 +394,7 @@ def cmd_toy_regression(config, out: Path, seed: int, threads: int):
     return ["toy.csv"]
 
 
-def cmd_fit_slopes(config, out: Path, seed: int, threads: int):
+def cmd_fit_slopes(config, out: Path, seed: int):
     path = _get(config, "slopes.input", required=True)
     if not os.path.exists(path):
         raise ConfigError(f"input table not found: {path}")
@@ -440,7 +439,7 @@ COMMANDS = {
 
 _KNOWN_PREFIXES = ("data.", "model.", "train.", "landscape.", "entropy.", "sweep.",
                    "md.", "noise.", "curve.", "toy.", "slopes.", "potential.", "profile.")
-_KNOWN_GLOBALS = {"seed", "out", "threads"}
+_KNOWN_GLOBALS = {"seed", "out"}
 
 
 def _validate_keys(config):
@@ -471,9 +470,7 @@ def run_command(command: str, config: dict, out_dir) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         _validate_keys(config)
-        artifacts = COMMANDS[command](config, out,
-                                      seed=int(config.get("seed", 0)),
-                                      threads=int(config.get("threads", 1)))
+        artifacts = COMMANDS[command](config, out, seed=int(config.get("seed", 0)))
         manifest["artifacts"] = {name: _sha256(out / name) for name in artifacts}
         manifest["status"] = "ok"
     except (ConfigError, ValueError) as exc:
@@ -512,7 +509,6 @@ def main(argv=None) -> int:
                        help="override a config key (repeatable)")
         p.add_argument("--out", help="output directory (default $POTSCAPE_OUT/<command>)")
         p.add_argument("--seed", type=int, help="global seed")
-        p.add_argument("--threads", type=int, help="worker threads for landscapes")
     args = parser.parse_args(argv)
 
     config: dict = {}
@@ -533,8 +529,6 @@ def main(argv=None) -> int:
         config[key.strip()] = _parse_value(value.strip())
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.threads is not None:
-        config["threads"] = args.threads
     out_dir = args.out or config.get("out") or \
         os.path.join(os.environ.get("POTSCAPE_OUT", "runs"), args.command)
     return run_command(args.command, config, out_dir)

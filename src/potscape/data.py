@@ -424,9 +424,9 @@ def generate_reference_dataset(pot, n_atoms: int, temperatures, frames_per_T: in
         for step in range(burn_in_steps + stride * frames_per_T):
             state = md_step(state, pot, cfg)
             if step >= burn_in_steps and (step - burn_in_steps) % stride == stride - 1:
-                e, f = pot.energy_forces(state.positions)
                 frames.append(Configuration(state.positions.copy(), list(conf.species),
-                                            energy=e, forces=f, temperature_tag=T))
+                                            energy=state.potential_energy,
+                                            forces=state.forces.copy(), temperature_tag=T))
     return Dataset(frames, name=name or f"synthetic-{n_atoms}atoms")
 
 

@@ -10,6 +10,10 @@ class SingularGeometryError(ValueError):
     """Two atoms closer than the numerical distance floor."""
 
 
+class NonFiniteGeometryError(ArithmeticError):
+    """A NaN or infinite atom position; its pairs would otherwise drop out unseen."""
+
+
 R_MIN = 1e-8  # Angstrom; below this a pair is treated as coincident
 
 
@@ -48,6 +52,8 @@ def _displacements(positions, cell=None, pbc=None):
 
 def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
     positions = np.asarray(positions, dtype=float)
+    if not np.all(np.isfinite(positions)):
+        raise NonFiniteGeometryError("non-finite atom position")
     n = len(positions)
     if n < 2:
         empty = np.zeros(0)

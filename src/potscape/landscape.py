@@ -4,15 +4,13 @@
 per-block norm is rescaled to match the corresponding block of the trained
 weights (dead blocks and frozen blocks stay at zero); 2D surfaces use a
 Gram-Schmidt-orthogonalized pair of such directions.  Losses are RMSEs
-evaluated on a fixed dataset; grid points are independent pure evaluations
-and may run on a thread pool.
+evaluated on a fixed dataset; grid points are independent pure evaluations.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,28 +130,18 @@ DEFAULT_T_GRID = np.linspace(-1.0, 1.0, 21)
 DEFAULT_N_DIRECTIONS = 20
 
 
-def _losses_on_points(model, tables, points, n_workers=1):
+def _losses_on_points(model, tables, points):
     """Evaluate (loss_E, loss_F) at each flat-parameter point; inf on failure."""
     out = np.empty((len(points), 2))
-
-    def one(idx_values):
-        idx, values = idx_values
+    for idx, values in enumerate(points):
         lv = tables_loss(model, tables, values, 1.0, 1.0)
-        le = lv.loss_E if np.isfinite(lv.loss_E) else np.inf
-        lf = lv.loss_F if np.isfinite(lv.loss_F) else np.inf
-        out[idx] = (le, lf)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(one, enumerate(points)))
-    else:
-        for item in enumerate(points):
-            one(item)
+        out[idx] = (lv.loss_E if np.isfinite(lv.loss_E) else np.inf,
+                    lv.loss_F if np.isfinite(lv.loss_F) else np.inf)
     return out
 
 
 def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTIONS,
-                 t_grid=None, frozen=(), seed: int = 0, n_workers: int = 1) -> LandscapeProfile:
+                 t_grid=None, frozen=(), seed: int = 0) -> LandscapeProfile:
     """RMSE curves along n_dirs filter-normalized random directions.
 
     `frozen` lists partition block indices excluded from perturbation.  The
@@ -182,7 +170,7 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
                 continue
             points.append(theta + t * dirs[n])
             where.append((n, i))
-    vals = _losses_on_points(m, tables, points, n_workers=n_workers)
+    vals = _losses_on_points(m, tables, points)
 
     loss_E = np.empty((n_dirs, len(t_grid)))
     loss_F = np.empty((n_dirs, len(t_grid)))
@@ -208,7 +196,7 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
 
 
 def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
-                 seed: int = 0, frozen=(), n_workers: int = 1) -> Surface2D:
+                 seed: int = 0, frozen=()) -> Surface2D:
     """Losses over the plane spanned by an orthogonalized direction pair."""
     t1_grid = DEFAULT_T_GRID if t1_grid is None else np.asarray(t1_grid, dtype=float)
     t2_grid = DEFAULT_T_GRID if t2_grid is None else np.asarray(t2_grid, dtype=float)
@@ -225,7 +213,7 @@ def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
 
     points = [theta + t1 * d1.values + t2 * d2.values
               for t1 in t1_grid for t2 in t2_grid]
-    vals = _losses_on_points(m, tables, points, n_workers=n_workers)
+    vals = _losses_on_points(m, tables, points)
     shape = (len(t1_grid), len(t2_grid))
     loss_E = vals[:, 0].reshape(shape)
     loss_F = vals[:, 1].reshape(shape)
@@ -244,7 +232,7 @@ def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
 
 
 def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
-                       t_grid=None, n_workers: int = 1) -> LandscapeProfile:
+                       t_grid=None) -> LandscapeProfile:
     """Losses along the straight segment (1 - t) * thetaA + t * thetaB."""
     if mA.params.partition.total != mB.params.partition.total or \
             mA.hidden_layers != mB.hidden_layers or \
@@ -254,7 +242,7 @@ def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
     tables = DatasetTables(mA, d)
     a, b = mA.params.values, mB.params.values
     points = [(1.0 - t) * a + t * b for t in t_grid]
-    vals = _losses_on_points(mA, tables, points, n_workers=n_workers)
+    vals = _losses_on_points(mA, tables, points)
     meta = {
         "kind": "interpolation",
         "model": f"{mA.name}->{mB.name}",

@@ -115,6 +115,8 @@ def md_step(state: MDState, model, cfg: MDConfig) -> MDState:
     acc = state.forces / m[:, None] / EV_PER_AMU_A2_FS2
     v_half = state.velocities + 0.5 * dt * acc
     pos = state.positions + dt * v_half
+    if not np.all(np.isfinite(pos)):
+        raise MDNumericError(f"non-finite positions at step {state.step + 1}")
     out = model.energy_forces(pos)
     energy, forces = out[0], out[1]
     if not (np.all(np.isfinite(forces)) and np.isfinite(energy)):
@@ -143,14 +145,21 @@ def detect_failure(c: Configuration, cfg: MDConfig):
     """First bonded pair strictly beyond the failure length, or None."""
     if not cfg.bond_list:
         raise ValueError("bond_list is empty")
-    return _check_bonds(c.positions, cfg.bond_list, cfg.failure_bond_length)
+    return _check_bonds(c.positions, np.array(cfg.bond_list), cfg.failure_bond_length)
 
 
-def _check_bonds(positions, bond_list, threshold):
-    for i, j in bond_list:
-        dist = float(np.linalg.norm(positions[j] - positions[i]))
+def _check_bonds(positions, bonds, threshold):
+    """First bond of the (n, 2) index array beyond threshold, as ((i, j), dist), or None.
+
+    Squared lengths only screen; bonds near the threshold or beyond are measured
+    one at a time, in order, so the verdict does not depend on array rounding.
+    """
+    d = positions[bonds[:, 1]] - positions[bonds[:, 0]]
+    near = ~(np.einsum("ij,ij->i", d, d) <= (threshold * (1.0 - 1e-9)) ** 2)
+    for k in np.flatnonzero(near):
+        dist = float(np.linalg.norm(d[k]))
         if not dist <= threshold:   # a NaN distance fails too
-            return (i, j), dist
+            return (int(bonds[k, 0]), int(bonds[k, 1])), dist
     return None
 
 
@@ -200,7 +209,7 @@ def run_trajectory(model, start: Configuration, cfg: MDConfig, velocity_seed: in
     With ``cfg.dump_interval`` set and a ``dump_path``, every k-th frame is
     written to an extended-XYZ file at the end of the run.
     """
-    bond_list = cfg.bond_list or infer_bond_list(start.positions)
+    bonds = np.array(cfg.bond_list or infer_bond_list(start.positions))
     n_steps = int(round(cfg.total_time_ps * 1000.0 / cfg.timestep_fs))
     vel = init_velocities(start, cfg.temperature, seed=velocity_seed)
     out = model.energy_forces(start.positions)
@@ -231,19 +240,17 @@ def run_trajectory(model, start: Configuration, cfg: MDConfig, velocity_seed: in
         if step % cfg.trace_interval == 0:
             trace.append(instantaneous_temperature(state.velocities, masses))
         _dump(step)
-        hit = _check_bonds(state.positions, bond_list, cfg.failure_bond_length)
+        hit = _check_bonds(state.positions, bonds, cfg.failure_bond_length)
         if hit is not None:
             return _finish(TrajectoryRecord(step * cfg.timestep_fs / 1000.0, True, hit[0],
                                             trace, velocity_seed, cause="bond"))
     return _finish(TrajectoryRecord(cfg.total_time_ps, False, None, trace, velocity_seed))
 
 
-def run_ensemble(model, start: Configuration, cfg: MDConfig, dump_dir=None,
-                 n_workers: int = 1):
+def run_ensemble(model, start: Configuration, cfg: MDConfig, dump_dir=None):
     """Independent trajectories differing only in the velocity seed.
 
-    Members share no mutable state and may run on a thread pool; records are
-    ordered by trajectory index either way.
+    Records are ordered by trajectory index.
     """
     def one(k):
         seed_k = int(substream(cfg.seed, "velocities", k).integers(2**31))
@@ -253,12 +260,7 @@ def run_ensemble(model, start: Configuration, cfg: MDConfig, dump_dir=None,
             dump_path = Path(dump_dir) / f"trajectory_{k:03d}.extxyz"
         return run_trajectory(model, start, cfg, seed_k, dump_path=dump_path)
 
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(one, range(cfg.n_trajectories)))
-    else:
-        records = [one(k) for k in range(cfg.n_trajectories)]
+    records = [one(k) for k in range(cfg.n_trajectories)]
     ttf = np.array([r.time_to_failure for r in records])
     summary = EnsembleSummary(
         mean_ttf=float(np.mean(ttf)),

@@ -212,7 +212,8 @@ class NeuralPotential:
         centers, widths, Ws, bs = self.unpack()
         pt = pair_table(positions, self.descriptor.cutoff, cell=cell, pbc=pbc)
         e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff)
-        out = _forward(self, Ws, bs, e, de, pt.i, pt.j, pt.unit, n, _ONE_FRAME, n)
+        G = scatter_add(pt.i, e, n)
+        out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, n, _ONE_FRAME, n)
         if not np.all(np.isfinite(out.y)):
             bad = int(np.nonzero(~np.isfinite(out.y))[0][0])
             raise NumericEvalError(f"non-finite site energy at atom {bad}")
@@ -230,17 +231,17 @@ class _Forward(NamedTuple):
     E: np.ndarray     # (M,) frame energies, eV
 
 
-def _forward(model, Ws, bs, e, de, gi, gj, unit, n_atoms, atom_start, natoms) -> _Forward:
-    """Basis values -> descriptors -> MLP -> input gradient -> forces and energies.
+def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) -> _Forward:
+    """Descriptors -> MLP -> input gradient -> forces and energies.
 
     The frames' atoms are numbered consecutively: pairs (gi, gj) with unit
-    vectors gi -> gj, e and de the pairs' basis values and their
+    vectors gi -> gj, G the descriptor matrix, de the pairs' basis
     r-derivatives, atom_start the first atom of each frame and natoms the
     frames' atom counts.  One frame is the case atom_start = [0].
     """
     scale, shift = model.rescale.effective()
     act, d1 = ACTIVATIONS[model.activation][:2]
-    hs = [scatter_add(gi, e, n_atoms)]
+    hs = [G]
     for W, b in zip(Ws[:-1], bs[:-1]):
         hs.append(act(hs[-1] @ W.T + b))
     y = (hs[-1] @ Ws[-1].T + bs[-1]).ravel()
@@ -271,9 +272,9 @@ class LossValues:
 class DatasetTables:
     """Precomputed geometry, labels, and basis values for fast re-evaluation.
 
-    Geometry (pair distances/unit vectors) never changes; basis values are
-    cached and recomputed only when the basis parameters differ from the
-    cached ones (trainable-basis models under perturbation).
+    Geometry (pair distances/unit vectors) never changes; the descriptor matrix
+    and basis derivatives are cached and rebuilt only when the basis parameters
+    change (trainable-basis models under perturbation).
     """
 
     def __init__(self, model: NeuralPotential, dataset: Dataset):
@@ -314,10 +315,12 @@ class DatasetTables:
         self.eval_count = 0
 
     def basis(self, centers, widths, cutoff, with_param_grads=False):
+        """(G, de, param_grads): descriptor matrix and basis_values' derivatives."""
         key = (centers.tobytes(), widths.tobytes(), bool(with_param_grads))
         if self._cache_key != key:
-            self._cache = basis_values(self.r, centers, widths, cutoff,
-                                       with_param_grads=with_param_grads)
+            e, de, extra = basis_values(self.r, centers, widths, cutoff,
+                                        with_param_grads=with_param_grads)
+            self._cache = (scatter_add(self.gi, e, self.n_atoms), de, extra)
             self._cache_key = key
         return self._cache
 
@@ -345,8 +348,8 @@ class DatasetTables:
         return sub
 
 
-def _table_forward(model, tables, Ws, bs, e, de) -> _Forward:
-    return _forward(model, Ws, bs, e, de, tables.gi, tables.gj, tables.unit,
+def _table_forward(model, tables, Ws, bs, G, de) -> _Forward:
+    return _forward(model, Ws, bs, G, de, tables.gi, tables.gj, tables.unit,
                     tables.n_atoms, tables.atom_start, tables.natoms)
 
 
@@ -367,9 +370,9 @@ def tables_loss(model: NeuralPotential, tables: DatasetTables, values, w_E, w_F)
     tables.eval_count += 1
     centers, widths, Ws, bs = model.unpack(values)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        e, de, _ = tables.basis(np.asarray(centers), np.asarray(widths),
+        G, de, _ = tables.basis(np.asarray(centers), np.asarray(widths),
                                 model.descriptor.cutoff)
-        _, _, loss = _residuals(tables, _table_forward(model, tables, Ws, bs, e, de), w_E, w_F)
+        _, _, loss = _residuals(tables, _table_forward(model, tables, Ws, bs, G, de), w_E, w_F)
     return loss
 
 
@@ -386,9 +389,9 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     trainable = model.descriptor.trainable_basis
     _, d1f, d2f = ACTIVATIONS[model.activation]
 
-    e, de, extra = tables.basis(np.asarray(centers), np.asarray(widths),
+    G, de, extra = tables.basis(np.asarray(centers), np.asarray(widths),
                                 model.descriptor.cutoff, with_param_grads=trainable)
-    fw = _table_forward(model, tables, Ws, bs, e, de)
+    fw = _table_forward(model, tables, Ws, bs, G, de)
     hs = fw.hs
     eres, fres, loss = _residuals(tables, fw, w_E, w_F)
     M = tables.n_frames

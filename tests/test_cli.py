@@ -5,6 +5,7 @@ import pytest
 
 from potscape.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config_file, main,
                           run_command)
+from potscape.data import read_extxyz_file, split_by_temperature
 
 
 def read_manifest(out):
@@ -72,6 +73,14 @@ class TestErrors:
     def test_cli_rejects_malformed_set(self):
         assert main(["toy-regression", "--set", "novalue"]) == EXIT_CONFIG
 
+    def test_no_threads_option(self, tmp_path):
+        toy = {"toy.n_list": [2], "toy.sigma_list": [0.0], "toy.repeats": 1}
+        assert run_command("toy-regression", {**toy, "threads": 2}, tmp_path) == EXIT_CONFIG
+        assert "threads" in read_manifest(tmp_path)["error"]["message"]
+        with pytest.raises(SystemExit) as exc:
+            main(["toy-regression", "--threads", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_CONFIG
+
 
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
@@ -118,11 +127,21 @@ class TestPipeline:
         rmse_lines = (ev / "rmse.csv").read_text().strip().splitlines()
         assert rmse_lines[0].startswith("T,energy_rmse")
 
+        # eval holds out the frames that train held out
+        split = {"data.train_t": 300.0, "data.holdout_fraction": 0.25}
+        ev_split = tmp_path / "eval_split"
+        assert run_command("eval", {"model.checkpoint": ckpt, "data.path": data,
+                                    "seed": 3, **split}, ev_split) == EXIT_OK
+        _, tests = split_by_temperature(read_extxyz_file(data), 300.0,
+                                        holdout_fraction=0.25, seed=3)
+        held = (ev_split / "rmse.csv").read_text().strip().splitlines()[1].split(",")
+        assert float(held[0]) == 300.0 and int(held[-1]) == len(tests[300.0]) == 3
+
         ls = tmp_path / "ls"
         assert run_command("landscape1d",
                            {"model.checkpoint": ckpt, "data.path": data,
                             "landscape.n_directions": 2, "landscape.points": 5,
-                            "seed": 3, "threads": 2}, ls) == EXIT_OK
+                            "seed": 3}, ls) == EXIT_OK
 
         en = tmp_path / "en"
         assert run_command("entropy", {"profile.path": str(ls / "profile.csv")},

@@ -9,6 +9,7 @@ from potscape.landscape import (DegenerateDirectionError, Direction, LandscapePr
                                 write_surface_csv)
 from potscape.model import (FilterBlock, FilterPartition, NeuralPotential,
                             ParameterVector, loss_eval)
+from potscape.seeding import substream
 from tests.conftest import labeled_dataset, random_model
 
 
@@ -182,12 +183,23 @@ class TestLandscape1D:
             perturbed = m.params.values + t * d.values
             np.testing.assert_array_equal(perturbed[:2 * k], m.params.values[:2 * k])
 
-    def test_parallel_matches_serial(self):
-        m, ds = self.make_setup(6)
-        p1 = landscape_1d(m, ds, n_dirs=3, seed=7, n_workers=1)
-        p4 = landscape_1d(m, ds, n_dirs=3, seed=7, n_workers=4)
-        np.testing.assert_array_equal(p1.loss_E, p4.loss_E)
-        np.testing.assert_array_equal(p1.loss_F, p4.loss_F)
+    @pytest.mark.parametrize("trainable_basis,freeze_basis",
+                             [(False, False), (True, True), (True, False)])
+    def test_grid_points_match_fresh_evaluation(self, trainable_basis, freeze_basis):
+        # the landscape reuses one table (and its cached descriptor matrix) for
+        # every point; each point must equal a standalone evaluation exactly
+        m, ds = self.make_setup(6, trainable_basis=trainable_basis)
+        frozen = m.params.partition.blocks_in_layer(0) if freeze_basis else []
+        t_grid = np.linspace(-1.0, 1.0, 5)
+        profile = landscape_1d(m, ds, n_dirs=3, t_grid=t_grid, frozen=frozen, seed=7)
+        pvec = ParameterVector(m.params.values, m.params.partition.with_frozen(frozen))
+        for n in range(3):
+            raw = sample_direction(pvec, substream(7, "direction", n).integers(2**31))
+            d = filter_normalize(raw, pvec).values
+            for i, t in enumerate(t_grid):
+                direct = loss_eval(m.with_values(m.params.values + t * d), ds)
+                assert profile.loss_E[n, i] == direct.loss_E
+                assert profile.loss_F[n, i] == direct.loss_F
 
     def test_nonfinite_sentinel(self):
         m, ds = self.make_setup(7)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from potscape.data import Configuration
-from potscape.geometry import SingularGeometryError
+from potscape.geometry import NonFiniteGeometryError, SingularGeometryError
 from potscape.potentials import LennardJones, Morse, build_cluster, make_potential
-from tests.conftest import random_cluster, random_rotation
+from tests.conftest import random_cluster, random_model, random_rotation
 
 
 def dimer(r):
@@ -27,6 +27,17 @@ class TestLennardJones:
         lj = LennardJones()
         with pytest.raises(SingularGeometryError):
             lj.energy_forces(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("pot", [Morse(), random_model(0)], ids=["morse", "neural"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_position_rejected(pot, bad):
+    # the pair table would drop the atom's pairs and give a finite answer
+    pos = random_cluster(4, 3)
+    pos[2, 1] = bad
+    with pytest.raises(NonFiniteGeometryError):
+        pot.energy_forces(pos)
+    assert issubclass(NonFiniteGeometryError, ArithmeticError)  # numeric, CLI exit 3
 
 
 class TestMorse:
