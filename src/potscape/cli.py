@@ -18,24 +18,21 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, entropy as entropy_mod, landscape as landscape_mod
-from .data import (Dataset, NoiseSpec, corrupt_labels, dataset_stats,
+from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_stats,
                    generate_reference_dataset, read_extxyz_file, split_by_temperature,
                    write_extxyz_file)
 from .descriptors import DescriptorSpec
-from .md import (MDConfig, MDNumericError, infer_bond_list, run_ensemble,
-                 write_ensemble_json, write_summary_csv)
-from .model import (NeuralPotential, NumericEvalError, fit_rescale, load_checkpoint,
-                    loss_eval, save_checkpoint)
-from .potentials import make_potential
+from .md import MDConfig, infer_bond_list, run_ensemble, write_ensemble_json, write_summary_csv
+from .model import NeuralPotential, fit_rescale, load_checkpoint, loss_eval, save_checkpoint
+from .potentials import build_cluster, make_potential
 from .seeding import substream
-from .training import PlateauConfig, TrainConfig, TrainingDiverged, train, write_history_csv
-from .data import Configuration
-from .potentials import build_cluster
+from .training import TrainConfig, train, write_history_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,45 +116,42 @@ def _fresh_model(config, seed) -> NeuralPotential:
                                   seed=init_seed)
 
 
-def _train_config(config) -> TrainConfig:
-    schedule = _get(config, "train.weight_schedule", [[0, 1.0, 1000.0]])
-    return TrainConfig(
-        max_epochs=int(_get(config, "train.max_epochs", 500)),
-        batch_size=int(_get(config, "train.batch_size", 0)),
-        lr0=float(_get(config, "train.lr0", 0.005)),
-        amsgrad=bool(_get(config, "train.amsgrad", False)),
-        ema_decay=_get(config, "train.ema_decay", None),
-        plateau=PlateauConfig(patience=int(_get(config, "train.plateau_patience", 50)),
-                              factor=float(_get(config, "train.plateau_factor", 0.5))),
-        weight_schedule=tuple(tuple(row) for row in schedule),
-        swa_tail=_get(config, "train.swa_tail", None),
-    )
+def _cast(default, value):
+    """``value`` as the type of a field's ``default``; tuple rows for a tuple, as is for None."""
+    if default is None:
+        return value
+    if isinstance(default, tuple):
+        return tuple(tuple(row) for row in value)
+    return type(default)(value)
 
 
-def _md_config(config, seed, start_positions=None) -> MDConfig:
-    bond_list = tuple(tuple(p) for p in _get(config, "md.bond_list", []))
-    if not bond_list and start_positions is not None:
-        bond_list = infer_bond_list(start_positions,
-                                    factor=float(_get(config, "md.bond_factor", 1.2)))
-    return MDConfig(
-        temperature=float(_get(config, "md.temperature", 1600.0)),
-        timestep_fs=float(_get(config, "md.timestep_fs", 1.0)),
-        tau_fs=float(_get(config, "md.tau_fs", 250.0)),
-        total_time_ps=float(_get(config, "md.total_time_ps", 6.0)),
-        n_trajectories=int(_get(config, "md.n_trajectories", 30)),
-        failure_bond_length=float(_get(config, "md.failure_bond_length", 2.0)),
-        bond_list=bond_list,
-        seed=seed,
-        trace_interval=int(_get(config, "md.trace_interval", 10)),
-    )
+def _build(cls, config, prefix, **fixed):
+    """``cls`` from the ``<prefix>.<field>`` keys given; other fields keep their defaults."""
+    for f in fields(cls):
+        key = f"{prefix}.{f.name}"
+        if key in config and f.name not in fixed:
+            try:
+                fixed[f.name] = _cast(f.default, config[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"bad value for {key}: {config[key]!r}") from None
+    return cls(**fixed)
 
 
 def _train_on(config, seed, dataset, d_val=None):
+    """Train a fresh model; it keeps the tail average with ``train.swa_tail``, the
+    weight EMA with ``train.ema_decay``, and the best epoch's weights otherwise."""
+    cfg = _build(TrainConfig, config, "train")
+    if cfg.ema_decay is not None and cfg.swa_tail is not None:
+        raise ConfigError("train.ema_decay and train.swa_tail exclude each other")
+    if cfg.swa_tail is not None and not cfg.swa_tail < cfg.max_epochs:
+        raise ConfigError(f"train.swa_tail={cfg.swa_tail} leaves no epoch to average")
     model = _fresh_model(config, seed)
     if bool(_get(config, "model.rescale", True)):
         model = fit_rescale(model, dataset)
-    report = train(model, dataset, _train_config(config), d_val=d_val)
-    return model.with_values(report.best_params), report
+    report = train(model, dataset, cfg, d_val=d_val)
+    params = (report.swa_params if cfg.swa_tail is not None else
+              report.ema_params if cfg.ema_decay is not None else report.best_params)
+    return model.with_values(params), report
 
 
 def _split(config, ds, train_t, seed):
@@ -166,11 +160,17 @@ def _split(config, ds, train_t, seed):
         holdout_fraction=float(_get(config, "data.holdout_fraction", 0.1)), seed=seed)
 
 
-def _landscape_grid(config, prefix="landscape"):
-    lo = float(_get(config, f"{prefix}.t_min", -1.0))
-    hi = float(_get(config, f"{prefix}.t_max", 1.0))
-    n = int(_get(config, f"{prefix}.points", 21))
-    return np.linspace(lo, hi, n)
+def _landscape_grid(config, t_min=-1.0):
+    return np.linspace(float(_get(config, "landscape.t_min", t_min)),
+                       float(_get(config, "landscape.t_max", 1.0)),
+                       int(_get(config, "landscape.points", 21)))
+
+
+def _load_profile(config):
+    path = _get(config, "profile.path", required=True)
+    if not os.path.exists(path):
+        raise ConfigError(f"profile not found: {path}")
+    return landscape_mod.read_profile_csv(path), str(path)
 
 
 def _frozen_blocks(config, model):
@@ -271,41 +271,32 @@ def cmd_interp(config, out: Path, seed: int):
     m_a = load_checkpoint(_get(config, "model.checkpoint_a", required=True))
     m_b = load_checkpoint(_get(config, "model.checkpoint_b", required=True))
     ds = _load_dataset(config)
-    n = int(_get(config, "landscape.points", 21))
-    lo = float(_get(config, "landscape.t_min", 0.0))
-    hi = float(_get(config, "landscape.t_max", 1.0))
-    profile = landscape_mod.interpolate_models(m_a, m_b, ds, np.linspace(lo, hi, n))
+    profile = landscape_mod.interpolate_models(m_a, m_b, ds, _landscape_grid(config, t_min=0.0))
     landscape_mod.write_profile_csv(profile, out / "profile.csv")
     return ["profile.csv", "profile.csv.meta.json"]
 
 
 def cmd_entropy(config, out: Path, seed: int):
-    ppath = _get(config, "profile.path", required=True)
-    if not os.path.exists(ppath):
-        raise ConfigError(f"profile not found: {ppath}")
-    profile = landscape_mod.read_profile_csv(ppath)
+    profile, ppath = _load_profile(config)
     report = entropy_mod.entropy_from_profile(
         profile,
         T_E=float(_get(config, "entropy.t_e", entropy_mod.DEFAULT_T_E)),
         T_F=float(_get(config, "entropy.t_f", entropy_mod.DEFAULT_T_F)),
         alpha=float(_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA)),
-        profile_ref=str(ppath))
+        profile_ref=ppath)
     entropy_mod.write_report_json(report, out / "entropy.json")
     return ["entropy.json"]
 
 
 def cmd_sweep_entropy(config, out: Path, seed: int):
-    ppath = _get(config, "profile.path", required=True)
-    if not os.path.exists(ppath):
-        raise ConfigError(f"profile not found: {ppath}")
-    profile = landscape_mod.read_profile_csv(ppath)
+    profile, ppath = _load_profile(config)
     reports, info = entropy_mod.temperature_sweep(
         profile,
         T_E_range=tuple(_get(config, "sweep.t_e_range", [0.4, 400.0])),
         T_F_range=tuple(_get(config, "sweep.t_f_range", [4.0, 4000.0])),
         alpha=float(_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA)),
         n_points=int(_get(config, "sweep.points", 25)),
-        profile_ref=str(ppath))
+        profile_ref=ppath)
     entropy_mod.write_sweep_csv(reports, out / "sweep.csv", info=info)
     return ["sweep.csv", "sweep.csv.meta.json"]
 
@@ -325,16 +316,16 @@ def cmd_md(config, out: Path, seed: int):
         n_atoms = int(_get(config, "data.n_atoms", 6))
         positions = build_cluster(pot, n_atoms, seed=substream(seed, "cluster").integers(2**31))
         start = Configuration(positions, [_get(config, "data.species", "Ar")] * n_atoms)
-    cfg = _md_config(config, seed, start_positions=start.positions)
-    dump = _get(config, "md.dump_interval", None)
-    if dump is not None:
-        cfg.dump_interval = int(dump)
-    records, summary = run_ensemble(model, start, cfg,
-                                    dump_dir=out if dump is not None else None)
+    cfg = _build(MDConfig, config, "md", seed=seed)
+    if not cfg.bond_list:
+        cfg.bond_list = infer_bond_list(start.positions,
+                                        factor=float(_get(config, "md.bond_factor", 1.2)))
+    dump = cfg.dump_interval is not None
+    records, summary = run_ensemble(model, start, cfg, dump_dir=out if dump else None)
     write_ensemble_json(records, summary, cfg, out / "ensemble.json", model_name=name)
     write_summary_csv([(name, summary)], out / "summary.csv")
     artifacts = ["ensemble.json", "summary.csv"]
-    if dump is not None:
+    if dump:
         artifacts += sorted(p.name for p in out.glob("trajectory_*.extxyz"))
     return artifacts
 
@@ -421,33 +412,49 @@ def cmd_fit_slopes(config, out: Path, seed: int):
     return ["slope.json"]
 
 
+# The config keys each command reads besides ``seed`` and ``out``; any other key
+# is an error.  An entry ending in "." admits every key under it (make_potential
+# rejects a parameter it does not know).
+_DATA = ("data.path",)
+_SPLIT = ("data.train_t", "data.holdout_fraction")
+_CLUSTER = ("potential.", "data.n_atoms", "data.species")
+_MODEL = ("model.cutoff", "model.n_radial", "model.first_center", "model.trainable_basis",
+          "model.hidden", "model.activation", "model.rescale")
+_TRAIN = tuple(f"train.{f.name}" for f in fields(TrainConfig))
+_MD = tuple(f"md.{f.name}" for f in fields(MDConfig) if f.name != "seed") + ("md.bond_factor",)
+_GRID = ("landscape.t_min", "landscape.t_max", "landscape.points")
+_LANDSCAPE = _DATA + _GRID + ("model.checkpoint", "landscape.frozen_blocks",
+                              "landscape.freeze_basis")
+_GEN = ("data.temperatures", "data.frames_per_t", "data.timestep_fs", "data.tau_fs",
+        "data.stride", "data.burn_in_steps")
+
 COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "landscape1d": cmd_landscape1d,
-    "landscape2d": cmd_landscape2d,
-    "interp": cmd_interp,
-    "entropy": cmd_entropy,
-    "sweep-entropy": cmd_sweep_entropy,
-    "md": cmd_md,
-    "noise-sweep": cmd_noise_sweep,
-    "learning-curve": cmd_learning_curve,
-    "toy-regression": cmd_toy_regression,
-    "fit-slopes": cmd_fit_slopes,
+    "gen-data": (cmd_gen_data, _CLUSTER + _GEN),
+    "train": (cmd_train, _DATA + _SPLIT + _MODEL + _TRAIN + ("model.name",)),
+    "eval": (cmd_eval, _DATA + _SPLIT + ("model.checkpoint",)),
+    "landscape1d": (cmd_landscape1d, _LANDSCAPE + ("landscape.n_directions",)),
+    "landscape2d": (cmd_landscape2d, _LANDSCAPE + ("landscape.w_e", "landscape.w_f")),
+    "interp": (cmd_interp, _DATA + _GRID + ("model.checkpoint_a", "model.checkpoint_b")),
+    "entropy": (cmd_entropy, ("profile.path", "entropy.t_e", "entropy.t_f", "entropy.alpha")),
+    "sweep-entropy": (cmd_sweep_entropy, ("profile.path", "entropy.alpha", "sweep.t_e_range",
+                                          "sweep.t_f_range", "sweep.points")),
+    "md": (cmd_md, _DATA + _CLUSTER + _MD + ("model.checkpoint",)),
+    "noise-sweep": (cmd_noise_sweep, _DATA + _MODEL + _TRAIN + ("noise.sigmas", "noise.target")),
+    "learning-curve": (cmd_learning_curve, _DATA + _SPLIT + _MODEL + _TRAIN + ("curve.sizes",)),
+    "toy-regression": (cmd_toy_regression, ("toy.n_list", "toy.sigma_list", "toy.repeats")),
+    "fit-slopes": (cmd_fit_slopes, ("slopes.input", "slopes.mode")),
 }
 
-_KNOWN_PREFIXES = ("data.", "model.", "train.", "landscape.", "entropy.", "sweep.",
-                   "md.", "noise.", "curve.", "toy.", "slopes.", "potential.", "profile.")
-_KNOWN_GLOBALS = {"seed", "out"}
 
-
-def _validate_keys(config):
-    for key in config:
-        if key in _KNOWN_GLOBALS:
-            continue
-        if not key.startswith(_KNOWN_PREFIXES):
-            raise ConfigError(f"invalid config key {key!r}")
+def _check_keys(command, config):
+    """Reject every key the command does not read, naming the keys it does."""
+    keys = ("seed", "out") + COMMANDS[command][1]
+    prefixes = tuple(k for k in keys if k.endswith("."))
+    unread = sorted(k for k in config if k not in keys and not k.startswith(prefixes))
+    if unread:
+        reads = ", ".join(k + "*" if k.endswith(".") else k for k in keys)
+        raise ConfigError(f"{command} does not read config key(s) {', '.join(unread)}; "
+                          f"it reads {reads}")
 
 
 def run_command(command: str, config: dict, out_dir) -> int:
@@ -469,19 +476,16 @@ def run_command(command: str, config: dict, out_dir) -> int:
     code = EXIT_OK
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _validate_keys(config)
-        artifacts = COMMANDS[command](config, out, seed=int(config.get("seed", 0)))
+        _check_keys(command, config)
+        artifacts = COMMANDS[command][0](config, out, seed=int(config.get("seed", 0)))
         manifest["artifacts"] = {name: _sha256(out / name) for name in artifacts}
         manifest["status"] = "ok"
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # ConfigError is a ValueError; TrainingDiverged, MDNumericError and
+        # NumericEvalError are ArithmeticErrors.
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_CONFIG
-    except (TrainingDiverged, MDNumericError, NumericEvalError, ArithmeticError) as exc:
-        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_NUMERIC
-    except OSError as exc:
-        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = EXIT_IO
+        code = (EXIT_CONFIG if isinstance(exc, ValueError) else
+                EXIT_NUMERIC if isinstance(exc, ArithmeticError) else EXIT_IO)
     manifest["duration_s"] = time.monotonic() - started
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -140,6 +140,12 @@ def _losses_on_points(model, tables, points):
     return out
 
 
+def _nonfinite_points(loss_E, loss_F) -> list:
+    """Indices into the loss arrays where either loss is not finite."""
+    bad = ~(np.isfinite(loss_E) & np.isfinite(loss_F))
+    return [[int(i) for i in idx] for idx in zip(*np.nonzero(bad))]
+
+
 def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTIONS,
                  t_grid=None, frozen=(), seed: int = 0) -> LandscapeProfile:
     """RMSE curves along n_dirs filter-normalized random directions.
@@ -179,8 +185,6 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
     for (n, i), (le, lf) in zip(where, vals):
         loss_E[n, i] = le
         loss_F[n, i] = lf
-    nonfinite = [[int(n), int(i)] for n, i in zip(*np.nonzero(~np.isfinite(loss_E) |
-                                                              ~np.isfinite(loss_F)))]
     meta = {
         "kind": "landscape1d",
         "model": m.name,
@@ -190,7 +194,7 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
         "frozen_blocks": sorted(int(i) for i in frozen),
         "grid": {"min": float(t_grid[0]), "max": float(t_grid[-1]), "points": len(t_grid)},
         "n_evaluations": int(tables.eval_count),
-        "nonfinite_points": nonfinite,
+        "nonfinite_points": _nonfinite_points(loss_E, loss_F),
     }
     return LandscapeProfile(t_grid, loss_E, loss_F, meta)
 
@@ -226,6 +230,7 @@ def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
         "grid1": {"min": float(t1_grid[0]), "max": float(t1_grid[-1]), "points": len(t1_grid)},
         "grid2": {"min": float(t2_grid[0]), "max": float(t2_grid[-1]), "points": len(t2_grid)},
         "n_evaluations": int(tables.eval_count),
+        "nonfinite_points": _nonfinite_points(loss_E, loss_F),
         "orthogonalized_before_normalization": True,
     }
     return Surface2D(t1_grid, t2_grid, loss_E, loss_F, meta)
@@ -243,6 +248,7 @@ def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
     a, b = mA.params.values, mB.params.values
     points = [(1.0 - t) * a + t * b for t in t_grid]
     vals = _losses_on_points(mA, tables, points)
+    loss_E, loss_F = vals[:, 0].reshape(1, -1), vals[:, 1].reshape(1, -1)
     meta = {
         "kind": "interpolation",
         "model": f"{mA.name}->{mB.name}",
@@ -252,10 +258,9 @@ def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
         "frozen_blocks": [],
         "grid": {"min": float(t_grid[0]), "max": float(t_grid[-1]), "points": len(t_grid)},
         "n_evaluations": int(tables.eval_count),
-        "nonfinite_points": [],
+        "nonfinite_points": _nonfinite_points(loss_E, loss_F),
     }
-    return LandscapeProfile(t_grid, vals[:, 0].reshape(1, -1),
-                            vals[:, 1].reshape(1, -1), meta)
+    return LandscapeProfile(t_grid, loss_E, loss_F, meta)
 
 
 def reweight_surface(s: Surface2D, w_E: float, w_F: float) -> np.ndarray:

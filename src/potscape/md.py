@@ -112,9 +112,10 @@ def md_step(state: MDState, model, cfg: MDConfig) -> MDState:
     """One velocity-Verlet step followed by the Berendsen velocity rescale."""
     m = state.masses
     dt = cfg.timestep_fs
-    acc = state.forces / m[:, None] / EV_PER_AMU_A2_FS2
-    v_half = state.velocities + 0.5 * dt * acc
-    pos = state.positions + dt * v_half
+    with np.errstate(over="ignore", invalid="ignore"):   # the check below reports it
+        acc = state.forces / m[:, None] / EV_PER_AMU_A2_FS2
+        v_half = state.velocities + 0.5 * dt * acc
+        pos = state.positions + dt * v_half
     if not np.all(np.isfinite(pos)):
         raise MDNumericError(f"non-finite positions at step {state.step + 1}")
     out = model.energy_forces(pos)

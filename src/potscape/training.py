@@ -9,7 +9,7 @@ weights, and optional uniform tail averaging of weights.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +21,6 @@ class TrainingDiverged(ArithmeticError):
     """Non-finite training loss; message carries the epoch index."""
 
 
-@dataclass(frozen=True)
-class PlateauConfig:
-    patience: int = 50
-    factor: float = 0.5
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError("factor must be in (0, 1)")
-
-
 @dataclass
 class TrainConfig:
     max_epochs: int = 500
@@ -40,7 +28,8 @@ class TrainConfig:
     lr0: float = 0.005
     amsgrad: bool = False
     ema_decay: float | None = None
-    plateau: PlateauConfig = field(default_factory=PlateauConfig)
+    plateau_patience: int = 50   # epochs without improvement before lr decays
+    plateau_factor: float = 0.5
     weight_schedule: tuple = ((0, 1.0, 1000.0),)  # (epoch, w_E, w_F)
     swa_tail: int | None = None
 
@@ -51,6 +40,10 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 0")
         if self.ema_decay is not None and not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in (0, 1)")
+        if self.plateau_patience < 1:
+            raise ValueError("plateau_patience must be >= 1")
+        if not 0.0 < self.plateau_factor < 1.0:
+            raise ValueError("plateau_factor must be in (0, 1)")
         epochs = [int(e) for e, _, _ in self.weight_schedule]
         if not self.weight_schedule:
             raise ValueError("weight_schedule must be nonempty")
@@ -140,10 +133,6 @@ class TrainReport:
     ema_params: np.ndarray | None = None
     swa_params: np.ndarray | None = None
 
-    def history_arrays(self) -> dict:
-        keys = ("epoch", "loss_E", "loss_F", "combined", "lr", "w_E", "w_F")
-        return {k: np.array([row[k] for row in self.history]) for k in keys}
-
 
 def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
           d_val: Dataset | None = None, step_callback=None) -> TrainReport:
@@ -166,7 +155,7 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
 
     values = model.params.values.copy()
     opt = Adam(len(values), amsgrad=cfg.amsgrad)
-    sched = PlateauScheduler(cfg.lr0, cfg.plateau.patience, cfg.plateau.factor)
+    sched = PlateauScheduler(cfg.lr0, cfg.plateau_patience, cfg.plateau_factor)
     ema = EMA(values, cfg.ema_decay) if cfg.ema_decay is not None else None
     swa_sum = np.zeros_like(values)
     swa_count = 0

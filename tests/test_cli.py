@@ -1,11 +1,17 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from potscape.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config_file, main,
                           run_command)
 from potscape.data import read_extxyz_file, split_by_temperature
+from potscape.descriptors import DescriptorSpec
+from potscape.model import NeuralPotential, fit_rescale, load_checkpoint
+from potscape.seeding import substream
+from potscape.training import TrainConfig, train
 
 
 def read_manifest(out):
@@ -80,6 +86,95 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["toy-regression", "--threads", "2", "--out", str(tmp_path / "o")])
         assert exc.value.code == EXIT_CONFIG
+
+
+class TestKeyTable:
+    """Each command accepts only the keys it reads, cast like the dataclass defaults."""
+
+    @staticmethod
+    def base(command, gen_dir, model_dir):
+        data, ckpt = str(gen_dir / "dataset.extxyz"), str(model_dir / "model.json")
+        return {
+            "train": {"data.path": data, "seed": 3, **FAST_TRAIN},
+            "md": {"model.checkpoint": ckpt, "potential.kind": "morse", "data.n_atoms": 5,
+                   "data.species": "Cu", "md.temperature": 300, "md.total_time_ps": 0.02,
+                   "md.n_trajectories": 1, "md.failure_bond_length": 3.75, "seed": 3},
+            "toy-regression": {"toy.n_list": [2], "toy.sigma_list": [0.0], "toy.repeats": 1},
+            "landscape1d": {"model.checkpoint": ckpt, "data.path": data,
+                            "landscape.n_directions": 1, "landscape.points": 3},
+        }[command]
+
+    @staticmethod
+    def assert_rejected(out, key):
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failed"
+        assert key in manifest["error"]["message"].split(";")[0]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command,key", [
+        ("train", "train.plateau_patince"),
+        ("md", "md.temprature"),
+        ("toy-regression", "toy.repeat"),
+        ("landscape1d", "data.train_t"),
+        ("train", "landscape.points"),
+        ("md", "md.seed"),
+    ])
+    def test_unread_key_rejected(self, gen_dir, model_dir, tmp_path, command, key):
+        config = {**self.base(command, gen_dir, model_dir), key: 1}
+        assert run_command(command, config, tmp_path) == EXIT_CONFIG
+        self.assert_rejected(tmp_path, key)
+
+    def test_message_lists_the_keys_read(self, tmp_path):
+        assert run_command("toy-regression", {"toy.repeat": 1}, tmp_path) == EXIT_CONFIG
+        reads = read_manifest(tmp_path)["error"]["message"].split(";")[1]
+        assert reads == " it reads seed, out, toy.n_list, toy.sigma_list, toy.repeats"
+
+    def test_plateau_keys_reach_the_scheduler(self, gen_dir, model_dir, tmp_path):
+        config = {**self.base("train", gen_dir, model_dir), "train.lr0": 0.1,
+                  "train.plateau_patience": 1, "train.plateau_factor": 0.25}
+        assert run_command("train", config, tmp_path / "ok") == EXIT_OK
+        with open(tmp_path / "ok" / "history.csv", newline="") as fh:
+            lrs = [float(row["lr"]) for row in csv.DictReader(fh)]
+        drops = [b / a for a, b in zip(lrs, lrs[1:]) if b != a]
+        assert drops and all(r == 0.25 for r in drops)
+        for key, bad in (("train.plateau_factor", 1.5), ("train.plateau_patience", 0)):
+            out = tmp_path / key
+            assert run_command("train", {**config, key: bad}, out) == EXIT_CONFIG
+            assert key.split(".")[1] in read_manifest(out)["error"]["message"]
+
+    def test_values_cast_like_the_defaults(self, gen_dir, model_dir, tmp_path):
+        config = self.base("md", gen_dir, model_dir)   # md.temperature given as int 300
+        assert run_command("md", config, tmp_path / "ok") == EXIT_OK
+        echo = json.loads((tmp_path / "ok" / "ensemble.json").read_text())["config"]
+        assert echo["temperature_K"] == 300.0 and isinstance(echo["temperature_K"], float)
+        out = tmp_path / "bad"
+        assert run_command("md", {**config, "md.temperature": "hot"}, out) == EXIT_CONFIG
+        assert "md.temperature" in read_manifest(out)["error"]["message"]
+
+    @pytest.mark.parametrize("key,value,kept", [("train.ema_decay", 0.9, "ema_params"),
+                                                ("train.swa_tail", 5, "swa_params")])
+    def test_averaged_weights_are_saved(self, gen_dir, model_dir, tmp_path, key, value, kept):
+        config = {**self.base("train", gen_dir, model_dir), key: value}
+        assert run_command("train", config, tmp_path) == EXIT_OK
+        saved = load_checkpoint(tmp_path / "model.json").params.values
+        ds = read_extxyz_file(gen_dir / "dataset.extxyz")
+        model = NeuralPotential.create(DescriptorSpec.default(cutoff=5.0, n_radial=6),
+                                       hidden=(8, 8),
+                                       seed=int(substream(3, "init").integers(2**31)))
+        cfg = TrainConfig(max_epochs=30, batch_size=6, lr0=0.01, amsgrad=True,
+                          weight_schedule=((0, 1.0, 25.0),), **{key.split(".")[1]: value})
+        report = train(fit_rescale(model, ds), ds, cfg)
+        np.testing.assert_array_equal(saved, getattr(report, kept))
+        plain = load_checkpoint(model_dir / "model.json").params.values
+        np.testing.assert_array_equal(plain, report.best_params)
+        assert not np.array_equal(saved, plain)
+
+    @pytest.mark.parametrize("extra", [{"train.ema_decay": 0.9, "train.swa_tail": 5},
+                                       {"train.swa_tail": 30}])
+    def test_unusable_averaging_rejected(self, gen_dir, model_dir, tmp_path, extra):
+        config = {**self.base("train", gen_dir, model_dir), **extra}
+        assert run_command("train", config, tmp_path) == EXIT_CONFIG
+        self.assert_rejected(tmp_path, "train.swa_tail")
 
 
 class TestConfigFile:

@@ -264,6 +264,19 @@ class TestInterpolation:
         mid = mA.with_values(0.5 * (mA.params.values + mB.params.values))
         assert profile.loss_E[0, 1] == loss_eval(mid, ds).loss_E
 
+    def test_nonfinite_points_reported(self):
+        mA = random_model(17)
+        mB = mA.with_values(mA.params.values * 1e300)
+        ds = labeled_dataset(mA, 2, seed=77, energy_offset=0.01)
+        profile = interpolate_models(mA, mB, ds, np.array([0.0, 1.0]))
+        assert np.isfinite(profile.loss_E[0, 0]) and profile.loss_E[0, 1] == np.inf
+        assert profile.metadata["nonfinite_points"] == [[0, 1]]
+        grid = np.array([-1e200, 0.0, 1e200])
+        surface = landscape_2d(mA, ds, t1_grid=grid, t2_grid=grid, seed=8)
+        bad = ~(np.isfinite(surface.loss_E) & np.isfinite(surface.loss_F))
+        assert bad.any() and not bad[1, 1]
+        assert surface.metadata["nonfinite_points"] == [list(ij) for ij in np.argwhere(bad)]
+
     def test_shape_mismatch_rejected(self):
         mA = random_model(15)
         mB = random_model(16, hidden=(8, 8))

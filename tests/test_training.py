@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from potscape.model import loss_eval
-from potscape.training import (Adam, EMA, PlateauConfig, PlateauScheduler, TrainConfig,
+from potscape.training import (Adam, EMA, PlateauScheduler, TrainConfig,
                                TrainingDiverged, apply_weight_schedule, train,
                                write_history_csv)
 from tests.conftest import labeled_dataset, random_model
@@ -77,9 +77,9 @@ class TestPlateau:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PlateauConfig(patience=0)
+            TrainConfig(plateau_patience=0)
         with pytest.raises(ValueError):
-            PlateauConfig(factor=1.5)
+            TrainConfig(plateau_factor=1.5)
 
 
 class TestTrain:
