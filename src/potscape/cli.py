@@ -18,6 +18,8 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -107,7 +109,7 @@ def _fresh_model(config, seed) -> NeuralPotential:
         cutoff=float(_get(config, "model.cutoff", 5.0)),
         n_radial=int(_get(config, "model.n_radial", 8)),
         first_center=float(_get(config, "model.first_center", 1.0)),
-        trainable_basis=bool(_get(config, "model.trainable_basis", False)),
+        trainable_basis=_flag(config, "model.trainable_basis", False),
     )
     hidden = tuple(int(h) for h in _get(config, "model.hidden", [16, 16]))
     init_seed = int(substream(seed, "init").integers(2**31))
@@ -116,24 +118,39 @@ def _fresh_model(config, seed) -> NeuralPotential:
                                   seed=init_seed)
 
 
-def _cast(default, value):
-    """``value`` as the type of a field's ``default``; tuple rows for a tuple, as is for None."""
-    if default is None:
-        return value
-    if isinstance(default, tuple):
+def _flag(config, key, default):
+    """The JSON boolean under ``key``; any other value (such as the string "False") exits 2."""
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _cast(tp, value):
+    """``value`` as a field of declared type ``tp``: a number, tuple rows, or ``X | None``."""
+    if isinstance(tp, types.UnionType):   # X | None; null keeps None
+        if value is None:
+            return None
+        (tp,) = (t for t in tp.__args__ if t is not type(None))
+    if tp is tuple:
         return tuple(tuple(row) for row in value)
-    return type(default)(value)
+    return tp(value)
 
 
 def _build(cls, config, prefix, **fixed):
     """``cls`` from the ``<prefix>.<field>`` keys given; other fields keep their defaults."""
+    hints = typing.get_type_hints(cls)
     for f in fields(cls):
         key = f"{prefix}.{f.name}"
-        if key in config and f.name not in fixed:
-            try:
-                fixed[f.name] = _cast(f.default, config[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {key}: {config[key]!r}") from None
+        if key not in config or f.name in fixed:
+            continue
+        if hints[f.name] is bool:
+            fixed[f.name] = _flag(config, key, f.default)
+            continue
+        try:
+            fixed[f.name] = _cast(hints[f.name], config[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad value for {key}: {config[key]!r}") from None
     return cls(**fixed)
 
 
@@ -146,7 +163,7 @@ def _train_on(config, seed, dataset, d_val=None):
     if cfg.swa_tail is not None and not cfg.swa_tail < cfg.max_epochs:
         raise ConfigError(f"train.swa_tail={cfg.swa_tail} leaves no epoch to average")
     model = _fresh_model(config, seed)
-    if bool(_get(config, "model.rescale", True)):
+    if _flag(config, "model.rescale", True):
         model = fit_rescale(model, dataset)
     report = train(model, dataset, cfg, d_val=d_val)
     params = (report.swa_params if cfg.swa_tail is not None else
@@ -175,7 +192,7 @@ def _load_profile(config):
 
 def _frozen_blocks(config, model):
     frozen = list(_get(config, "landscape.frozen_blocks", []))
-    if bool(_get(config, "landscape.freeze_basis", False)):
+    if _flag(config, "landscape.freeze_basis", False):
         frozen += model.params.partition.blocks_in_layer(0)
     return sorted(set(int(i) for i in frozen))
 

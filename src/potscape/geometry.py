@@ -39,34 +39,43 @@ class PairTable:
 
 
 def _displacements(positions, cell=None, pbc=None):
-    d = positions[None, :, :] - positions[:, None, :]
+    d = positions[..., None, :, :] - positions[..., :, None, :]
     if cell is not None and pbc is not None and np.any(pbc):
         # Nearest periodic image; valid for cells wider than twice the cutoff.
         inv = np.linalg.inv(cell)
         frac = d @ inv
         shift = np.round(frac)
-        shift[:, :, ~np.asarray(pbc, dtype=bool)] = 0.0
+        shift[..., ~np.asarray(pbc, dtype=bool)] = 0.0
         d = d - shift @ cell
     return d
 
 
 def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
+    """Pairs of one frame ``(N, 3)``, or of B frames ``(B, N, 3)`` numbered ``b*N + i``.
+
+    A frame's pairs come in the order of its own one-frame table (row-major in
+    i, j), so per-atom sums over a batch equal the frames' own sums bit for bit.
+    """
     positions = np.asarray(positions, dtype=float)
     if not np.all(np.isfinite(positions)):
         raise NonFiniteGeometryError("non-finite atom position")
-    n = len(positions)
+    n = positions.shape[-2]
     if n < 2:
         empty = np.zeros(0)
         return PairTable(empty.astype(int), empty.astype(int), empty, np.zeros((0, 3)))
     d = _displacements(positions, cell, pbc)
     r = np.linalg.norm(d, axis=-1)
-    np.fill_diagonal(r, np.inf)
+    r.reshape(-1, n * n)[:, ::n + 1] = np.inf   # the diagonal of every frame
     if np.any(r < R_MIN):
-        i, j = np.argwhere(r < R_MIN)[0]
-        raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A)")
-    ii, jj = np.nonzero(r < cutoff)
-    rr = r[ii, jj]
-    unit = d[ii, jj] / rr[:, None]
+        *frame, i, j = np.argwhere(r < R_MIN)[0]
+        where = f" in frame {frame[0]}" if frame else ""
+        raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A){where}")
+    pairs = np.nonzero(r < cutoff)
+    rr = r[pairs]
+    unit = d[pairs] / rr[:, None]
+    ii, jj = pairs[-2:]
+    if positions.ndim == 3:
+        ii, jj = pairs[0] * n + ii, pairs[0] * n + jj
     return PairTable(ii, jj, rr, unit)
 
 

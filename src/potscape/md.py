@@ -1,8 +1,10 @@
 """NVT molecular dynamics with a Berendsen thermostat and bond-rupture detection.
 
 Internal units: Angstrom, eV, fs, amu.  A trajectory "fails" the first time a
-bonded pair stretches strictly beyond the failure length (or a force goes
-non-finite); the ensemble summary reports time-to-failure statistics.
+bonded pair stretches strictly beyond the failure length, two atoms coincide,
+or a position, energy or force goes non-finite; the ensemble summary reports
+time-to-failure statistics.  An ensemble's trajectories are integrated
+together as one (B, N, 3) state.
 """
 
 from __future__ import annotations
@@ -11,10 +13,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .data import Configuration
+from .data import Configuration, Dataset, write_extxyz_file
+from .geometry import SingularGeometryError
+from .model import NumericEvalError
 from .potentials import KB_EV_PER_K
 from .seeding import substream
 
@@ -76,11 +81,13 @@ class MDState:
         return masses_for(self.species)
 
 
-def kinetic_energy(velocities, masses) -> float:
-    return 0.5 * float(np.sum(masses[:, None] * velocities**2)) * EV_PER_AMU_A2_FS2
+def kinetic_energy(velocities, masses):
+    """Kinetic energy (eV) of one (N, 3) velocity array, or of each of B (B, N, 3)."""
+    mv2 = (masses[:, None] * velocities**2).reshape(velocities.shape[:-2] + (3 * len(masses),))
+    return 0.5 * np.sum(mv2, axis=-1) * EV_PER_AMU_A2_FS2
 
 
-def instantaneous_temperature(velocities, masses) -> float:
+def instantaneous_temperature(velocities, masses):
     dof = 3 * len(masses) - 3  # COM momentum removed
     if dof <= 0:
         raise ValueError("temperature undefined for a single atom")
@@ -100,35 +107,59 @@ def init_velocities(c: Configuration, T: float, seed: int = 0) -> np.ndarray:
     return v * math.sqrt(T / t_now)
 
 
-def berendsen_lambda(dt: float, tau: float, target_T: float, inst_T: float) -> float:
-    """Velocity rescale factor sqrt(1 + (dt/tau)(T0/T - 1)), clamped to [0.9, 1.1]."""
+def berendsen_lambda(dt: float, tau: float, target_T: float, inst_T):
+    """Velocity rescale factor sqrt(1 + (dt/tau)(T0/T - 1)), clamped to [0.9, 1.1].
+
+    A state at T <= 0 has nothing to rescale and gets 1.  An array of
+    temperatures gets one factor each, from the same IEEE operations.
+    """
     if not math.isfinite(tau):
         return 1.0
-    lam = math.sqrt(max(1.0 + (dt / tau) * (target_T / inst_T - 1.0), 0.0))
-    return min(max(lam, 0.9), 1.1)
+    if np.ndim(inst_T) == 0:   # one state: float arithmetic costs far less than numpy calls
+        if not inst_T > 0.0:
+            return 1.0
+        lam = math.sqrt(max(1.0 + (dt / tau) * (target_T / inst_T - 1.0), 0.0))
+        return min(max(lam, 0.9), 1.1)
+    inst_T = np.where(inst_T > 0.0, inst_T, target_T)
+    lam = np.sqrt(np.maximum(1.0 + (dt / tau) * (target_T / inst_T - 1.0), 0.0))
+    return np.minimum(np.maximum(lam, 0.9), 1.1)
+
+
+def _drift(positions, velocities, forces, masses, dt):
+    """Half kick and drift of velocity Verlet: (new positions, half-step velocities).
+
+    Works on one (N, 3) state or B states (B, N, 3) alike; callers check the
+    new positions for overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_half = velocities + 0.5 * dt * (forces / masses[:, None] / EV_PER_AMU_A2_FS2)
+        return positions + dt * v_half, v_half
+
+
+def _kick(v_half, forces, masses, cfg: MDConfig):
+    """Second half kick and the Berendsen rescale, for (N, 3) or (B, N, 3) states."""
+    dt = cfg.timestep_fs
+    v = v_half + 0.5 * dt * forces / masses[:, None] / EV_PER_AMU_A2_FS2
+    if not math.isfinite(cfg.tau_fs):
+        return v
+    lam = berendsen_lambda(dt, cfg.tau_fs, cfg.temperature,
+                           instantaneous_temperature(v, masses))
+    if v.ndim == 3:
+        lam = lam[:, None, None]
+    return v * lam
 
 
 def md_step(state: MDState, model, cfg: MDConfig) -> MDState:
     """One velocity-Verlet step followed by the Berendsen velocity rescale."""
     m = state.masses
-    dt = cfg.timestep_fs
-    with np.errstate(over="ignore", invalid="ignore"):   # the check below reports it
-        acc = state.forces / m[:, None] / EV_PER_AMU_A2_FS2
-        v_half = state.velocities + 0.5 * dt * acc
-        pos = state.positions + dt * v_half
+    pos, v_half = _drift(state.positions, state.velocities, state.forces, m, cfg.timestep_fs)
     if not np.all(np.isfinite(pos)):
         raise MDNumericError(f"non-finite positions at step {state.step + 1}")
     out = model.energy_forces(pos)
     energy, forces = out[0], out[1]
     if not (np.all(np.isfinite(forces)) and np.isfinite(energy)):
         raise MDNumericError(f"non-finite forces at step {state.step + 1}")
-    v = v_half + 0.5 * dt * forces / m[:, None] / EV_PER_AMU_A2_FS2
-    if math.isfinite(cfg.tau_fs):
-        t_inst = instantaneous_temperature(v, m)
-        if t_inst > 0.0:
-            lam = berendsen_lambda(dt, cfg.tau_fs, cfg.temperature, t_inst)
-            if lam != 1.0:
-                v = v * lam
+    v = _kick(v_half, forces, m, cfg)
     return MDState(pos, v, forces, float(energy), state.species, state.step + 1)
 
 
@@ -171,7 +202,7 @@ class TrajectoryRecord:
     failure_pair: tuple | None
     temperature_trace: list
     seed: int
-    cause: str | None = None         # "bond" | "numeric" | None
+    cause: str | None = None         # "bond" | "numeric" | "collapse" | None
 
     def to_dict(self) -> dict:
         return {
@@ -203,6 +234,112 @@ class EnsembleSummary:
         }
 
 
+def _evaluate(model, positions):
+    """Energies and forces of B states, and {row: (cause, None)} for the rows that failed.
+
+    A model with ``energy_forces_batch`` evaluates all rows at once; when that
+    raises, or for a model without it, the rows are evaluated one by one.
+    Coincident atoms are a "collapse"; a non-finite site energy, energy or
+    force is "numeric".
+    """
+    failed = {}
+    batch = getattr(model, "energy_forces_batch", None)
+    if batch is not None:
+        try:
+            energy, forces = batch(positions)[:2]
+        except (SingularGeometryError, NumericEvalError):
+            batch = None   # find the rows at fault one by one
+    if batch is None:
+        energy, forces = np.zeros(len(positions)), np.zeros_like(positions)
+        for row, pos in enumerate(positions):
+            try:
+                out = model.energy_forces(pos)
+            except SingularGeometryError:
+                failed[row] = ("collapse", None)
+                continue
+            except NumericEvalError:
+                failed[row] = ("numeric", None)
+                continue
+            energy[row], forces[row] = out[0], out[1]
+    bad = ~(np.isfinite(forces).all(axis=(1, 2)) & np.isfinite(energy))
+    failed.update((row, ("numeric", None)) for row in np.flatnonzero(bad))
+    return energy, forces, failed
+
+
+def _integrate(model, start: Configuration, cfg: MDConfig, seeds, dump_paths):
+    """One trajectory per velocity seed, integrated together as one (B, N, 3) state.
+
+    A member fails at the first step where its positions, energy, forces or a
+    site energy are not finite ("numeric"), two of its atoms coincide
+    ("collapse"), or a bond stretches beyond the failure length ("bond"); it is
+    recorded and dropped from the state, and the others go on.  Every array
+    operation acts on each member alone, so a member's record does not depend
+    on the others.  Members with a dump path write every ``cfg.dump_interval``-th
+    frame to it when they end.
+    """
+    bonds = np.array(cfg.bond_list or infer_bond_list(start.positions))
+    threshold = cfg.failure_bond_length
+    n_steps = int(round(cfg.total_time_ps * 1000.0 / cfg.timestep_fs))
+    masses = masses_for(start.species)
+    vel = np.stack([init_velocities(start, cfg.temperature, seed=s) for s in seeds])
+    out = model.energy_forces(start.positions)
+    pos = np.broadcast_to(start.positions, vel.shape).copy()
+    forces = np.broadcast_to(out[1], vel.shape).copy()
+    energy = np.full(len(seeds), float(out[0]))
+    live = np.arange(len(seeds))   # the trajectory of each row of the state
+    traces = [[] for _ in seeds]
+    dumps = [[] for _ in seeds]
+    records = [None] * len(seeds)
+
+    def finish(k, step, cause=None, pair=None):
+        if dumps[k]:
+            write_extxyz_file(Dataset(dumps[k], name=str(dump_paths[k])), dump_paths[k])
+        ttf = cfg.total_time_ps if cause is None else step * cfg.timestep_fs / 1000.0
+        records[k] = TrajectoryRecord(ttf, cause is not None, pair, traces[k], seeds[k],
+                                      cause=cause)
+
+    def drop(failed, step, live, *arrays):
+        """Record the failed rows ({row: (cause, pair)}); the arrays without them."""
+        for row in sorted(failed):
+            finish(live[row], step, *failed[row])
+        keep = np.ones(len(live), dtype=bool)
+        keep[list(failed)] = False
+        return [a[keep] for a in (live, *arrays)]
+
+    for step in range(1, n_steps + 1):
+        pos, vel = _drift(pos, vel, forces, masses, cfg.timestep_fs)   # vel: half step
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
+        if bad.size:
+            live, pos, vel, forces = drop({row: ("numeric", None) for row in bad},
+                                          step, live, pos, vel, forces)
+        energy, forces, failed = _evaluate(model, pos)
+        if failed:
+            live, pos, vel, forces, energy = drop(failed, step, live, pos, vel, forces, energy)
+        vel = _kick(vel, forces, masses, cfg)
+        if step % cfg.trace_interval == 0:
+            for k, t in zip(live, instantaneous_temperature(vel, masses)):
+                traces[k].append(float(t))
+        if cfg.dump_interval and step % cfg.dump_interval == 0:
+            for row, k in enumerate(live):
+                if dump_paths[k] is not None:
+                    dumps[k].append(Configuration(pos[row].copy(), list(start.species),
+                                                  energy=float(energy[row]),
+                                                  forces=forces[row].copy()))
+        # squared lengths screen every member; _check_bonds gives the exact verdict
+        d = pos[:, bonds[:, 1]] - pos[:, bonds[:, 0]]
+        near = ~(np.einsum("bij,bij->bi", d, d) <= (threshold * (1.0 - 1e-9)) ** 2)
+        hits = ((row, _check_bonds(pos[row], bonds, threshold))
+                for row in np.flatnonzero(near.any(axis=1)))
+        failed = {row: ("bond", hit[0]) for row, hit in hits if hit is not None}
+        if failed:
+            live, pos, vel, forces, energy = drop(failed, step, live, pos, vel, forces, energy)
+        if not live.size:
+            break
+    for k in live:
+        finish(k, n_steps)
+    return records
+
+
 def run_trajectory(model, start: Configuration, cfg: MDConfig, velocity_seed: int,
                    dump_path=None):
     """Integrate one trajectory; failure is checked after every step.
@@ -210,58 +347,21 @@ def run_trajectory(model, start: Configuration, cfg: MDConfig, velocity_seed: in
     With ``cfg.dump_interval`` set and a ``dump_path``, every k-th frame is
     written to an extended-XYZ file at the end of the run.
     """
-    bonds = np.array(cfg.bond_list or infer_bond_list(start.positions))
-    n_steps = int(round(cfg.total_time_ps * 1000.0 / cfg.timestep_fs))
-    vel = init_velocities(start, cfg.temperature, seed=velocity_seed)
-    out = model.energy_forces(start.positions)
-    state = MDState(start.positions.copy(), vel, out[1], float(out[0]),
-                    list(start.species))
-    masses = state.masses
-    trace = []
-    dump_frames = []
-
-    def _dump(step):
-        if dump_path is not None and cfg.dump_interval and step % cfg.dump_interval == 0:
-            dump_frames.append(Configuration(
-                state.positions.copy(), list(state.species),
-                energy=state.potential_energy, forces=state.forces.copy()))
-
-    def _finish(record):
-        if dump_frames:
-            from .data import Dataset, write_extxyz_file
-            write_extxyz_file(Dataset(dump_frames, name=str(dump_path)), dump_path)
-        return record
-
-    for step in range(1, n_steps + 1):
-        try:
-            state = md_step(state, model, cfg)
-        except MDNumericError:
-            return _finish(TrajectoryRecord(step * cfg.timestep_fs / 1000.0, True, None,
-                                            trace, velocity_seed, cause="numeric"))
-        if step % cfg.trace_interval == 0:
-            trace.append(instantaneous_temperature(state.velocities, masses))
-        _dump(step)
-        hit = _check_bonds(state.positions, bonds, cfg.failure_bond_length)
-        if hit is not None:
-            return _finish(TrajectoryRecord(step * cfg.timestep_fs / 1000.0, True, hit[0],
-                                            trace, velocity_seed, cause="bond"))
-    return _finish(TrajectoryRecord(cfg.total_time_ps, False, None, trace, velocity_seed))
+    return _integrate(model, start, cfg, [velocity_seed], [dump_path])[0]
 
 
 def run_ensemble(model, start: Configuration, cfg: MDConfig, dump_dir=None):
-    """Independent trajectories differing only in the velocity seed.
+    """Independent trajectories differing only in the velocity seed, integrated together.
 
-    Records are ordered by trajectory index.
+    Records are ordered by trajectory index; each equals ``run_trajectory`` of
+    that index's seed.
     """
-    def one(k):
-        seed_k = int(substream(cfg.seed, "velocities", k).integers(2**31))
-        dump_path = None
-        if dump_dir is not None and cfg.dump_interval:
-            from pathlib import Path
-            dump_path = Path(dump_dir) / f"trajectory_{k:03d}.extxyz"
-        return run_trajectory(model, start, cfg, seed_k, dump_path=dump_path)
-
-    records = [one(k) for k in range(cfg.n_trajectories)]
+    seeds = [int(substream(cfg.seed, "velocities", k).integers(2**31))
+             for k in range(cfg.n_trajectories)]
+    dump_paths = [None] * len(seeds)
+    if dump_dir is not None and cfg.dump_interval:
+        dump_paths = [Path(dump_dir) / f"trajectory_{k:03d}.extxyz" for k in range(len(seeds))]
+    records = _integrate(model, start, cfg, seeds, dump_paths)
     ttf = np.array([r.time_to_failure for r in records])
     summary = EnsembleSummary(
         mean_ttf=float(np.mean(ttf)),

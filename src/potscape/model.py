@@ -207,21 +207,27 @@ class NeuralPotential:
 
     def energy_forces(self, positions, species=None, cell=None, pbc=None):
         """Energy (eV), forces (eV/A), per-atom energies for raw arrays."""
+        E, F, y = self.energy_forces_batch(np.asarray(positions, dtype=float)[None],
+                                           cell=cell, pbc=pbc)
+        return float(E[0]), F[0], y[0]
+
+    def energy_forces_batch(self, positions, cell=None, pbc=None):
+        """Energies (B,), forces (B, N, 3) and per-atom energies (B, N) of B frames.
+
+        Each frame's values equal ``energy_forces`` of that frame bit for bit.
+        """
         positions = np.asarray(positions, dtype=float)
-        n = len(positions)
+        B, n = positions.shape[:2]
         centers, widths, Ws, bs = self.unpack()
         pt = pair_table(positions, self.descriptor.cutoff, cell=cell, pbc=pbc)
         e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff)
-        G = scatter_add(pt.i, e, n)
-        out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, n, _ONE_FRAME, n)
+        G = scatter_add(pt.i, e, B * n).reshape(B, n, -1)
+        out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n, n)
         if not np.all(np.isfinite(out.y)):
-            bad = int(np.nonzero(~np.isfinite(out.y))[0][0])
-            raise NumericEvalError(f"non-finite site energy at atom {bad}")
+            frame, atom = divmod(int(np.nonzero(~np.isfinite(out.y))[0][0]), n)
+            raise NumericEvalError(f"non-finite site energy at atom {atom} of frame {frame}")
         scale, shift = self.rescale.effective()
-        return float(out.E[0]), out.F, scale * out.y + shift
-
-
-_ONE_FRAME = np.zeros(1, dtype=int)
+        return out.E, out.F.reshape(B, n, 3), (scale * out.y + shift).reshape(B, n)
 
 
 class _Forward(NamedTuple):
@@ -237,7 +243,10 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     The frames' atoms are numbered consecutively: pairs (gi, gj) with unit
     vectors gi -> gj, G the descriptor matrix, de the pairs' basis
     r-derivatives, atom_start the first atom of each frame and natoms the
-    frames' atom counts.  One frame is the case atom_start = [0].
+    frames' atom counts.  One frame is the case atom_start = [0].  A G of
+    shape (B, N, n_radial) holds B frames of N atoms; its layers are multiplied
+    frame by frame, so each frame's values equal its own evaluation bit for bit
+    (one matrix product over all rows may round differently).
     """
     scale, shift = model.rescale.effective()
     act, d1 = ACTIVATIONS[model.activation][:2]
@@ -245,10 +254,11 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     for W, b in zip(Ws[:-1], bs[:-1]):
         hs.append(act(hs[-1] @ W.T + b))
     y = (hs[-1] @ Ws[-1].T + bs[-1]).ravel()
-    g = np.repeat(Ws[-1], n_atoms, axis=0)   # d y / d G, back through the layers
+    # d y / d G, back through the layers
+    g = np.repeat(Ws[-1], n_atoms, axis=0).reshape(hs[-1].shape)
     for W, h in zip(reversed(Ws[:-1]), reversed(hs[1:])):
         g = (g * d1(h)) @ W
-    s = np.einsum("pd,pd->p", de, g[gi])
+    s = np.einsum("pd,pd->p", de, g.reshape(n_atoms, -1)[gi])
     contrib = (scale * s)[:, None] * unit
     F = scatter_add(np.concatenate([gi, gj]), np.concatenate([contrib, -contrib]), n_atoms)
     # sequential per-frame sums, so one frame and a table of frames agree bit for bit

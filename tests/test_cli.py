@@ -176,6 +176,35 @@ class TestKeyTable:
         assert run_command("train", config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, "train.swa_tail")
 
+    @pytest.mark.parametrize("command,key", [
+        ("train", "train.amsgrad"),
+        ("train", "model.trainable_basis"),
+        ("train", "model.rescale"),
+        ("landscape1d", "landscape.freeze_basis"),
+    ])
+    def test_boolean_only_from_json(self, gen_dir, model_dir, tmp_path, command, key):
+        config = self.base(command, gen_dir, model_dir)
+        assert run_command(command, {**config, key: "False"}, tmp_path / "bad") == EXIT_CONFIG
+        self.assert_rejected(tmp_path / "bad", key)
+        assert main([command, "--out", str(tmp_path / "ok"), "--set", f"{key}=false"] +
+                    [arg for k, v in config.items() if k != "seed"
+                     for arg in ("--set", f"{k}={json.dumps(v)}")]) == EXIT_OK
+
+    @pytest.mark.parametrize("command,key", [
+        ("train", "train.swa_tail"),
+        ("train", "train.ema_decay"),
+        ("md", "md.dump_interval"),
+    ])
+    def test_optional_fields_cast(self, gen_dir, model_dir, tmp_path, command, key):
+        config = {**self.base(command, gen_dir, model_dir), key: "abc"}
+        assert run_command(command, config, tmp_path) == EXIT_CONFIG
+        self.assert_rejected(tmp_path, key)
+
+    def test_dump_interval_cast_to_int(self, gen_dir, model_dir, tmp_path):
+        config = {**self.base("md", gen_dir, model_dir), "md.dump_interval": "10"}
+        assert run_command("md", config, tmp_path) == EXIT_OK
+        assert "trajectory_000.extxyz" in read_manifest(tmp_path)["artifacts"]
+
 
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):

@@ -1,15 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from potscape.data import Configuration
+from potscape.geometry import SingularGeometryError
 from potscape.md import (MDConfig, MDNumericError, MDState, berendsen_lambda, detect_failure,
                          infer_bond_list, init_velocities, instantaneous_temperature,
                          kinetic_energy, masses_for, md_step, run_ensemble, run_trajectory,
                          write_ensemble_json, write_summary_csv)
+from potscape.model import NumericEvalError
 from potscape.potentials import LennardJones, Morse, build_cluster
 from potscape.seeding import substream
+from tests.conftest import random_model
 
 
 class TestInitVelocities:
@@ -57,6 +61,14 @@ class TestBerendsen:
 
     def test_disabled_thermostat(self):
         assert berendsen_lambda(1.0, math.inf, 1600.0, 5.0) == 1.0
+
+    @pytest.mark.parametrize("dt,tau", [(1.0, 250.0), (0.5, 10.0), (100.0, 1.0)])
+    def test_array_matches_scalar(self, dt, tau):
+        temps = np.concatenate([[0.0, -1.0, 1e-300, 1.0, 1e6, math.inf],
+                                np.random.default_rng(0).uniform(1.0, 5000.0, 200)])
+        lam = berendsen_lambda(dt, tau, 1600.0, temps)
+        assert lam.shape == temps.shape
+        assert lam.tolist() == [berendsen_lambda(dt, tau, 1600.0, t) for t in temps.tolist()]
 
 
 class TestIntegration:
@@ -300,6 +312,106 @@ class TestEnsemble:
         assert len(doc["records"]) == 2
         header = (tmp_path / "s.csv").read_text().splitlines()[0]
         assert header == "model,mean_ttf_ps,std_ttf_ps,median,q1,q3,n_failed"
+
+
+def velocity_seed(cfg, k):
+    return int(substream(cfg.seed, "velocities", k).integers(2**31))
+
+
+# sha256 of the dump files of TestBatchedEnsemble's ensemble (dump_interval=15), as
+# written when run_ensemble integrated one member after another
+DUMP_SHA256 = {
+    "trajectory_000.extxyz": "72c9b85194ec6c244fdca6b6bf6b953afcdd943418c3fe1bbc642fc8bcd13226",
+    "trajectory_001.extxyz": "3aa82ddc6381da17571208f7af8448b6d4859fcc71b69ecc39dd6afdea9c7a00",
+    "trajectory_002.extxyz": "382c11a619611536d984d64520aef76a80ea3d731456fd9bce98c99a5ff95672",
+    "trajectory_003.extxyz": "a9b21b4a7ce088047166aa162392ebec06c4fd4a0507bb764c89c163184f6757",
+    "trajectory_004.extxyz": "67a1763817b0f167e608ce640ccdda7f547c6e06b42f7f1c98235a6c996a0ff8",
+    "trajectory_005.extxyz": "10cdfb0dd7feb3624dc3dfc48381c7705b8d03ab1d699a09a667a3b173acb45b",
+}
+
+
+class TestBatchedEnsemble:
+    """run_ensemble integrates its members as one state; each equals its standalone run."""
+
+    @staticmethod
+    def ensemble():
+        mo = Morse()
+        pos = build_cluster(mo, 6, seed=8)
+        cfg = MDConfig(temperature=600.0, total_time_ps=0.2, n_trajectories=6,
+                       failure_bond_length=1.2 * mo.r0, bond_list=infer_bond_list(pos), seed=5)
+        return random_model(4, n_radial=8, hidden=(16, 16)), Configuration(pos, ["Cu"] * 6), cfg
+
+    def test_members_equal_standalone_runs(self):
+        model, start, cfg = self.ensemble()
+        records, _ = run_ensemble(model, start, cfg)
+        assert [r.cause for r in records] == ["bond"] * 3 + [None] * 3
+        for k, record in enumerate(records):
+            solo = run_trajectory(model, start, cfg, velocity_seed(cfg, k))
+            assert solo.to_dict() == record.to_dict()
+
+    def test_model_without_batch_method(self):
+        model, start, cfg = self.ensemble()
+
+        class OneFrame:
+            def __init__(self):
+                self.calls = 0
+
+            def energy_forces(self, positions):
+                self.calls += 1
+                return model.energy_forces(positions)
+
+        stub = OneFrame()
+        records, _ = run_ensemble(stub, start, cfg)
+        batched, _ = run_ensemble(model, start, cfg)
+        assert [r.to_dict() for r in records] == [r.to_dict() for r in batched]
+        # the start geometry once, then one call per member and step
+        steps = sum(round(r.time_to_failure * 1000.0 / cfg.timestep_fs) for r in records)
+        assert stub.calls == 1 + steps
+
+    def test_dump_files_unchanged(self, tmp_path):
+        model, start, cfg = self.ensemble()
+        cfg.dump_interval = 15
+        run_ensemble(model, start, cfg, dump_dir=tmp_path)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == DUMP_SHA256
+
+    @pytest.mark.parametrize("kind,cause", [("batched", "collapse"), ("one-frame", "collapse"),
+                                            ("nan-on-contact", "numeric")])
+    def test_one_member_fails_alone(self, kind, cause):
+        # zero weights and no thermostat: no forces, so atoms move in straight
+        # lines.  Atom 1 starts where member 1 carries it onto atom 0 at step 5.
+        zero = random_model(0)
+        zero = zero.with_values(np.zeros(zero.params.partition.total))
+        cfg = MDConfig(temperature=300.0, tau_fs=math.inf, total_time_ps=0.02,
+                       n_trajectories=3, bond_list=((0, 1),), failure_bond_length=100.0,
+                       seed=2)
+        species = ["Cu"] * 4
+        v = init_velocities(Configuration(np.zeros((4, 3)), species), cfg.temperature,
+                            seed=velocity_seed(cfg, 1))
+        pos = np.array([[0.0, 0.0, 0.0], 5 * cfg.timestep_fs * (v[0] - v[1]),
+                        [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        start = Configuration(pos, species)
+
+        class OneFrame:
+            def energy_forces(self, positions):
+                return zero.energy_forces(positions)
+
+        class NaNOnContact:
+            def energy_forces(self, positions):
+                try:
+                    return zero.energy_forces(positions)
+                except SingularGeometryError:
+                    raise NumericEvalError("non-finite site energy") from None
+
+        model = {"batched": zero, "one-frame": OneFrame(),
+                 "nan-on-contact": NaNOnContact()}[kind]
+        records, summary = run_ensemble(model, start, cfg)
+        assert [(r.cause, r.time_to_failure) for r in records] == \
+            [(None, 0.02), (cause, 0.005), (None, 0.02)]
+        assert summary.n_failed == 1
+        for k in (0, 2):
+            solo = run_trajectory(model, start, cfg, velocity_seed(cfg, k))
+            assert solo.to_dict() == records[k].to_dict()
 
 
 def test_masses_unknown_species():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potscape.data import Configuration, Dataset
 from potscape.descriptors import DescriptorSpec
@@ -102,6 +103,25 @@ class TestEvaluation:
                     fd[a, k] = -(m.energy_forces(pp)[0] - m.energy_forces(pm)[0]) / (2 * h)
             worst = max(worst, np.max(np.abs(f - fd)) / np.max(np.abs(f)))
         assert worst < 1e-5
+
+
+class TestBatchEvaluation:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(3, 7), st.integers(0, 2**31 - 1), st.booleans())
+    def test_batch_equals_frames(self, n_frames, n_atoms, seed, trainable):
+        """Every frame of a batch evaluates exactly (==) as it does alone."""
+        m = random_model(seed % 97, trainable_basis=trainable)
+        pos = np.random.default_rng(seed).uniform(-2.5, 2.5, (n_frames, n_atoms, 3))
+        # frame 0: atoms 0 and 1 exactly one cutoff apart, the last atom far from all
+        pos[0, 0], pos[0, 1] = 0.0, [m.descriptor.cutoff, 0.0, 0.0]
+        pos[0, -1] = [40.0, 0.0, 0.0]
+        E, F, per_atom = m.energy_forces_batch(pos)
+        assert E.shape == (n_frames,) and F.shape == pos.shape
+        for b in range(n_frames):
+            e, f, p = m.energy_forces(pos[b])
+            assert E[b] == e
+            assert np.array_equal(F[b], f) and np.array_equal(per_atom[b], p)
+        assert np.array_equal(F[0, -1], np.zeros(3))
 
 
 def isolated_atom_dataset(m):
