@@ -11,7 +11,7 @@ from .entropy import (EntropyReport, entropy_from_profile, loss_entropy,
 from .landscape import (Direction, LandscapeProfile, Surface2D, filter_normalize,
                         interpolate_models, landscape_1d, landscape_2d,
                         orthogonalize_pair, reweight_surface, sample_direction)
-from .md import MDConfig, TrajectoryRecord, detect_failure, init_velocities, md_step, run_ensemble
+from .md import MDConfig, TrajectoryRecord, init_velocities, run_ensemble
 from .model import (FilterPartition, NeuralPotential, ParameterVector, fit_rescale,
                     load_checkpoint, loss_eval, save_checkpoint)
 from .analysis import (SlopeFit, ToyRegressionResult, correlate, extrapolation_slope,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import SingularGeometryError
 from .seeding import substream
 
 
@@ -398,11 +399,14 @@ def generate_reference_dataset(pot, n_atoms: int, temperatures, frames_per_T: in
                                name: str | None = None) -> Dataset:
     """Sample decorrelated frames from thermostatted MD under a reference potential.
 
-    Each temperature gets its own velocity stream; every ``stride``-th frame
-    after ``burn_in_steps`` is kept and labeled with the exact reference
-    energy/forces and its sampling temperature.
+    One Berendsen chain per temperature, each with its own velocity stream,
+    all integrated together as one batched state by the MD integrator; every
+    ``stride``-th frame after ``burn_in_steps`` is kept and labeled with the
+    exact reference energy/forces and its sampling temperature, chain after
+    chain.  A chain whose atoms coincide raises SingularGeometryError, and one
+    that goes non-finite raises MDNumericError.
     """
-    from .md import MDConfig, init_velocities, md_step, MDState
+    from .md import MDConfig, MDNumericError, _integrate
     from .potentials import build_cluster
 
     if frames_per_T <= 0:
@@ -412,21 +416,20 @@ def generate_reference_dataset(pot, n_atoms: int, temperatures, frames_per_T: in
         raise ValueError("temperatures must be positive")
 
     start = build_cluster(pot, n_atoms, seed=substream(seed, "cluster").integers(2**31))
-    frames: list[Configuration] = []
-    for k, T in enumerate(temperatures):
-        cfg = MDConfig(temperature=T, timestep_fs=timestep_fs, tau_fs=tau_fs,
-                       total_time_ps=1.0, seed=seed)
-        conf = Configuration(start.copy(), [species] * n_atoms)
-        vel = init_velocities(conf, T, seed=substream(seed, "velocities", k).integers(2**31))
-        e0, f0 = pot.energy_forces(conf.positions)
-        state = MDState(positions=conf.positions.copy(), velocities=vel,
-                        forces=f0, potential_energy=e0, species=conf.species)
-        for step in range(burn_in_steps + stride * frames_per_T):
-            state = md_step(state, pot, cfg)
-            if step >= burn_in_steps and (step - burn_in_steps) % stride == stride - 1:
-                frames.append(Configuration(state.positions.copy(), list(conf.species),
-                                            energy=state.potential_energy,
-                                            forces=state.forces.copy(), temperature_tag=T))
+    n_steps = burn_in_steps + stride * frames_per_T
+    cfg = MDConfig(timestep_fs=timestep_fs, tau_fs=tau_fs,
+                   total_time_ps=n_steps * timestep_fs / 1000.0)
+    seeds = [substream(seed, "velocities", k).integers(2**31) for k in range(len(temperatures))]
+    records, chains = _integrate(pot, Configuration(start, [species] * n_atoms), cfg, seeds,
+                                 temperatures, frames=(burn_in_steps, stride))
+    for T, record, chain in zip(temperatures, records, chains):
+        if record.failed:
+            step = round(record.time_to_failure * 1000.0 / timestep_fs)
+            error = SingularGeometryError if record.cause == "collapse" else MDNumericError
+            raise error(f"the {T:g} K chain failed ({record.cause}) at step {step}")
+        for c in chain:
+            c.temperature_tag = T
+    frames = [c for chain in chains for c in chain]
     return Dataset(frames, name=name or f"synthetic-{n_atoms}atoms")
 
 

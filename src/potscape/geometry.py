@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class SingularGeometryError(ValueError):
+class SingularGeometryError(ArithmeticError):
     """Two atoms closer than the numerical distance floor."""
 
 

@@ -3,8 +3,9 @@
 Internal units: Angstrom, eV, fs, amu.  A trajectory "fails" the first time a
 bonded pair stretches strictly beyond the failure length, two atoms coincide,
 or a position, energy or force goes non-finite; the ensemble summary reports
-time-to-failure statistics.  An ensemble's trajectories are integrated
-together as one (B, N, 3) state.
+time-to-failure statistics.  ``_integrate`` is the one MD loop: MD ensembles
+and the temperature chains of reference-data generation alike are integrated
+as one (B, N, 3) state, stepped by ``md_step``.
 """
 
 from __future__ import annotations
@@ -65,20 +66,8 @@ class MDConfig:
             raise ValueError("MD parameters must be positive")
         if self.n_trajectories < 1 or self.trace_interval < 1:
             raise ValueError("n_trajectories and trace_interval must be >= 1")
-
-
-@dataclass
-class MDState:
-    positions: np.ndarray
-    velocities: np.ndarray   # A/fs
-    forces: np.ndarray       # eV/A
-    potential_energy: float
-    species: list[str]
-    step: int = 0
-
-    @property
-    def masses(self) -> np.ndarray:
-        return masses_for(self.species)
+        if self.dump_interval is not None and self.dump_interval < 1:
+            raise ValueError("dump_interval must be >= 1, or None for no dumps")
 
 
 def kinetic_energy(velocities, masses):
@@ -107,60 +96,56 @@ def init_velocities(c: Configuration, T: float, seed: int = 0) -> np.ndarray:
     return v * math.sqrt(T / t_now)
 
 
-def berendsen_lambda(dt: float, tau: float, target_T: float, inst_T):
+def berendsen_lambda(dt: float, tau: float, target_T, inst_T):
     """Velocity rescale factor sqrt(1 + (dt/tau)(T0/T - 1)), clamped to [0.9, 1.1].
 
-    A state at T <= 0 has nothing to rescale and gets 1.  An array of
-    temperatures gets one factor each, from the same IEEE operations.
+    Elementwise over arrays of target and instantaneous temperatures, with the
+    IEEE operations of the scalar formula.  A state at T <= 0 has nothing to
+    rescale and gets 1.
     """
     if not math.isfinite(tau):
         return 1.0
-    if np.ndim(inst_T) == 0:   # one state: float arithmetic costs far less than numpy calls
-        if not inst_T > 0.0:
-            return 1.0
-        lam = math.sqrt(max(1.0 + (dt / tau) * (target_T / inst_T - 1.0), 0.0))
-        return min(max(lam, 0.9), 1.1)
     inst_T = np.where(inst_T > 0.0, inst_T, target_T)
     lam = np.sqrt(np.maximum(1.0 + (dt / tau) * (target_T / inst_T - 1.0), 0.0))
     return np.minimum(np.maximum(lam, 0.9), 1.1)
 
 
-def _drift(positions, velocities, forces, masses, dt):
-    """Half kick and drift of velocity Verlet: (new positions, half-step velocities).
+def _drop(rows, arrays):
+    """The arrays without the given rows."""
+    keep = np.ones(len(arrays[0]), dtype=bool)
+    keep[list(rows)] = False
+    return [a[keep] for a in arrays]
 
-    Works on one (N, 3) state or B states (B, N, 3) alike; callers check the
-    new positions for overflow.
+
+def md_step(model, state, masses, cfg: MDConfig):
+    """One velocity-Verlet step of B members, each thermostatted toward its own target.
+
+    ``state`` is ``(members, targets, positions, velocities, forces, energies)``
+    with one row per live member.  The step drifts, evaluates, drops the
+    members whose positions, energy or forces are not finite ("numeric") or
+    whose atoms coincide ("collapse"), and kicks the rest.  Returns the new
+    state and {member: (cause, None)} for the members dropped.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_half = velocities + 0.5 * dt * (forces / masses[:, None] / EV_PER_AMU_A2_FS2)
-        return positions + dt * v_half, v_half
-
-
-def _kick(v_half, forces, masses, cfg: MDConfig):
-    """Second half kick and the Berendsen rescale, for (N, 3) or (B, N, 3) states."""
-    dt = cfg.timestep_fs
-    v = v_half + 0.5 * dt * forces / masses[:, None] / EV_PER_AMU_A2_FS2
-    if not math.isfinite(cfg.tau_fs):
-        return v
-    lam = berendsen_lambda(dt, cfg.tau_fs, cfg.temperature,
-                           instantaneous_temperature(v, masses))
-    if v.ndim == 3:
-        lam = lam[:, None, None]
-    return v * lam
-
-
-def md_step(state: MDState, model, cfg: MDConfig) -> MDState:
-    """One velocity-Verlet step followed by the Berendsen velocity rescale."""
-    m = state.masses
-    pos, v_half = _drift(state.positions, state.velocities, state.forces, m, cfg.timestep_fs)
-    if not np.all(np.isfinite(pos)):
-        raise MDNumericError(f"non-finite positions at step {state.step + 1}")
-    out = model.energy_forces(pos)
-    energy, forces = out[0], out[1]
-    if not (np.all(np.isfinite(forces)) and np.isfinite(energy)):
-        raise MDNumericError(f"non-finite forces at step {state.step + 1}")
-    v = _kick(v_half, forces, m, cfg)
-    return MDState(pos, v, forces, float(energy), state.species, state.step + 1)
+    members, targets, pos, vel, forces, _ = state
+    dt, m = cfg.timestep_fs, masses[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is caught below
+        vel = vel + 0.5 * dt * (forces / m / EV_PER_AMU_A2_FS2)   # half kick, then drift
+        pos = pos + dt * vel
+    failed = {}
+    if not np.isfinite(pos).all():
+        rows = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
+        failed = {int(members[row]): ("numeric", None) for row in rows}
+        members, targets, pos, vel = _drop(rows, (members, targets, pos, vel))
+    energy, forces, lost = _evaluate(model, pos)
+    if lost:
+        failed.update((int(members[row]), cause) for row, cause in lost.items())
+        members, targets, pos, vel, forces, energy = _drop(
+            lost, (members, targets, pos, vel, forces, energy))
+    vel = vel + 0.5 * dt * forces / m / EV_PER_AMU_A2_FS2   # second half kick
+    if math.isfinite(cfg.tau_fs):
+        lam = berendsen_lambda(dt, cfg.tau_fs, targets, instantaneous_temperature(vel, masses))
+        vel = vel * lam[:, None, None]
+    return (members, targets, pos, vel, forces, energy), failed
 
 
 def infer_bond_list(positions, factor: float = 1.2) -> tuple:
@@ -171,13 +156,6 @@ def infer_bond_list(positions, factor: float = 1.2) -> tuple:
     rmin = d.min()
     ii, jj = np.nonzero(np.triu(d <= factor * rmin, k=1))
     return tuple((int(i), int(j)) for i, j in zip(ii, jj))
-
-
-def detect_failure(c: Configuration, cfg: MDConfig):
-    """First bonded pair strictly beyond the failure length, or None."""
-    if not cfg.bond_list:
-        raise ValueError("bond_list is empty")
-    return _check_bonds(c.positions, np.array(cfg.bond_list), cfg.failure_bond_length)
 
 
 def _check_bonds(positions, bonds, threshold):
@@ -253,90 +231,85 @@ def _evaluate(model, positions):
         energy, forces = np.zeros(len(positions)), np.zeros_like(positions)
         for row, pos in enumerate(positions):
             try:
-                out = model.energy_forces(pos)
+                energy[row], forces[row] = model.energy_forces(pos)[:2]
             except SingularGeometryError:
                 failed[row] = ("collapse", None)
-                continue
             except NumericEvalError:
                 failed[row] = ("numeric", None)
-                continue
-            energy[row], forces[row] = out[0], out[1]
-    bad = ~(np.isfinite(forces).all(axis=(1, 2)) & np.isfinite(energy))
-    failed.update((row, ("numeric", None)) for row in np.flatnonzero(bad))
+    if not (np.isfinite(forces).all() and np.isfinite(energy).all()):
+        bad = ~(np.isfinite(forces).all(axis=(1, 2)) & np.isfinite(energy))
+        failed.update((row, ("numeric", None)) for row in np.flatnonzero(bad))
     return energy, forces, failed
 
 
-def _integrate(model, start: Configuration, cfg: MDConfig, seeds, dump_paths):
-    """One trajectory per velocity seed, integrated together as one (B, N, 3) state.
+def _integrate(model, start: Configuration, cfg: MDConfig, seeds, targets, bonds=(),
+               frames=None):
+    """One member per velocity seed and target temperature, integrated as one (B, N, 3) state.
 
-    A member fails at the first step where its positions, energy, forces or a
-    site energy are not finite ("numeric"), two of its atoms coincide
-    ("collapse"), or a bond stretches beyond the failure length ("bond"); it is
-    recorded and dropped from the state, and the others go on.  Every array
-    operation acts on each member alone, so a member's record does not depend
-    on the others.  Members with a dump path write every ``cfg.dump_interval``-th
-    frame to it when they end.
+    A member fails at the first step where ``md_step`` drops it ("numeric" or
+    "collapse") or one of ``bonds`` stretches beyond the failure length
+    ("bond"); it is recorded and the others go on.  Every array operation acts
+    on each member alone, so a member's record does not depend on the others.
+    ``frames = (s0, k)`` keeps every k-th step after step s0 of each member as
+    a labelled Configuration.  Returns the records and each member's frames.
     """
-    bonds = np.array(cfg.bond_list or infer_bond_list(start.positions))
-    threshold = cfg.failure_bond_length
+    bonds, threshold = np.array(bonds), cfg.failure_bond_length
     n_steps = int(round(cfg.total_time_ps * 1000.0 / cfg.timestep_fs))
     masses = masses_for(start.species)
-    vel = np.stack([init_velocities(start, cfg.temperature, seed=s) for s in seeds])
+    vel = np.stack([init_velocities(start, t, seed=s) for s, t in zip(seeds, targets)])
     out = model.energy_forces(start.positions)
-    pos = np.broadcast_to(start.positions, vel.shape).copy()
-    forces = np.broadcast_to(out[1], vel.shape).copy()
-    energy = np.full(len(seeds), float(out[0]))
-    live = np.arange(len(seeds))   # the trajectory of each row of the state
+    state = (np.arange(len(seeds)), np.array(targets, dtype=float),
+             np.broadcast_to(start.positions, vel.shape).copy(), vel,
+             np.broadcast_to(out[1], vel.shape).copy(), np.full(len(seeds), float(out[0])))
     traces = [[] for _ in seeds]
-    dumps = [[] for _ in seeds]
+    kept = [[] for _ in seeds]
     records = [None] * len(seeds)
 
     def finish(k, step, cause=None, pair=None):
-        if dumps[k]:
-            write_extxyz_file(Dataset(dumps[k], name=str(dump_paths[k])), dump_paths[k])
         ttf = cfg.total_time_ps if cause is None else step * cfg.timestep_fs / 1000.0
         records[k] = TrajectoryRecord(ttf, cause is not None, pair, traces[k], seeds[k],
                                       cause=cause)
 
-    def drop(failed, step, live, *arrays):
-        """Record the failed rows ({row: (cause, pair)}); the arrays without them."""
-        for row in sorted(failed):
-            finish(live[row], step, *failed[row])
-        keep = np.ones(len(live), dtype=bool)
-        keep[list(failed)] = False
-        return [a[keep] for a in (live, *arrays)]
-
     for step in range(1, n_steps + 1):
-        pos, vel = _drift(pos, vel, forces, masses, cfg.timestep_fs)   # vel: half step
-        bad = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
-        if bad.size:
-            live, pos, vel, forces = drop({row: ("numeric", None) for row in bad},
-                                          step, live, pos, vel, forces)
-        energy, forces, failed = _evaluate(model, pos)
-        if failed:
-            live, pos, vel, forces, energy = drop(failed, step, live, pos, vel, forces, energy)
-        vel = _kick(vel, forces, masses, cfg)
+        state, failed = md_step(model, state, masses, cfg)
+        for k, hit in failed.items():
+            finish(k, step, *hit)
+        members, _, pos, vel, forces, energy = state
         if step % cfg.trace_interval == 0:
-            for k, t in zip(live, instantaneous_temperature(vel, masses)):
+            for k, t in zip(members, instantaneous_temperature(vel, masses)):
                 traces[k].append(float(t))
-        if cfg.dump_interval and step % cfg.dump_interval == 0:
-            for row, k in enumerate(live):
-                if dump_paths[k] is not None:
-                    dumps[k].append(Configuration(pos[row].copy(), list(start.species),
-                                                  energy=float(energy[row]),
-                                                  forces=forces[row].copy()))
-        # squared lengths screen every member; _check_bonds gives the exact verdict
-        d = pos[:, bonds[:, 1]] - pos[:, bonds[:, 0]]
-        near = ~(np.einsum("bij,bij->bi", d, d) <= (threshold * (1.0 - 1e-9)) ** 2)
-        hits = ((row, _check_bonds(pos[row], bonds, threshold))
-                for row in np.flatnonzero(near.any(axis=1)))
-        failed = {row: ("bond", hit[0]) for row, hit in hits if hit is not None}
-        if failed:
-            live, pos, vel, forces, energy = drop(failed, step, live, pos, vel, forces, energy)
-        if not live.size:
+        if frames and step > frames[0] and (step - frames[0]) % frames[1] == 0:
+            for row, k in enumerate(members):
+                kept[k].append(Configuration(pos[row].copy(), list(start.species),
+                                             energy=float(energy[row]),
+                                             forces=forces[row].copy()))
+        if len(bonds):
+            # squared lengths screen every member; _check_bonds gives the exact verdict
+            d = pos[:, bonds[:, 1]] - pos[:, bonds[:, 0]]
+            near = ~(np.einsum("bij,bij->bi", d, d) <= (threshold * (1.0 - 1e-9)) ** 2)
+            hits = ((row, _check_bonds(pos[row], bonds, threshold))
+                    for row in np.flatnonzero(near.any(axis=1)))
+            failed = {row: hit[0] for row, hit in hits if hit is not None}
+            for row, pair in failed.items():
+                finish(members[row], step, "bond", pair)
+            if failed:
+                state = _drop(failed, state)
+        if not len(state[0]):
             break
-    for k in live:
+    for k in state[0]:
         finish(k, n_steps)
+    return records, kept
+
+
+def _run(model, start: Configuration, cfg: MDConfig, seeds, dump_paths):
+    """Records of one trajectory per velocity seed; each writes its dump path, if any."""
+    dump = dump_paths is not None and cfg.dump_interval
+    records, frames = _integrate(model, start, cfg, seeds, [cfg.temperature] * len(seeds),
+                                 cfg.bond_list or infer_bond_list(start.positions),
+                                 (0, cfg.dump_interval) if dump else None)
+    for kept, path in zip(frames, dump_paths or ()):
+        if kept:
+            write_extxyz_file(Dataset(kept, name=str(path)), path)
     return records
 
 
@@ -347,21 +320,23 @@ def run_trajectory(model, start: Configuration, cfg: MDConfig, velocity_seed: in
     With ``cfg.dump_interval`` set and a ``dump_path``, every k-th frame is
     written to an extended-XYZ file at the end of the run.
     """
-    return _integrate(model, start, cfg, [velocity_seed], [dump_path])[0]
+    return _run(model, start, cfg, [velocity_seed],
+                None if dump_path is None else [dump_path])[0]
 
 
 def run_ensemble(model, start: Configuration, cfg: MDConfig, dump_dir=None):
     """Independent trajectories differing only in the velocity seed, integrated together.
 
     Records are ordered by trajectory index; each equals ``run_trajectory`` of
-    that index's seed.
+    that index's seed.  With ``cfg.dump_interval`` set and a ``dump_dir``,
+    trajectory k writes every ``dump_interval``-th frame to
+    ``trajectory_{k:03d}.extxyz``.
     """
     seeds = [int(substream(cfg.seed, "velocities", k).integers(2**31))
              for k in range(cfg.n_trajectories)]
-    dump_paths = [None] * len(seeds)
-    if dump_dir is not None and cfg.dump_interval:
-        dump_paths = [Path(dump_dir) / f"trajectory_{k:03d}.extxyz" for k in range(len(seeds))]
-    records = _integrate(model, start, cfg, seeds, dump_paths)
+    paths = None if dump_dir is None else [Path(dump_dir) / f"trajectory_{k:03d}.extxyz"
+                                           for k in range(len(seeds))]
+    records = _run(model, start, cfg, seeds, paths)
     ttf = np.array([r.time_to_failure for r in records])
     summary = EnsembleSummary(
         mean_ttf=float(np.mean(ttf)),

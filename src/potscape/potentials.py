@@ -18,47 +18,56 @@ def quintic_switch(x):
 
 
 def _switched(v, dv, r, r_on, cutoff):
-    """Apply the smooth switch to raw pair energies/derivatives on [r_on, cutoff]."""
-    r = np.asarray(r, dtype=float)
-    inside = r <= r_on
-    beyond = r >= cutoff
-    x = np.clip((r - r_on) / (cutoff - r_on), 0.0, 1.0)
-    s, ds = quintic_switch(x)
-    ds = ds / (cutoff - r_on)
-    vs = np.where(inside, v, v * s)
-    dvs = np.where(inside, dv, dv * s + v * ds)
-    vs = np.where(beyond, 0.0, vs)
-    dvs = np.where(beyond, 0.0, dvs)
-    return vs, dvs
+    """Apply the smooth switch to raw pair energies/derivatives on [r_on, cutoff].
+
+    Only the distances beyond r_on are touched; ``v`` and ``dv`` are updated in place.
+    """
+    out = ~(r <= r_on)   # switched or cut off
+    if out.any():
+        ro = r[out]
+        s, ds = quintic_switch(np.clip((ro - r_on) / (cutoff - r_on), 0.0, 1.0))
+        ds = ds / (cutoff - r_on)
+        beyond = ro >= cutoff
+        vo = v[out]
+        v[out] = np.where(beyond, 0.0, vo * s)
+        dv[out] = np.where(beyond, 0.0, dv[out] * s + vo * ds)
+    return v, dv
 
 
 class _PairPotential:
     """Shared pairwise-sum machinery; subclasses provide raw V(r), V'(r)."""
 
-    def pair_energy(self, r):
-        v, dv = self._raw(np.asarray(r, dtype=float))
-        return _switched(v, dv, r, self.switch_start, self.cutoff)[0]
-
     def pair_energy_deriv(self, r):
-        v, dv = self._raw(np.asarray(r, dtype=float))
+        """Switched pair energies and their derivatives at an array of distances."""
+        r = np.asarray(r, dtype=float)
+        v, dv = self._raw(r)
         return _switched(v, dv, r, self.switch_start, self.cutoff)
 
     def energy_forces(self, positions, species=None, cell=None, pbc=None):
-        """Total switched pair energy and analytic forces (eV, eV/A)."""
+        """Total switched pair energy and analytic forces (eV, eV/A) of one frame."""
+        energy, forces = self.energy_forces_batch(np.asarray(positions, dtype=float)[None],
+                                                  cell=cell, pbc=pbc)
+        return float(energy[0]), forces[0]
+
+    def energy_forces_batch(self, positions, cell=None, pbc=None):
+        """Energies (B,) and forces (B, N, 3) of B frames from one batched pair table.
+
+        Each frame's energy is the sum over its own slice of the half pairs, and
+        every atom sums its pair forces in the frame's own pair order, so each
+        frame's results equal those of the frame alone bit for bit.
+        """
         positions = np.asarray(positions, dtype=float)
-        n = len(positions)
-        if n < 2:
-            return 0.0, np.zeros((n, 3))
+        b, n = positions.shape[:2]
         pt = pair_table(positions, self.cutoff, cell=cell, pbc=pbc)
         mask = pt.half
-        r = pt.r[mask]
-        v, dv = self.pair_energy_deriv(r)
-        energy = float(np.sum(v))
+        i, j = pt.i[mask], pt.j[mask]
+        v, dv = self.pair_energy_deriv(pt.r[mask])
+        bounds = np.searchsorted(i, n * np.arange(b + 1)).tolist()   # each frame's half pairs
+        energy = np.array([v[start:end].sum() for start, end in zip(bounds, bounds[1:])])
         # dE/dr_j = dv * unit(i->j); F_j = -dv * unit, F_i = +dv * unit
         contrib = dv[:, None] * pt.unit[mask]
-        forces = scatter_add(np.concatenate([pt.j[mask], pt.i[mask]]),
-                             np.concatenate([-contrib, contrib]), n)
-        return energy, forces
+        forces = scatter_add(np.concatenate([j, i]), np.concatenate([-contrib, contrib]), b * n)
+        return energy, forces.reshape(b, n, 3)
 
 
 @dataclass

@@ -37,6 +37,14 @@ def random_model(seed, n_radial=6, hidden=(8, 7), trainable_basis=False,
     return m
 
 
+def md_state(positions, velocities, targets, energy, forces):
+    """An ``md.md_step`` state: B members (velocities (B, N, 3)) at one start frame."""
+    b = len(velocities)
+    return (np.arange(b), np.array(targets, dtype=float),
+            np.broadcast_to(positions, velocities.shape).copy(), velocities,
+            np.broadcast_to(forces, velocities.shape).copy(), np.full(b, float(energy)))
+
+
 def labeled_dataset(model, n_frames, n_atoms=5, seed=0, energy_offset=0.0,
                     force_offset=None):
     """Dataset labeled with the model's own predictions (optionally offset)."""

@@ -20,14 +20,14 @@ from potscape.descriptors import DescriptorSpec
 from potscape.entropy import entropy_from_profile, loss_entropy, temperature_sweep, weighted_entropy
 from potscape.landscape import (LandscapeProfile, filter_normalize, interpolate_models,
                                 landscape_1d, sample_direction)
-from potscape.md import (MDConfig, MDState, infer_bond_list, init_velocities,
+from potscape.md import (MDConfig, _check_bonds, infer_bond_list, init_velocities,
                          instantaneous_temperature, kinetic_energy, masses_for, md_step,
-                         run_ensemble, detect_failure)
+                         run_ensemble)
 from potscape.model import (DatasetTables, NeuralPotential, loss_eval,
                             tables_loss, tables_loss_grad, fit_rescale)
 from potscape.potentials import LennardJones, Morse, build_cluster
 from potscape.training import TrainConfig, train
-from tests.conftest import labeled_dataset, random_cluster, random_model
+from tests.conftest import labeled_dataset, md_state, random_cluster, random_model
 
 
 def criterion(num, desc):
@@ -163,13 +163,13 @@ def test_06_force_and_gradient_correctness():
 def test_07_md_physics():
     lj = LennardJones(epsilon=0.0104, sigma=3.4, cutoff=9.0)
     pos = np.array([[0.0, 0.0, 0.0], [1.05 * lj.r_min, 0.0, 0.0]])
-    e0, f0 = lj.energy_forces(pos)
-    state = MDState(pos, np.zeros((2, 3)), f0, e0, ["Ar", "Ar"])
+    masses = masses_for(["Ar", "Ar"])
+    state = md_state(pos, np.zeros((1, 2, 3)), [300.0], *lj.energy_forces(pos))
     cfg = MDConfig(temperature=300.0, timestep_fs=1.0, tau_fs=math.inf, total_time_ps=1.0)
-    total0 = state.potential_energy + kinetic_energy(state.velocities, state.masses)
+    total0 = state[5][0] + kinetic_energy(state[3][0], masses)
     for _ in range(1000):
-        state = md_step(state, lj, cfg)
-        total = state.potential_energy + kinetic_energy(state.velocities, state.masses)
+        state, _ = md_step(lj, state, masses, cfg)
+        total = state[5][0] + kinetic_energy(state[3][0], masses)
         assert abs(total - total0) / abs(total0) < 1e-5
 
     mo = Morse()
@@ -178,30 +178,27 @@ def test_07_md_physics():
     T0, tau = 300.0, 100.0
     cfg = MDConfig(temperature=T0, timestep_fs=1.0, tau_fs=tau, total_time_ps=1.0)
     masses = masses_for(c.species)
-    means = []
-    for k in range(10):
-        v = init_velocities(c, 2.0 * T0, seed=k)
-        e0, f0 = mo.energy_forces(pos)
-        state = MDState(pos.copy(), v, f0, e0, list(c.species))
-        for _ in range(int(5 * tau)):
-            state = md_step(state, mo, cfg)
-        window = [instantaneous_temperature(
-            (state := md_step(state, mo, cfg)).velocities, masses) for _ in range(500)]
-        means.append(np.mean(window))
-    assert abs(np.mean(means) - T0) / T0 < 0.05
+    v = np.stack([init_velocities(c, 2.0 * T0, seed=k) for k in range(10)])
+    state = md_state(pos, v, [T0] * 10, *mo.energy_forces(pos))
+    for _ in range(int(5 * tau)):
+        state, _ = md_step(mo, state, masses, cfg)
+    window = [instantaneous_temperature((state := md_step(mo, state, masses, cfg)[0])[3], masses)
+              for _ in range(500)]
+    means = np.mean(window, axis=0)
+    assert len(means) == 10 and abs(np.mean(means) - T0) / T0 < 0.05
 
 
 @criterion(8, "bond at 2.01 A flags exactly that pair; 2.00 A does not")
 def test_08_failure_detection():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    cfg = MDConfig(bond_list=((0, 1), (0, 2)), failure_bond_length=2.0)
+    bonds = np.array([(0, 1), (0, 2)])
     stretched = pos.copy()
     stretched[1, 0] = 2.01
-    hit = detect_failure(Configuration(stretched, ["C"] * 3), cfg)
+    hit = _check_bonds(stretched, bonds, 2.0)
     assert hit is not None and hit[0] == (0, 1)
     boundary = pos.copy()
     boundary[1, 0] = 2.00
-    assert detect_failure(Configuration(boundary, ["C"] * 3), cfg) is None
+    assert _check_bonds(boundary, bonds, 2.0) is None
 
 
 @criterion(9, "toy regression: zero at sigma=0; data redundancy suppresses noise")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from potscape.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config_file, main,
+from potscape.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config_file, main,
                           run_command)
 from potscape.data import read_extxyz_file, split_by_temperature
 from potscape.descriptors import DescriptorSpec
@@ -86,6 +86,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["toy-regression", "--threads", "2", "--out", str(tmp_path / "o")])
         assert exc.value.code == EXIT_CONFIG
+
+
+    def test_coincident_atoms_are_numeric(self, model_dir, tmp_path):
+        # a geometry fault, not a config error
+        (tmp_path / "bad.extxyz").write_text(
+            "3\nProperties=species:S:1:pos:R:3:forces:R:3 energy=-1.0\n"
+            "Cu 0 0 0 0 0 0\nCu 1.5 0 0 0 0 0\nCu 1.5 0 0 0 0 0\n")
+        config = {"model.checkpoint": str(model_dir / "model.json"),
+                  "data.path": str(tmp_path / "bad.extxyz")}
+        assert run_command("eval", config, tmp_path / "out") == EXIT_NUMERIC
+        error = read_manifest(tmp_path / "out")["error"]
+        assert error["type"] == "SingularGeometryError" and "coincident" in error["message"]
 
 
 class TestKeyTable:
@@ -199,6 +211,12 @@ class TestKeyTable:
         config = {**self.base(command, gen_dir, model_dir), key: "abc"}
         assert run_command(command, config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, key)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_dump_interval_must_be_positive(self, gen_dir, model_dir, tmp_path, value):
+        config = {**self.base("md", gen_dir, model_dir), "md.dump_interval": value}
+        assert run_command("md", config, tmp_path) == EXIT_CONFIG
+        self.assert_rejected(tmp_path, "dump_interval")
 
     def test_dump_interval_cast_to_int(self, gen_dir, model_dir, tmp_path):
         config = {**self.base("md", gen_dir, model_dir), "md.dump_interval": "10"}

@@ -1,11 +1,19 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from potscape import potentials
 from potscape.data import (Configuration, Dataset, ExtxyzError, NoiseSpec, corrupt_labels,
                            dataset_stats, generate_reference_dataset, parse_extxyz,
                            split_by_temperature, write_extxyz)
-from potscape.potentials import LennardJones
+from potscape.geometry import SingularGeometryError
+from potscape.md import MDNumericError, init_velocities
+from potscape.potentials import LennardJones, Morse
+from potscape.seeding import substream
+from tests.conftest import random_model
 
 
 def make_dataset(energies, n_atoms=1, forces=None, tags=None):
@@ -230,6 +238,61 @@ class TestGenerate:
         lo = np.concatenate([c.forces.ravel() for c in ds if c.temperature_tag == 200.0])
         hi = np.concatenate([c.forces.ravel() for c in ds if c.temperature_tag == 800.0])
         assert np.std(hi) > np.std(lo)
+
+
+# sha256 of the extended-XYZ text of Morse Cu6 data (seed 0, burn-in 1000, stride
+# 20), recorded when each temperature chain was integrated on its own
+GENERATED_SHA256 = {
+    (300.0,): "46e33b1acb33dcbca2697f47f726168592244e2a96a0cc36058e72e309b957ab",
+    (300.0, 600.0, 1200.0): "2594e3cf3cc51ca8af957171c14ebc5bd3103d773fcced45bfafd864260a0a47",
+}
+
+
+class NaNForcesAt(Morse):
+    """Morse, except that chain 1 of a three-chain state gets NaN forces at one step."""
+
+    step = 40
+
+    def energy_forces_batch(self, positions, cell=None, pbc=None):
+        energy, forces = super().energy_forces_batch(positions, cell=cell, pbc=pbc)
+        if len(positions) == 3:
+            self.steps = getattr(self, "steps", 0) + 1
+            if self.steps == self.step:
+                forces[1, 2, 0] = np.nan
+        return energy, forces
+
+
+class TestGenerateIntegrator:
+    """The temperature chains are integrated as one batched state."""
+
+    @pytest.mark.parametrize("temperatures,frames", [((300.0,), 300),
+                                                     ((300.0, 600.0, 1200.0), 100)])
+    def test_bytes_pinned(self, temperatures, frames):
+        ds = generate_reference_dataset(Morse(), 6, temperatures, frames, seed=0, species="Cu",
+                                        burn_in_steps=1000, stride=20)
+        assert [c.temperature_tag for c in ds] == [t for t in temperatures for _ in range(frames)]
+        digest = hashlib.sha256(write_extxyz(ds).encode()).hexdigest()
+        assert digest == GENERATED_SHA256[temperatures]
+
+    def test_nonfinite_forces_raise(self):
+        with pytest.raises(MDNumericError, match=r"600 K chain .* step 40$"):
+            generate_reference_dataset(NaNForcesAt(), 6, [300.0, 600.0, 1200.0], 10, seed=0,
+                                       species="Cu", burn_in_steps=20, stride=5)
+
+    def test_collapse_raises(self, monkeypatch):
+        # zero forces and no thermostat: atoms move in straight lines, and atom 1
+        # starts where the 600 K chain's velocities carry it onto atom 0 at step 5
+        zero = random_model(0)
+        zero = zero.with_values(np.zeros(zero.params.partition.total))
+        species = ["Cu"] * 4
+        v = init_velocities(Configuration(np.zeros((4, 3)), species), 600.0,
+                            seed=substream(0, "velocities", 1).integers(2**31))
+        pos = np.array([[0.0, 0.0, 0.0], 5 * (v[0] - v[1]), [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        monkeypatch.setattr(potentials, "build_cluster", lambda pot, n, seed: pos)
+        with pytest.raises(SingularGeometryError, match=r"600 K chain .* step 5$"):
+            generate_reference_dataset(zero, 4, [300.0, 600.0, 1200.0], 4, seed=0,
+                                       species="Cu", tau_fs=math.inf, burn_in_steps=0,
+                                       stride=2)
 
 
 class TestSplit:

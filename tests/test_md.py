@@ -6,14 +6,14 @@ import pytest
 
 from potscape.data import Configuration
 from potscape.geometry import SingularGeometryError
-from potscape.md import (MDConfig, MDNumericError, MDState, berendsen_lambda, detect_failure,
-                         infer_bond_list, init_velocities, instantaneous_temperature,
-                         kinetic_energy, masses_for, md_step, run_ensemble, run_trajectory,
-                         write_ensemble_json, write_summary_csv)
+from potscape.md import (MDConfig, _check_bonds, berendsen_lambda, infer_bond_list,
+                         init_velocities, instantaneous_temperature, kinetic_energy, masses_for,
+                         md_step, run_ensemble, run_trajectory, write_ensemble_json,
+                         write_summary_csv)
 from potscape.model import NumericEvalError
 from potscape.potentials import LennardJones, Morse, build_cluster
 from potscape.seeding import substream
-from tests.conftest import random_model
+from tests.conftest import md_state, random_model
 
 
 class TestInitVelocities:
@@ -46,6 +46,13 @@ class TestInitVelocities:
             init_velocities(c, 300.0, seed=0)
 
 
+def scalar_lambda(dt, tau, target_T, inst_T):
+    """The Berendsen factor of one state in float arithmetic."""
+    if not inst_T > 0.0:
+        return 1.0
+    return min(max(math.sqrt(max(1.0 + (dt / tau) * (target_T / inst_T - 1.0), 0.0)), 0.9), 1.1)
+
+
 class TestBerendsen:
     def test_lambda_formula(self):
         lam = berendsen_lambda(1.0, 250.0, 1600.0, 800.0)
@@ -68,48 +75,68 @@ class TestBerendsen:
                                 np.random.default_rng(0).uniform(1.0, 5000.0, 200)])
         lam = berendsen_lambda(dt, tau, 1600.0, temps)
         assert lam.shape == temps.shape
-        assert lam.tolist() == [berendsen_lambda(dt, tau, 1600.0, t) for t in temps.tolist()]
+        assert lam.tolist() == [scalar_lambda(dt, tau, 1600.0, t) for t in temps.tolist()]
+        targets = np.random.default_rng(1).uniform(1.0, 5000.0, temps.shape)
+        assert berendsen_lambda(dt, tau, targets, temps).tolist() == \
+            [scalar_lambda(dt, tau, t0, t) for t0, t in zip(targets.tolist(), temps.tolist())]
 
 
 class TestIntegration:
     def test_nve_energy_conservation(self):
         # slightly stretched dimer, thermostat off: symplectic drift stays tiny
-        lj = LennardJones(epsilon=0.0104, sigma=3.4, cutoff=9.0)
+        lj =LennardJones(epsilon=0.0104, sigma=3.4, cutoff=9.0)
         pos = np.array([[0.0, 0.0, 0.0], [1.05 * lj.r_min, 0.0, 0.0]])
-        e0, f0 = lj.energy_forces(pos)
-        state = MDState(pos, np.zeros((2, 3)), f0, e0, ["Ar", "Ar"])
+        masses = masses_for(["Ar", "Ar"])
+        state = md_state(pos, np.zeros((1, 2, 3)), [300.0], *lj.energy_forces(pos))
         cfg = MDConfig(temperature=300.0, timestep_fs=1.0, tau_fs=math.inf,
                        total_time_ps=1.0)
-        total0 = state.potential_energy + kinetic_energy(state.velocities, state.masses)
+        total0 = state[5][0] + kinetic_energy(state[3][0], masses)
         worst = 0.0
         for _ in range(1000):
-            state = md_step(state, lj, cfg)
-            total = state.potential_energy + kinetic_energy(state.velocities, state.masses)
+            state, failed = md_step(lj, state, masses, cfg)
+            assert failed == {}
+            total = state[5][0] + kinetic_energy(state[3][0], masses)
             worst = max(worst, abs(total - total0) / abs(total0))
         assert worst < 1e-5
 
     def test_thermostat_relaxation_from_double_temperature(self):
         # start at 2*T0; after 5 tau the window-averaged kinetic temperature
-        # must sit within 5% of target (ensemble of 10)
+        # must sit within 5% of target (ensemble of 10, stepped as one state)
         mo = Morse()
         pos = build_cluster(mo, 13, seed=2)
         c = Configuration(pos, ["Cu"] * 13)
         T0, tau = 300.0, 100.0
         cfg = MDConfig(temperature=T0, timestep_fs=1.0, tau_fs=tau, total_time_ps=1.0)
         masses = masses_for(c.species)
-        means = []
-        for k in range(10):
-            v = init_velocities(c, 2.0 * T0, seed=k)
-            e0, f0 = mo.energy_forces(pos)
-            state = MDState(pos.copy(), v, f0, e0, list(c.species))
-            for _ in range(int(5 * tau)):
-                state = md_step(state, mo, cfg)
-            window = []
-            for _ in range(500):
-                state = md_step(state, mo, cfg)
-                window.append(instantaneous_temperature(state.velocities, masses))
-            means.append(np.mean(window))
+        v = np.stack([init_velocities(c, 2.0 * T0, seed=k) for k in range(10)])
+        state = md_state(pos, v, [T0] * 10, *mo.energy_forces(pos))
+        for _ in range(int(5 * tau)):
+            state, _ = md_step(mo, state, masses, cfg)
+        window = []
+        for _ in range(500):
+            state, _ = md_step(mo, state, masses, cfg)
+            window.append(instantaneous_temperature(state[3], masses))
+        means = np.mean(window, axis=0)
+        assert means.shape == (10,)
         assert abs(np.mean(means) - T0) / T0 < 0.05
+
+    def test_each_member_has_its_own_target(self):
+        # one state of three members thermostatted toward 150, 300 and 900 K
+        mo = Morse()
+        pos = build_cluster(mo, 13, seed=2)
+        c = Configuration(pos, ["Cu"] * 13)
+        cfg = MDConfig(timestep_fs=1.0, tau_fs=50.0, total_time_ps=1.0)
+        masses = masses_for(c.species)
+        targets = [150.0, 300.0, 900.0]
+        v = np.stack([init_velocities(c, 300.0, seed=k) for k in range(3)])
+        state = md_state(pos, v, targets, *mo.energy_forces(pos))
+        window = []
+        for step in range(800):
+            state, _ = md_step(mo, state, masses, cfg)
+            if step >= 300:
+                window.append(instantaneous_temperature(state[3], masses))
+        means = np.mean(window, axis=0)
+        assert np.all(np.abs(means - targets) / targets < 0.1)
 
     def test_numeric_failure_detected(self):
         class BrokenModel:
@@ -118,15 +145,15 @@ class TestIntegration:
 
         mo = Morse()
         pos = build_cluster(mo, 4, seed=1)
-        e0, f0 = mo.energy_forces(pos)
-        state = MDState(pos, np.zeros((4, 3)), f0, e0, ["Cu"] * 4)
+        state = md_state(pos, np.zeros((1, 4, 3)), [300.0], *mo.energy_forces(pos))
         cfg = MDConfig(temperature=300.0)
-        with pytest.raises(MDNumericError):
-            md_step(state, BrokenModel(), cfg)
+        state, failed = md_step(BrokenModel(), state, masses_for(["Cu"] * 4), cfg)
+        assert failed == {0: ("numeric", None)}
+        assert all(len(a) == 0 for a in state)
 
     def test_nonfinite_positions_are_numeric(self):
         # huge finite forces overflow the position update: a numeric failure,
-        # raised before the model sees the positions, that ends only its trajectory
+        # found before the model sees the positions, that ends only its trajectory
         class HugeForceModel:
             def __init__(self):
                 self.finite_inputs = []
@@ -140,13 +167,17 @@ class TestIntegration:
                        n_trajectories=2, bond_list=((0, 1),), failure_bond_length=100.0,
                        seed=3)
         model = HugeForceModel()
-        state = MDState(pos, np.zeros((4, 3)), np.full((4, 3), 1e308), 0.0, ["H"] * 4)
-        with pytest.raises(MDNumericError):
-            md_step(state, model, cfg)
+        state = md_state(pos, np.zeros((1, 4, 3)), [300.0], 0.0, np.full((4, 3), 1e308))
+        _, failed = md_step(model, state, masses_for(["H"] * 4), cfg)
+        assert failed == {0: ("numeric", None)}
         assert model.finite_inputs == []
         records, _ = run_ensemble(model, Configuration(pos, ["H"] * 4), cfg)
         assert [(r.cause, r.time_to_failure) for r in records] == [("numeric", 0.1)] * 2
         assert all(model.finite_inputs)
+
+
+def check_bonds(positions, cfg):
+    return _check_bonds(positions, np.array(cfg.bond_list), cfg.failure_bond_length)
 
 
 class TestFailureDetection:
@@ -154,14 +185,14 @@ class TestFailureDetection:
         mo = Morse()
         pos = build_cluster(mo, 5, seed=3)
         cfg = MDConfig(bond_list=infer_bond_list(pos), failure_bond_length=1.5 * mo.r0)
-        assert detect_failure(Configuration(pos, ["Cu"] * 5), cfg) is None
+        assert check_bonds(pos, cfg) is None
 
     def test_threshold_crossing(self):
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         cfg = MDConfig(bond_list=((0, 1), (0, 2)), failure_bond_length=2.0)
         stretched = pos.copy()
         stretched[1, 0] = 2.01
-        hit = detect_failure(Configuration(stretched, ["C"] * 3), cfg)
+        hit = check_bonds(stretched, cfg)
         assert hit is not None
         pair, dist = hit
         assert pair == (0, 1)
@@ -170,22 +201,32 @@ class TestFailureDetection:
     def test_exactly_at_threshold_passes(self):
         pos = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         cfg = MDConfig(bond_list=((0, 1),), failure_bond_length=2.0)
-        assert detect_failure(Configuration(pos, ["C"] * 2), cfg) is None
+        assert check_bonds(pos, cfg) is None
 
     def test_nan_position_fails(self):
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         pos[2, 1] = np.nan
         cfg = MDConfig(bond_list=((0, 1), (0, 2)), failure_bond_length=2.0)
-        hit = detect_failure(Configuration(pos, ["C"] * 3), cfg)
+        hit = check_bonds(pos, cfg)
         assert hit is not None
         pair, dist = hit
         assert pair == (0, 2) and math.isnan(dist)
 
-    def test_empty_bond_list_rejected(self):
-        cfg = MDConfig()
-        with pytest.raises(ValueError):
-            detect_failure(Configuration(np.zeros((2, 3)) + [[0, 0, 0], [1, 0, 0]],
-                                         ["C", "C"]), cfg)
+    def test_empty_bond_list_inferred(self):
+        # no bond list: the bonds are inferred from the start geometry
+        mo = Morse()
+        pos = build_cluster(mo, 6, seed=8)
+        start = Configuration(pos, ["Cu"] * 6)
+        cfg = MDConfig(temperature=900.0, total_time_ps=0.3, n_trajectories=3,
+                       failure_bond_length=1.12 * mo.r0, seed=5)
+        records, _ = run_ensemble(mo, start, cfg)
+        assert any(r.cause == "bond" for r in records)
+        cfg.bond_list = infer_bond_list(pos)
+        assert [r.to_dict() for r in records] == \
+            [r.to_dict() for r in run_ensemble(mo, start, cfg)[0]]
+        cfg.bond_list = ((0, 1),)
+        assert [r.to_dict() for r in records] != \
+            [r.to_dict() for r in run_ensemble(mo, start, cfg)[0]]
 
     def test_infer_bond_list(self):
         mo = Morse()

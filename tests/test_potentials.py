@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potscape.data import Configuration
 from potscape.geometry import NonFiniteGeometryError, SingularGeometryError
@@ -78,8 +79,8 @@ class TestCutoffSwitching:
         rs = np.linspace(pot.switch_start - 0.2, pot.cutoff + 0.1, 80)
         v, dv = pot.pair_energy_deriv(rs)
         h = 1e-6
-        vp = pot.pair_energy(rs + h)
-        vm = pot.pair_energy(rs - h)
+        vp = pot.pair_energy_deriv(rs + h)[0]
+        vm = pot.pair_energy_deriv(rs - h)[0]
         np.testing.assert_allclose((vp - vm) / (2 * h), dv, atol=1e-6)
 
 
@@ -120,6 +121,25 @@ class TestForces:
     def test_single_atom_zero_interaction(self):
         e, f = Morse().energy_forces(np.zeros((1, 3)))
         assert e == 0.0 and f.shape == (1, 3)
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("pot", [LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0), Morse()])
+    @settings(max_examples=40, deadline=None)
+    @given(n_frames=st.integers(1, 5), n_atoms=st.integers(3, 7),
+           seed=st.integers(0, 2**31 - 1))
+    def test_batch_equals_frames(self, pot, n_frames, n_atoms, seed):
+        """Every frame of a batch evaluates exactly (==) as it does alone."""
+        pos = np.random.default_rng(seed).uniform(-5.0, 5.0, (n_frames, n_atoms, 3))
+        # frame 0: atoms 0 and 1 exactly one cutoff apart, the last atom far from all
+        pos[0, 0], pos[0, 1] = 0.0, [pot.cutoff, 0.0, 0.0]
+        pos[0, -1] = [40.0, 0.0, 0.0]
+        E, F = pot.energy_forces_batch(pos)
+        assert E.shape == (n_frames,) and F.shape == pos.shape
+        for b in range(n_frames):
+            e, f = pot.energy_forces(pos[b])
+            assert E[b] == e and np.array_equal(F[b], f)
+        assert np.array_equal(F[0, -1], np.zeros(3))
 
 
 class TestPeriodic:
