@@ -498,8 +498,8 @@ def run_command(command: str, config: dict, out_dir) -> int:
         manifest["artifacts"] = {name: _sha256(out / name) for name in artifacts}
         manifest["status"] = "ok"
     except (ValueError, ArithmeticError, OSError) as exc:
-        # ConfigError is a ValueError; TrainingDiverged, MDNumericError,
-        # NumericEvalError and SingularGeometryError are ArithmeticErrors.
+        # ConfigError is a ValueError; TrainingDiverged, MDNumericError, NumericEvalError,
+        # SingularGeometryError and DegenerateDirectionError are ArithmeticErrors.
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = (EXIT_CONFIG if isinstance(exc, ValueError) else
                 EXIT_NUMERIC if isinstance(exc, ArithmeticError) else EXIT_IO)

@@ -409,8 +409,8 @@ def generate_reference_dataset(pot, n_atoms: int, temperatures, frames_per_T: in
     from .md import MDConfig, MDNumericError, _integrate
     from .potentials import build_cluster
 
-    if frames_per_T <= 0:
-        raise ValueError("frames_per_T must be positive")
+    if frames_per_T < 1 or stride < 1 or burn_in_steps < 0:
+        raise ValueError("need frames_per_T >= 1, stride >= 1 and burn_in_steps >= 0")
     temperatures = [float(t) for t in temperatures]
     if any(t <= 0 for t in temperatures):
         raise ValueError("temperatures must be positive")

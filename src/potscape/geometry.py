@@ -82,12 +82,12 @@ def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
 def scatter_add(index, values, n: int) -> np.ndarray:
     """Row sums onto n atoms: out[a] = sum of values[p] over pairs with index[p] == a.
 
-    Each row accumulates sequentially in pair order, so a pair table's fixed
-    order makes the sums reproducible bit for bit.  Rows that no pair reaches
-    are exactly zero.
+    One ``bincount`` per column accumulates each atom's sum sequentially in
+    pair order, so a pair table's fixed order makes the sums reproducible bit
+    for bit; it skips the k-times longer flat index that one bincount over all
+    columns needs.  Rows that no pair reaches are exactly zero.
     """
-    k = values.shape[1]
-    flat = (index[:, None] * k + np.arange(k)).ravel()
-    out = np.bincount(flat, weights=values.ravel(), minlength=n * k)
-    # bincount returns integers when there are no pairs
-    return out.astype(float, copy=False).reshape(n, k)
+    out = np.empty((n, values.shape[1]))
+    for c in range(values.shape[1]):
+        out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
+    return out

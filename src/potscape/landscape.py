@@ -20,8 +20,8 @@ from .model import DatasetTables, NeuralPotential, ParameterVector, tables_loss
 from .seeding import substream
 
 
-class DegenerateDirectionError(ValueError):
-    """Zero or parallel direction where a usable one is required."""
+class DegenerateDirectionError(ArithmeticError):
+    """Zero or parallel direction where a usable one is required; a numeric fault."""
 
 
 @dataclass

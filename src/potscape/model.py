@@ -246,7 +246,9 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     frames' atom counts.  One frame is the case atom_start = [0].  A G of
     shape (B, N, n_radial) holds B frames of N atoms; its layers are multiplied
     frame by frame, so each frame's values equal its own evaluation bit for bit
-    (one matrix product over all rows may round differently).
+    (one matrix product over all rows may round differently).  The per-pair
+    gather is ``np.take``, a row copy cheaper than fancy indexing that yields
+    the same rows in pair order, and the force scatter keeps that order too.
     """
     scale, shift = model.rescale.effective()
     act, d1 = ACTIVATIONS[model.activation][:2]
@@ -258,7 +260,7 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     g = np.repeat(Ws[-1], n_atoms, axis=0).reshape(hs[-1].shape)
     for W, h in zip(reversed(Ws[:-1]), reversed(hs[1:])):
         g = (g * d1(h)) @ W
-    s = np.einsum("pd,pd->p", de, g.reshape(n_atoms, -1)[gi])
+    s = np.einsum("pd,pd->p", de, np.take(g.reshape(n_atoms, -1), gi, axis=0))
     contrib = (scale * s)[:, None] * unit
     F = scatter_add(np.concatenate([gi, gj]), np.concatenate([contrib, -contrib]), n_atoms)
     # sequential per-frame sums, so one frame and a table of frames agree bit for bit
@@ -410,7 +412,8 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     # seeds: d combined / d y_a (energy path) and tangent V (force path)
     c_atom = scale * w_E * (2.0 / M) * (eres / tables.natoms)[tables.atom_frame]
     rho = (2.0 * w_F / (3.0 * A)) * fres
-    beta = scale * np.einsum("pk,pk->p", tables.unit, rho[tables.gi] - rho[tables.gj])
+    beta = scale * np.einsum("pk,pk->p", tables.unit,
+                             np.take(rho, tables.gi, axis=0) - np.take(rho, tables.gj, axis=0))
     V = scatter_add(tables.gi, beta[:, None] * de, A)
 
     # combined reverse pass: Phi = sum_a c_a * y_a + g_a . V_a
@@ -441,8 +444,8 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     g_centers = g_widths = None
     if trainable:
         de_dc, de_dw, d2_rc, d2_rw = extra
-        xb = Xbar[tables.gi]
-        vb = Vbar[tables.gi] * beta[:, None]
+        xb = np.take(Xbar, tables.gi, axis=0)
+        vb = np.take(Vbar, tables.gi, axis=0) * beta[:, None]
         g_centers = np.einsum("pd,pd->d", xb, de_dc) + np.einsum("pd,pd->d", vb, d2_rc)
         g_widths = np.einsum("pd,pd->d", xb, de_dw) + np.einsum("pd,pd->d", vb, d2_rw)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from potscape import landscape
 from potscape.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config_file, main,
                           run_command)
 from potscape.data import read_extxyz_file, split_by_temperature
@@ -98,6 +99,26 @@ class TestErrors:
         assert run_command("eval", config, tmp_path / "out") == EXIT_NUMERIC
         error = read_manifest(tmp_path / "out")["error"]
         assert error["type"] == "SingularGeometryError" and "coincident" in error["message"]
+
+    @pytest.mark.parametrize("key,value", [("data.burn_in_steps", -40), ("data.stride", 0),
+                                           ("data.stride", -10)])
+    def test_negative_frame_schedule_rejected(self, tmp_path, key, value):
+        # a negative burn-in would return fewer frames than data.frames_per_t asks for
+        config = {**GEN_ARGS, "data.frames_per_t": 5, "data.burn_in_steps": 40,
+                  "data.stride": 10, key: value}
+        assert run_command("gen-data", config, tmp_path) == EXIT_CONFIG
+        assert not (tmp_path / "dataset.extxyz").exists()
+        assert key.split(".")[1] in read_manifest(tmp_path)["error"]["message"]
+
+    def test_degenerate_direction_is_numeric(self, gen_dir, model_dir, tmp_path, monkeypatch):
+        # a zero random direction is a numeric fault, not a config error
+        monkeypatch.setattr(landscape, "sample_direction",
+                            lambda p, seed: landscape.Direction(np.zeros(p.partition.total)))
+        config = {"model.checkpoint": str(model_dir / "model.json"),
+                  "data.path": str(gen_dir / "dataset.extxyz"), "landscape.points": 3}
+        assert run_command("landscape2d", config, tmp_path) == EXIT_NUMERIC
+        error = read_manifest(tmp_path)["error"]
+        assert error["type"] == "DegenerateDirectionError" and "zero" in error["message"]
 
 
 class TestKeyTable:

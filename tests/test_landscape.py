@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,14 @@ class TestOrthogonalize:
             orthogonalize_pair(d1, Direction(np.array([4.0, 3.0, 2.0, 1.0])), p)
 
 
+# sha256 of TestLandscape1D's profile CSV (setup 6, 3 directions, 5 points, seed 7),
+# recorded when the pair gathers were fancy indexing and the scatter one flat bincount
+PROFILE_SHA256 = {
+    False: "309e9abaa2360a4cedba297e458dc08626e3d81a0389686d3a0cfd5ed7b3344a",
+    True: "7ece78079d401bf5cadfa1e9a08141f6df7672b0d5ea389ee4eb49f165e8a418",
+}
+
+
 class TestLandscape1D:
     def make_setup(self, seed=0, **kwargs):
         m = random_model(seed, **kwargs)
@@ -200,6 +210,14 @@ class TestLandscape1D:
                 direct = loss_eval(m.with_values(m.params.values + t * d), ds)
                 assert profile.loss_E[n, i] == direct.loss_E
                 assert profile.loss_F[n, i] == direct.loss_F
+
+    @pytest.mark.parametrize("trainable_basis", [False, True])
+    def test_profile_bytes_pinned(self, tmp_path, trainable_basis):
+        m, ds = self.make_setup(6, trainable_basis=trainable_basis)
+        profile = landscape_1d(m, ds, n_dirs=3, t_grid=np.linspace(-1.0, 1.0, 5), seed=7)
+        path = tmp_path / "profile.csv"
+        write_profile_csv(profile, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PROFILE_SHA256[trainable_basis]
 
     def test_nonfinite_sentinel(self):
         m, ds = self.make_setup(7)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,17 @@ class TestPlateau:
             TrainConfig(plateau_factor=1.5)
 
 
+# sha256 of best_params.tobytes() after TestTrain's 20-epoch minibatch run (setup 3),
+# recorded when the pair gathers were fancy indexing and the scatter one flat bincount
+BEST_PARAMS_SHA256 = {
+    False: "4c6b302cb05ff91327173d051c8af19e64989f76d5a1bf62f941e396778238ad",
+    True: "f481dbd3d1515d4fad0ceb7019bc441869c1d2aefb69faa88f6bd62dc7a1390f",
+}
+
+
 class TestTrain:
-    def setup_problem(self, seed=0):
-        m = random_model(seed)
+    def setup_problem(self, seed=0, **kwargs):
+        m = random_model(seed, **kwargs)
         ds = labeled_dataset(m, 6, seed=seed + 100, energy_offset=0.05,
                              force_offset=np.array([0.05, -0.02, 0.01]))
         return m, ds
@@ -114,6 +124,15 @@ class TestTrain:
         np.testing.assert_array_equal(r1.ema_params, r2.ema_params)
         np.testing.assert_array_equal(r1.swa_params, r2.swa_params)
         assert r1.history == r2.history
+
+    @pytest.mark.parametrize("trainable_basis", [False, True])
+    def test_best_params_bytes_pinned(self, trainable_basis):
+        m, ds = self.setup_problem(3, trainable_basis=trainable_basis)
+        cfg = TrainConfig(max_epochs=20, batch_size=2, lr0=0.01,
+                          weight_schedule=((0, 1.0, 10.0),))
+        report = train(m, ds, cfg)
+        digest = hashlib.sha256(report.best_params.tobytes()).hexdigest()
+        assert digest == BEST_PARAMS_SHA256[trainable_basis]
 
     def test_ema_equals_recomputed_average(self):
         m, ds = self.setup_problem(5)
