@@ -412,13 +412,13 @@ def generate_reference_dataset(pot, n_atoms: int, temperatures, frames_per_T: in
     if frames_per_T < 1 or stride < 1 or burn_in_steps < 0:
         raise ValueError("need frames_per_T >= 1, stride >= 1 and burn_in_steps >= 0")
     temperatures = [float(t) for t in temperatures]
-    if any(t <= 0 for t in temperatures):
-        raise ValueError("temperatures must be positive")
-
-    start = build_cluster(pot, n_atoms, seed=substream(seed, "cluster").integers(2**31))
+    if not all(0.0 < t < math.inf for t in temperatures):
+        raise ValueError("temperatures must be positive and finite")
     n_steps = burn_in_steps + stride * frames_per_T
     cfg = MDConfig(timestep_fs=timestep_fs, tau_fs=tau_fs,
                    total_time_ps=n_steps * timestep_fs / 1000.0)
+
+    start = build_cluster(pot, n_atoms, seed=substream(seed, "cluster").integers(2**31))
     seeds = [substream(seed, "velocities", k).integers(2**31) for k in range(len(temperatures))]
     records, chains = _integrate(pot, Configuration(start, [species] * n_atoms), cfg, seeds,
                                  temperatures, frames=(burn_in_steps, stride))

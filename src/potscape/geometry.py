@@ -1,5 +1,6 @@
-"""Pair tables for small clusters and periodic cells (minimum image), and the
-scatter that sums per-pair values onto atoms."""
+"""The checked distance matrix of small clusters and periodic cells (minimum
+image), the pair tables built from it, and the scatter that sums per-pair values
+onto atoms."""
 
 from dataclasses import dataclass
 
@@ -22,17 +23,12 @@ class PairTable:
     """Ordered pairs (i, j), i != j, with r < cutoff.
 
     ``unit`` points from atom i to atom j; ``r`` is the pair distance.
-    ``half`` selects the i < j subset (each unordered pair once).
     """
 
     i: np.ndarray
     j: np.ndarray
     r: np.ndarray
     unit: np.ndarray
-
-    @property
-    def half(self) -> np.ndarray:
-        return self.i < self.j
 
     def __len__(self) -> int:
         return len(self.r)
@@ -50,31 +46,40 @@ def _displacements(positions, cell=None, pbc=None):
     return d
 
 
+def distance_matrix(positions, cell=None, pbc=None):
+    """Displacements ``d[..., i, j]`` (atom i to atom j, minimum image) and distances ``r``
+    of one frame ``(N, 3)`` or of B frames ``(B, N, 3)``; every diagonal ``r`` is inf.
+
+    A non-finite position raises NonFiniteGeometryError, and two atoms closer than
+    ``R_MIN`` raise SingularGeometryError naming the first such pair (and its frame).
+    """
+    positions = np.asarray(positions, dtype=float)
+    if not np.isfinite(positions).all():
+        raise NonFiniteGeometryError("non-finite atom position")
+    n = positions.shape[-2]
+    d = _displacements(positions, cell, pbc)
+    r = np.linalg.norm(d, axis=-1)
+    r.reshape(r.shape[:-2] + (n * n,))[..., ::n + 1] = np.inf
+    if (r < R_MIN).any():
+        *frame, i, j = np.argwhere(r < R_MIN)[0]
+        where = f" in frame {frame[0]}" if frame else ""
+        raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A){where}")
+    return d, r
+
+
 def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
     """Pairs of one frame ``(N, 3)``, or of B frames ``(B, N, 3)`` numbered ``b*N + i``.
 
     A frame's pairs come in the order of its own one-frame table (row-major in
     i, j), so per-atom sums over a batch equal the frames' own sums bit for bit.
     """
-    positions = np.asarray(positions, dtype=float)
-    if not np.all(np.isfinite(positions)):
-        raise NonFiniteGeometryError("non-finite atom position")
-    n = positions.shape[-2]
-    if n < 2:
-        empty = np.zeros(0)
-        return PairTable(empty.astype(int), empty.astype(int), empty, np.zeros((0, 3)))
-    d = _displacements(positions, cell, pbc)
-    r = np.linalg.norm(d, axis=-1)
-    r.reshape(-1, n * n)[:, ::n + 1] = np.inf   # the diagonal of every frame
-    if np.any(r < R_MIN):
-        *frame, i, j = np.argwhere(r < R_MIN)[0]
-        where = f" in frame {frame[0]}" if frame else ""
-        raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A){where}")
+    d, r = distance_matrix(positions, cell, pbc)
+    n = r.shape[-1]
     pairs = np.nonzero(r < cutoff)
     rr = r[pairs]
     unit = d[pairs] / rr[:, None]
     ii, jj = pairs[-2:]
-    if positions.ndim == 3:
+    if r.ndim == 3:
         ii, jj = pairs[0] * n + ii, pairs[0] * n + jj
     return PairTable(ii, jj, rr, unit)
 

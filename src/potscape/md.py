@@ -61,9 +61,12 @@ class MDConfig:
     dump_interval: int | None = None   # extended-XYZ dump cadence, if set
 
     def __post_init__(self):
-        if min(self.temperature, self.timestep_fs, self.tau_fs,
-               self.total_time_ps, self.failure_bond_length) <= 0:
-            raise ValueError("MD parameters must be positive")
+        if not all(0.0 < x < math.inf for x in (self.temperature, self.timestep_fs,
+                                                 self.total_time_ps, self.failure_bond_length)):
+            raise ValueError("temperature, timestep_fs, total_time_ps and failure_bond_length "
+                             "must be positive and finite")
+        if not self.tau_fs > 0.0:
+            raise ValueError("tau_fs must be positive, or inf for no thermostat")
         if self.n_trajectories < 1 or self.trace_interval < 1:
             raise ValueError("n_trajectories and trace_interval must be >= 1")
         if self.dump_interval is not None and self.dump_interval < 1:
@@ -73,7 +76,7 @@ class MDConfig:
 def kinetic_energy(velocities, masses):
     """Kinetic energy (eV) of one (N, 3) velocity array, or of each of B (B, N, 3)."""
     mv2 = (masses[:, None] * velocities**2).reshape(velocities.shape[:-2] + (3 * len(masses),))
-    return 0.5 * np.sum(mv2, axis=-1) * EV_PER_AMU_A2_FS2
+    return 0.5 * mv2.sum(axis=-1) * EV_PER_AMU_A2_FS2
 
 
 def instantaneous_temperature(velocities, masses):
@@ -125,14 +128,20 @@ def md_step(model, state, masses, cfg: MDConfig):
     members whose positions, energy or forces are not finite ("numeric") or
     whose atoms coincide ("collapse"), and kicks the rest.  Returns the new
     state and {member: (cause, None)} for the members dropped.
+
+    Every operation acts on each member alone, in a fixed order: the first
+    half kick adds ``0.5*dt * (F/m/c)`` and the second ``(0.5*dt*F)/m/c``, and
+    a member's kinetic energy sums ``m*v**2`` over its 3N components in atom
+    order.  So a member's trajectory keeps its bits whatever batch it is in.
     """
     members, targets, pos, vel, forces, _ = state
     dt, m = cfg.timestep_fs, masses[:, None]
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is caught below
         vel = vel + 0.5 * dt * (forces / m / EV_PER_AMU_A2_FS2)   # half kick, then drift
         pos = pos + dt * vel
+        screen = pos.sum()   # finite when every position is; else the rows are checked
     failed = {}
-    if not np.isfinite(pos).all():
+    if not math.isfinite(screen):
         rows = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
         failed = {int(members[row]): ("numeric", None) for row in rows}
         members, targets, pos, vel = _drop(rows, (members, targets, pos, vel))

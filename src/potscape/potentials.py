@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pair_table, scatter_add
+from .geometry import distance_matrix
 
 KB_EV_PER_K = 8.617333262e-5  # Boltzmann constant, eV/K
 
@@ -22,8 +22,9 @@ def _switched(v, dv, r, r_on, cutoff):
 
     Only the distances beyond r_on are touched; ``v`` and ``dv`` are updated in place.
     """
-    out = ~(r <= r_on)   # switched or cut off
-    if out.any():
+    inside = r <= r_on
+    if not inside.all():
+        out = ~inside   # switched or cut off
         ro = r[out]
         s, ds = quintic_switch(np.clip((ro - r_on) / (cutoff - r_on), 0.0, 1.0))
         ds = ds / (cutoff - r_on)
@@ -50,24 +51,30 @@ class _PairPotential:
         return float(energy[0]), forces[0]
 
     def energy_forces_batch(self, positions, cell=None, pbc=None):
-        """Energies (B,) and forces (B, N, 3) of B frames from one batched pair table.
+        """Energies (B,) and forces (B, N, 3) of B frames from their checked distance matrix.
 
-        Each frame's energy is the sum over its own slice of the half pairs, and
-        every atom sums its pair forces in the frame's own pair order, so each
-        frame's results equal those of the frame alone bit for bit.
+        Only the in-cutoff pairs i < j are evaluated.  Each frame's energy sums
+        its pair energies in row-major order of (i, j), and atom a's force sums
+        its pair forces over the partners k = 0..N-1 in turn, starting from +0.0.
+        Neither order depends on the other frames, so each frame's results equal
+        those of the frame alone bit for bit, and an atom with no partner in
+        range gets exactly +0.0.
         """
-        positions = np.asarray(positions, dtype=float)
-        b, n = positions.shape[:2]
-        pt = pair_table(positions, self.cutoff, cell=cell, pbc=pbc)
-        mask = pt.half
-        i, j = pt.i[mask], pt.j[mask]
-        v, dv = self.pair_energy_deriv(pt.r[mask])
-        bounds = np.searchsorted(i, n * np.arange(b + 1)).tolist()   # each frame's half pairs
-        energy = np.array([v[start:end].sum() for start, end in zip(bounds, bounds[1:])])
-        # dE/dr_j = dv * unit(i->j); F_j = -dv * unit, F_i = +dv * unit
-        contrib = dv[:, None] * pt.unit[mask]
-        forces = scatter_add(np.concatenate([j, i]), np.concatenate([-contrib, contrib]), b * n)
-        return energy, forces.reshape(b, n, 3)
+        d, r = distance_matrix(positions, cell, pbc)
+        b, n = r.shape[:2]
+        near = (r < self.cutoff) & (np.arange(n)[:, None] < np.arange(n))
+        frame, i, j = np.nonzero(near)
+        rr = r[near]
+        v, dv = self.pair_energy_deriv(rr)
+        ends = frame.searchsorted(np.arange(1, b + 1)).tolist()   # where each frame's pairs end
+        energy = np.array([v[start:end].sum() for start, end in zip([0] + ends, ends)])
+        # pair[j, b, i] = dv * unit(i->j) is the force on i from j (i < j); subtracting
+        # the transpose adds the force on j from i, so pair[k, b, a] is the force on a
+        # from k, and the sum over the first axis runs over k in order
+        pair = np.zeros((n, b, n, 3))
+        pair[j, frame, i] = dv[:, None] * (d[frame, i, j] / rr[:, None])
+        forces = (pair - pair.transpose(2, 1, 0, 3)).sum(axis=0)
+        return energy, forces
 
 
 @dataclass
@@ -118,8 +125,9 @@ class Morse(_PairPotential):
 
     def _raw(self, r):
         e1 = np.exp(-self.stiffness * (r - self.r0))
-        v = self.well_depth * (e1**2 - 2.0 * e1)
-        dv = 2.0 * self.well_depth * self.stiffness * (e1 - e1**2)
+        e2 = e1**2
+        v = self.well_depth * (e2 - 2.0 * e1)
+        dv = 2.0 * self.well_depth * self.stiffness * (e1 - e2)
         return v, dv
 
     @property

@@ -110,6 +110,31 @@ class TestErrors:
         assert not (tmp_path / "dataset.extxyz").exists()
         assert key.split(".")[1] in read_manifest(tmp_path)["error"]["message"]
 
+    @pytest.mark.parametrize("command,key,text,code", [
+        ("md", "md.temperature", "NaN", EXIT_CONFIG),
+        ("md", "md.failure_bond_length", "NaN", EXIT_CONFIG),
+        ("md", "md.tau_fs", "NaN", EXIT_CONFIG),
+        ("md", "md.total_time_ps", "Infinity", EXIT_CONFIG),
+        ("md", "md.timestep_fs", "Infinity", EXIT_CONFIG),
+        ("md", "md.tau_fs", "Infinity", EXIT_OK),
+        ("gen-data", "data.tau_fs", "NaN", EXIT_CONFIG),
+        ("gen-data", "data.temperatures", "[NaN]", EXIT_CONFIG),
+        ("gen-data", "data.temperatures", "[300.0, Infinity]", EXIT_CONFIG),
+        ("gen-data", "data.tau_fs", "Infinity", EXIT_OK),
+    ])
+    def test_nonfinite_parameter_rejected(self, tmp_path, command, key, text, code):
+        # NaN once failed every trajectory or switched the thermostat off; inf overflowed
+        config = {"md": {"potential.kind": "morse", "data.species": "Cu", "data.n_atoms": 4,
+                         "md.total_time_ps": 0.01, "md.n_trajectories": 2},
+                  "gen-data": {**GEN_ARGS, "data.frames_per_t": 2, "data.burn_in_steps": 10}
+                  }[command]
+        args = [arg for k, v in config.items() if k != "seed"
+                for arg in ("--set", f"{k}={json.dumps(v)}")]
+        assert main([command, "--out", str(tmp_path)] + args + ["--set", f"{key}={text}"]) == code
+        if code == EXIT_CONFIG:
+            assert key.split(".")[1] in read_manifest(tmp_path)["error"]["message"]
+            assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
     def test_degenerate_direction_is_numeric(self, gen_dir, model_dir, tmp_path, monkeypatch):
         # a zero random direction is a numeric fault, not a config error
         monkeypatch.setattr(landscape, "sample_direction",
