@@ -34,10 +34,22 @@ class PairTable:
         return len(self.r)
 
 
-def _displacements(positions, cell=None, pbc=None):
+def _displacements(positions, cutoff, cell=None, pbc=None):
     d = positions[..., None, :, :] - positions[..., :, None, :]
     if cell is not None and pbc is not None and np.any(pbc):
-        # Nearest periodic image; valid for cells wider than twice the cutoff.
+        # Nearest periodic image: the only one in range if the cell is at least
+        # twice the cutoff wide across each periodic axis.  An axis's width is the
+        # cell volume over the area of the face that the other two axes span.
+        cell = np.asarray(cell, dtype=float)
+        faces = np.cross(cell[[1, 2, 0]], cell[[2, 0, 1]])
+        with np.errstate(divide="ignore", invalid="ignore"):   # a flat cell: 0 or nan wide
+            widths = abs(np.linalg.det(cell)) / np.linalg.norm(faces, axis=1)
+        narrow = np.asarray(pbc, dtype=bool) & ~(widths >= 2.0 * cutoff)
+        if narrow.any():
+            k = int(np.argmax(narrow))
+            raise ValueError(f"periodic cell is {widths[k]:g} A wide across axis {k}, less than "
+                             f"twice the cutoff ({2.0 * cutoff:g} A): one image per pair "
+                             "would miss others in range")
         inv = np.linalg.inv(cell)
         frac = d @ inv
         shift = np.round(frac)
@@ -46,18 +58,20 @@ def _displacements(positions, cell=None, pbc=None):
     return d
 
 
-def distance_matrix(positions, cell=None, pbc=None):
+def distance_matrix(positions, cutoff, cell=None, pbc=None):
     """Displacements ``d[..., i, j]`` (atom i to atom j, minimum image) and distances ``r``
     of one frame ``(N, 3)`` or of B frames ``(B, N, 3)``; every diagonal ``r`` is inf.
 
     A non-finite position raises NonFiniteGeometryError, and two atoms closer than
     ``R_MIN`` raise SingularGeometryError naming the first such pair (and its frame).
+    A cell narrower than twice the pair ``cutoff`` across a periodic axis raises
+    ValueError, since the minimum image is then not the only image in range.
     """
     positions = np.asarray(positions, dtype=float)
     if not np.isfinite(positions).all():
         raise NonFiniteGeometryError("non-finite atom position")
     n = positions.shape[-2]
-    d = _displacements(positions, cell, pbc)
+    d = _displacements(positions, cutoff, cell, pbc)
     r = np.linalg.norm(d, axis=-1)
     r.reshape(r.shape[:-2] + (n * n,))[..., ::n + 1] = np.inf
     if (r < R_MIN).any():
@@ -73,7 +87,7 @@ def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
     A frame's pairs come in the order of its own one-frame table (row-major in
     i, j), so per-atom sums over a batch equal the frames' own sums bit for bit.
     """
-    d, r = distance_matrix(positions, cell, pbc)
+    d, r = distance_matrix(positions, cutoff, cell, pbc)
     n = r.shape[-1]
     pairs = np.nonzero(r < cutoff)
     rr = r[pairs]
@@ -84,15 +98,17 @@ def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
     return PairTable(ii, jj, rr, unit)
 
 
-def scatter_add(index, values, n: int) -> np.ndarray:
+def scatter_add(index, values, n: int, out=None) -> np.ndarray:
     """Row sums onto n atoms: out[a] = sum of values[p] over pairs with index[p] == a.
 
     One ``bincount`` per column accumulates each atom's sum sequentially in
     pair order, so a pair table's fixed order makes the sums reproducible bit
     for bit; it skips the k-times longer flat index that one bincount over all
-    columns needs.  Rows that no pair reaches are exactly zero.
+    columns needs.  Rows that no pair reaches are exactly zero.  A column is
+    read without a copy when it is contiguous, as in the transpose of a C-ordered
+    (k, P) array.  The sums are written into ``out`` if it is given.
     """
-    out = np.empty((n, values.shape[1]))
+    out = np.empty((n, values.shape[1])) if out is None else out
     for c in range(values.shape[1]):
         out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
     return out

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .descriptors import DescriptorSpec, basis_values
+from .descriptors import DescriptorSpec, Workspace, basis_values, envelope, new_array
 from .geometry import pair_table, scatter_add
 
 
@@ -24,17 +24,21 @@ class NumericEvalError(ArithmeticError):
     """Non-finite intermediate during model evaluation."""
 
 
-# activation name -> (value, first, second derivative), each in terms of h = act(z)
-def _tanh(z):
-    return np.tanh(z)
+# activation name -> (value, first, second derivative): the derivatives are in
+# terms of h = act(z), the second also of the first, d1 = act'(z); each writes `out`
+def _tanh(z, out=None):
+    return np.tanh(z, out=out)
 
 
-def _tanh_d1(h):
-    return 1.0 - h * h
+def _tanh_d1(h, out=None):
+    out = np.multiply(h, h, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
-def _tanh_d2(h):
-    return -2.0 * h * (1.0 - h * h)
+def _tanh_d2(h, d1, out=None):
+    out = np.multiply(h, -2.0, out=out)
+    out *= d1
+    return out
 
 
 ACTIVATIONS = {"tanh": (_tanh, _tanh_d1, _tanh_d2)}
@@ -220,9 +224,11 @@ class NeuralPotential:
         B, n = positions.shape[:2]
         centers, widths, Ws, bs = self.unpack()
         pt = pair_table(positions, self.descriptor.cutoff, cell=cell, pbc=pbc)
-        e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff)
+        # the pair count changes with every call, so nothing is worth keeping
+        e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff, ws=new_array)
         G = scatter_add(pt.i, e, B * n).reshape(B, n, -1)
-        out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n, n)
+        out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n, n,
+                       new_array)
         if not np.all(np.isfinite(out.y)):
             frame, atom = divmod(int(np.nonzero(~np.isfinite(out.y))[0][0]), n)
             raise NumericEvalError(f"non-finite site energy at atom {atom} of frame {frame}")
@@ -237,7 +243,7 @@ class _Forward(NamedTuple):
     E: np.ndarray     # (M,) frame energies, eV
 
 
-def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) -> _Forward:
+def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms, ws) -> _Forward:
     """Descriptors -> MLP -> input gradient -> forces and energies.
 
     The frames' atoms are numbered consecutively: pairs (gi, gj) with unit
@@ -249,20 +255,42 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     (one matrix product over all rows may round differently).  The per-pair
     gather is ``np.take``, a row copy cheaper than fancy indexing that yields
     the same rows in pair order, and the force scatter keeps that order too.
+
+    Every array is written into the Workspace ``ws``, so the results are
+    overwritten by the next evaluation into it.  The layouts keep the bits: the
+    layers are ``h @ W.T`` (``(W @ h.T).T`` rounds differently), de and the
+    gathered input gradient are both C-ordered (P, K) in the per-pair einsum,
+    and the elementwise steps are the same IEEE operations, in place.
     """
     scale, shift = model.rescale.effective()
     act, d1 = ACTIVATIONS[model.activation][:2]
+    rows = G.shape[:-1]
     hs = [G]
-    for W, b in zip(Ws[:-1], bs[:-1]):
-        hs.append(act(hs[-1] @ W.T + b))
-    y = (hs[-1] @ Ws[-1].T + bs[-1]).ravel()
-    # d y / d G, back through the layers
-    g = np.repeat(Ws[-1], n_atoms, axis=0).reshape(hs[-1].shape)
-    for W, h in zip(reversed(Ws[:-1]), reversed(hs[1:])):
-        g = (g * d1(h)) @ W
-    s = np.einsum("pd,pd->p", de, np.take(g.reshape(n_atoms, -1), gi, axis=0))
-    contrib = (scale * s)[:, None] * unit
-    F = scatter_add(np.concatenate([gi, gj]), np.concatenate([contrib, -contrib]), n_atoms)
+    for layer, (W, b) in enumerate(zip(Ws[:-1], bs[:-1]), 1):
+        z = np.matmul(hs[-1], W.T, out=ws(f"h{layer}", rows + (len(b),)))
+        z += b
+        hs.append(act(z, out=z))
+    y = np.matmul(hs[-1], Ws[-1].T, out=ws("y", rows + (1,)))
+    y += bs[-1]
+    y = y.ravel()
+    # d y / d G, back through the layers, each layer's g over the last one's
+    g = ws("g", hs[-1].shape)
+    g[...] = Ws[-1]
+    for layer in range(len(hs) - 2, -1, -1):
+        t = d1(hs[layer + 1], out=ws("d1", hs[layer + 1].shape))
+        t *= g
+        g = np.matmul(t, Ws[layer], out=ws("g", hs[layer].shape))
+    n_pairs, k = len(gi), g.shape[-1]
+    g_pairs = np.take(g.reshape(n_atoms, k), gi, axis=0, mode="clip",
+                      out=ws("g_pairs", (n_pairs, k)))
+    s = np.einsum("pd,pd->p", de, g_pairs, out=ws("s", (n_pairs,)))
+    s *= scale
+    # columns x, y, z of [contrib, -contrib] for the pairs [gi, gj]
+    contrib = ws("contrib", (3, 2 * n_pairs))
+    np.multiply(s, unit.T, out=contrib[:, :n_pairs])
+    np.negative(contrib[:, :n_pairs], out=contrib[:, n_pairs:])
+    ends = np.concatenate([gi, gj], out=ws("ends", (2 * n_pairs,), gi.dtype))
+    F = scatter_add(ends, contrib.T, n_atoms, out=ws("F", (n_atoms, 3)))
     # sequential per-frame sums, so one frame and a table of frames agree bit for bit
     E = scale * (np.add.reduceat(y, atom_start) if len(y) else np.zeros(0)) + shift * natoms
     return _Forward(y, hs, F, E)
@@ -284,9 +312,15 @@ class LossValues:
 class DatasetTables:
     """Precomputed geometry, labels, and basis values for fast re-evaluation.
 
-    Geometry (pair distances/unit vectors) never changes; the descriptor matrix
-    and basis derivatives are cached and rebuilt only when the basis parameters
-    change (trainable-basis models under perturbation).
+    Geometry (pair distances/unit vectors) and the basis envelope never change.
+    The descriptor matrix G and the basis derivatives are kept per table and
+    rebuilt only when the basis parameters change (a trainable basis under
+    perturbation), so the arrays that ``basis`` returns are overwritten by the
+    next evaluation with other basis parameters.  Every other array of an
+    evaluation is written into the table's Workspace ``ws``, which the
+    ``frame_range`` sub-tables share: a loss point allocates no per-pair or
+    per-atom array.  So ``tables_loss`` and ``tables_loss_grad`` on tables that
+    share a workspace must not run concurrently.
     """
 
     def __init__(self, model: NeuralPotential, dataset: Dataset):
@@ -322,17 +356,37 @@ class DatasetTables:
         self.atom_start = np.array(starts[:-1], dtype=int)
         self.f_ref = np.vstack(f_ref)
         self.pair_frame = self.atom_frame[self.gi] if len(self.gi) else np.zeros(0, dtype=int)
-        self._cache_key = None
-        self._cache = None
+        self.cutoff = spec.cutoff
+        self.envelope = envelope(self.r, spec.cutoff)
+        self.ws = Workspace()
+        self._init_cache()
         self.eval_count = 0
 
-    def basis(self, centers, widths, cutoff, with_param_grads=False):
-        """(G, de, param_grads): descriptor matrix and basis_values' derivatives."""
+    def _init_cache(self):
+        self._kept = Workspace()   # G and the basis derivatives of the cache key
+        self._cache_key = None
+        self._cache = None
+
+    def basis(self, centers, widths, with_param_grads=False):
+        """(G, de, param_grads): descriptor matrix and basis_values' derivatives.
+
+        G is C-ordered (A, K) and de C-ordered (P, K), as the forward pass needs
+        them to keep its bits; the parameter derivatives are (P, K) views of
+        pair-contiguous (K, P) arrays (see ``basis_values``).  They are kept
+        until a call with other parameters overwrites them.
+        """
         key = (centers.tobytes(), widths.tobytes(), bool(with_param_grads))
         if self._cache_key != key:
-            e, de, extra = basis_values(self.r, centers, widths, cutoff,
-                                        with_param_grads=with_param_grads)
-            self._cache = (scatter_add(self.gi, e, self.n_atoms), de, extra)
+            # a basis built before is rebuilt per point (a trainable one), so its
+            # scratch is kept; a fixed basis is built once and keeps none
+            scratch = new_array if self._cache_key is None else self.ws
+            self._cache_key = None   # the kept arrays are overwritten below
+            e, de, extra = basis_values(self.r, centers, widths, self.cutoff,
+                                        with_param_grads=with_param_grads, env=self.envelope,
+                                        ws=scratch, out=self._kept)
+            G = scatter_add(self.gi, e, self.n_atoms,
+                            out=self._kept("G", (self.n_atoms, len(centers))))
+            self._cache = (G, de, extra)
             self._cache_key = key
         return self._cache
 
@@ -354,23 +408,29 @@ class DatasetTables:
         sub.atom_start = self.atom_start[lo:hi] - a0
         sub.f_ref = self.f_ref[a0:a1]
         sub.pair_frame = self.pair_frame[pmask] - lo
-        sub._cache_key = None
-        sub._cache = None
+        sub.cutoff = self.cutoff
+        sub.envelope = tuple(v[pmask] for v in self.envelope)
+        sub.ws = self.ws
+        sub._init_cache()
         sub.eval_count = 0
         return sub
 
 
 def _table_forward(model, tables, Ws, bs, G, de) -> _Forward:
     return _forward(model, Ws, bs, G, de, tables.gi, tables.gj, tables.unit,
-                    tables.n_atoms, tables.atom_start, tables.natoms)
+                    tables.n_atoms, tables.atom_start, tables.natoms, tables.ws)
 
 
 def _residuals(tables, fw: _Forward, w_E, w_F):
-    """Per-atom energy and force residuals against the labels, and their loss."""
+    """Per-atom energy and force residuals against the labels, and their loss.
+
+    The force residuals overwrite ``fw.F``.
+    """
     eres = (fw.E - tables.e_ref) / tables.natoms
-    fres = fw.F - tables.f_ref
+    fres = np.subtract(fw.F, tables.f_ref, out=fw.F)
     mse_E = float(np.mean(eres**2))
-    mse_F = float(np.sum(fres**2) / (3.0 * tables.n_atoms))
+    mse_F = float(np.sum(np.square(fres, out=tables.ws("fres2", fres.shape)))
+                  / (3.0 * tables.n_atoms))
     combined = w_E * mse_E + w_F * mse_F
     loss = LossValues(np.sqrt(mse_E) * 1000.0, np.sqrt(mse_F) * 1000.0,
                       combined, mse_E, mse_F)
@@ -382,8 +442,7 @@ def tables_loss(model: NeuralPotential, tables: DatasetTables, values, w_E, w_F)
     tables.eval_count += 1
     centers, widths, Ws, bs = model.unpack(values)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        G, de, _ = tables.basis(np.asarray(centers), np.asarray(widths),
-                                model.descriptor.cutoff)
+        G, de, _ = tables.basis(np.asarray(centers), np.asarray(widths))
         _, _, loss = _residuals(tables, _table_forward(model, tables, Ws, bs, G, de), w_E, w_F)
     return loss
 
@@ -393,50 +452,65 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
 
     The force-loss term needs the derivative of the descriptor-space input
     gradient, which is propagated with a forward tangent pass followed by a
-    reverse pass through both the primal and tangent variables.
+    reverse pass through both the primal and tangent variables.  Like the
+    forward pass, it writes its per-pair and per-atom arrays into the table's
+    workspace, keeping the products' forms and the operands' layouts.
     """
     tables.eval_count += 1
     centers, widths, Ws, bs = model.unpack(values)
     scale = model.rescale.effective()[0]
     trainable = model.descriptor.trainable_basis
     _, d1f, d2f = ACTIVATIONS[model.activation]
+    ws = tables.ws
 
     G, de, extra = tables.basis(np.asarray(centers), np.asarray(widths),
-                                model.descriptor.cutoff, with_param_grads=trainable)
+                                with_param_grads=trainable)
     fw = _table_forward(model, tables, Ws, bs, G, de)
     hs = fw.hs
     eres, fres, loss = _residuals(tables, fw, w_E, w_F)
     M = tables.n_frames
     A = tables.n_atoms
+    P, K = de.shape
 
     # seeds: d combined / d y_a (energy path) and tangent V (force path)
-    c_atom = scale * w_E * (2.0 / M) * (eres / tables.natoms)[tables.atom_frame]
-    rho = (2.0 * w_F / (3.0 * A)) * fres
-    beta = scale * np.einsum("pk,pk->p", tables.unit,
-                             np.take(rho, tables.gi, axis=0) - np.take(rho, tables.gj, axis=0))
-    V = scatter_add(tables.gi, beta[:, None] * de, A)
+    c_atom = np.take(eres / tables.natoms, tables.atom_frame, mode="clip",
+                     out=ws("c_atom", (A,)))
+    c_atom *= scale * w_E * (2.0 / M)
+    rho = np.multiply(fres, 2.0 * w_F / (3.0 * A), out=ws("rho", (A, 3)))
+    rho_i = np.take(rho, tables.gi, axis=0, mode="clip", out=ws("rho_i", (P, 3)))
+    rho_i -= np.take(rho, tables.gj, axis=0, mode="clip", out=ws("rho_j", (P, 3)))
+    beta = np.einsum("pk,pk->p", tables.unit, rho_i, out=ws("beta", (P,)))
+    beta *= scale
+    beta_de = np.multiply(beta, de.T, out=ws("beta_de", (K, P)))
+    V = scatter_add(tables.gi, beta_de.T, A, out=ws("V", (A, K)))
 
     # combined reverse pass: Phi = sum_a c_a * y_a + g_a . V_a
-    qs, ts = [], [V]
-    for W, h in zip(Ws[:-1], hs[1:]):
-        q = ts[-1] @ W.T
+    p1s, qs, ts = [], [], [V]
+    for layer, (W, h) in enumerate(zip(Ws[:-1], hs[1:]), 1):
+        q = np.matmul(ts[-1], W.T, out=ws(f"q{layer}", h.shape))
         qs.append(q)
-        ts.append(d1f(h) * q)
-    gW_out = (c_atom[:, None] * hs[-1] + ts[-1]).sum(axis=0, keepdims=True)
+        p1s.append(d1f(h, out=ws(f"p1_{layer}", h.shape)))
+        ts.append(np.multiply(p1s[-1], q, out=ws(f"t{layer}", h.shape)))
+    gW_rows = np.multiply(c_atom[:, None], hs[-1], out=ws("gW_rows", hs[-1].shape))
+    gW_rows += ts[-1]
+    gW_out = gW_rows.sum(axis=0, keepdims=True)
     gb_out = np.array([c_atom.sum()])
-    hbar = c_atom[:, None] * Ws[-1]
+    hbar = np.multiply(c_atom[:, None], Ws[-1], out=ws("hbar", hs[-1].shape))
     tbar = np.broadcast_to(Ws[-1], hbar.shape)
     gWs = [gW_out]
     gbs = [gb_out]
     for idx in range(len(Ws) - 2, -1, -1):
-        h = hs[idx + 1]
-        p1, p2 = d1f(h), d2f(h)
-        zbar = p1 * hbar + p2 * qs[idx] * tbar
-        qbar = p1 * tbar
+        h, p1 = hs[idx + 1], p1s[idx]
+        p2 = d2f(h, p1, out=ws("p2", h.shape))
+        p2 *= qs[idx]
+        p2 *= tbar
+        zbar = np.multiply(p1, hbar, out=ws("zbar", h.shape))
+        zbar += p2
+        qbar = np.multiply(p1, tbar, out=ws("qbar", h.shape))
         gWs.append(zbar.T @ hs[idx] + qbar.T @ ts[idx])
         gbs.append(zbar.sum(axis=0))
-        hbar = zbar @ Ws[idx]
-        tbar = qbar @ Ws[idx]
+        hbar = np.matmul(zbar, Ws[idx], out=ws("hbar", hs[idx].shape))
+        tbar = np.matmul(qbar, Ws[idx], out=ws("tbar", hs[idx].shape))
     gWs.reverse()
     gbs.reverse()
     Xbar, Vbar = hbar, tbar
@@ -444,8 +518,9 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     g_centers = g_widths = None
     if trainable:
         de_dc, de_dw, d2_rc, d2_rw = extra
-        xb = np.take(Xbar, tables.gi, axis=0)
-        vb = np.take(Vbar, tables.gi, axis=0) * beta[:, None]
+        xb = np.take(Xbar, tables.gi, axis=0, mode="clip", out=ws("xb", (P, K)))
+        vb = np.take(Vbar, tables.gi, axis=0, mode="clip", out=ws("vb", (P, K)))
+        vb *= beta[:, None]
         g_centers = np.einsum("pd,pd->d", xb, de_dc) + np.einsum("pd,pd->d", vb, d2_rc)
         g_widths = np.einsum("pd,pd->d", xb, de_dw) + np.einsum("pd,pd->d", vb, d2_rw)
 

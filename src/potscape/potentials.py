@@ -58,9 +58,10 @@ class _PairPotential:
         its pair forces over the partners k = 0..N-1 in turn, starting from +0.0.
         Neither order depends on the other frames, so each frame's results equal
         those of the frame alone bit for bit, and an atom with no partner in
-        range gets exactly +0.0.
+        range gets exactly +0.0.  A periodic cell narrower than twice the cutoff
+        raises ValueError.
         """
-        d, r = distance_matrix(positions, cell, pbc)
+        d, r = distance_matrix(positions, self.cutoff, cell, pbc)
         b, n = r.shape[:2]
         near = (r < self.cutoff) & (np.arange(n)[:, None] < np.arange(n))
         frame, i, j = np.nonzero(near)

@@ -100,6 +100,18 @@ class TestErrors:
         error = read_manifest(tmp_path / "out")["error"]
         assert error["type"] == "SingularGeometryError" and "coincident" in error["message"]
 
+    def test_narrow_periodic_cell_is_config_error(self, model_dir, tmp_path):
+        # 8 A across x: less than twice the model's 5 A cutoff
+        (tmp_path / "narrow.extxyz").write_text(
+            '2\nLattice="8 0 0 0 40 0 0 0 40" pbc="T T T" '
+            "Properties=species:S:1:pos:R:3:forces:R:3 energy=-1.0\n"
+            "Cu 0 0 0 0 0 0\nCu 4 0 0 0 0 0\n")
+        config = {"model.checkpoint": str(model_dir / "model.json"),
+                  "data.path": str(tmp_path / "narrow.extxyz")}
+        assert run_command("eval", config, tmp_path / "out") == EXIT_CONFIG
+        error = read_manifest(tmp_path / "out")["error"]
+        assert error["type"] == "ValueError" and "twice the cutoff" in error["message"]
+
     @pytest.mark.parametrize("key,value", [("data.burn_in_steps", -40), ("data.stride", 0),
                                            ("data.stride", -10)])
     def test_negative_frame_schedule_rejected(self, tmp_path, key, value):

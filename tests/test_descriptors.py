@@ -72,6 +72,14 @@ def test_envelope_vanishes_smoothly():
     np.testing.assert_allclose(num, dfc, atol=1e-6)
 
 
+def test_envelope_inside_the_cutoff_skips_nothing():
+    # pairs inside the cutoff take the unclipped path; one pair at the cutoff sends
+    # the same distances through the clip and the masks, with the same bits
+    r = np.random.default_rng(0).uniform(0.5, 5.0, 200)
+    for inside, general in zip(envelope(r, 5.0), envelope(np.append(r, 5.0), 5.0)):
+        assert inside.tobytes() == general[:-1].tobytes()
+
+
 def test_jacobian_matches_finite_differences():
     spec = DescriptorSpec.default(cutoff=5.0, n_radial=6)
     h = 1e-5

@@ -306,8 +306,9 @@ class TestInterpolation:
 class TestPersistence:
     def test_profile_roundtrip_with_inf(self, tmp_path):
         t = np.linspace(-1, 1, 5)
-        loss_E = np.array([[1.0, 2.0, 0.5, np.inf, 3.0], [1.5, 2.5, 0.5, 4.0, 5.0]])
+        loss_E = np.array([[1.0, 2.0, 0.5, np.inf, 3.0], [1.5, -np.inf, 0.5, np.nan, 5.0]])
         loss_F = loss_E * 10.0
+        loss_F[0, 1] = np.nan
         profile = LandscapeProfile(t, loss_E, loss_F, {"kind": "landscape1d", "seed": 3})
         path = tmp_path / "profile.csv"
         write_profile_csv(profile, path)

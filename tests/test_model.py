@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +216,84 @@ class TestParameterGradient:
             fd[i] = (tables_loss(m, tables, vp, 1.0, 5.0).combined
                      - tables_loss(m, tables, vm, 1.0, 5.0).combined) / (2 * h)
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
+
+
+def _labeled_tables_case(trainable, hidden=(8, 7), n_frames=12):
+    """A model, a dataset labeled by another model, and a point away from the model's."""
+    m = random_model(3, trainable_basis=trainable, hidden=hidden)
+    ds = labeled_dataset(random_model(9, hidden=hidden), n_frames, seed=5, energy_offset=0.02)
+    v = m.params.values + 0.05 * np.random.default_rng(4).standard_normal(m.params.partition.total)
+    return m, ds, v
+
+
+class TestWorkspace:
+    """A table evaluates its points in a kept workspace, shared with its sub-tables;
+    no point may see what another point left there."""
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_point_after_another_point(self, trainable):
+        m, ds, b = _labeled_tables_case(trainable)
+        a = m.params.values
+        tables = DatasetTables(m, ds)
+        first = tables_loss(m, tables, a, 1.0, 10.0)
+        _, grad_first = tables_loss_grad(m, tables, a, 1.0, 10.0)
+        assert tables_loss(m, tables, b, 1.0, 10.0) != first
+        tables_loss_grad(m, tables, b, 1.0, 10.0)
+        assert astuple(tables_loss(m, tables, a, 1.0, 10.0)) == astuple(first)
+        assert tables_loss_grad(m, tables, a, 1.0, 10.0)[1].tobytes() == grad_first.tobytes()
+        assert astuple(tables_loss(m, DatasetTables(m, ds), a, 1.0, 10.0)) == astuple(first)
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_interleaved_tables_equal_fresh_tables(self, trainable):
+        m, ds, v = _labeled_tables_case(trainable)
+        tables = DatasetTables(m, ds)
+        sub = tables.frame_range(3, 9)   # shares the workspace of `tables`
+        for table, fresh in ((tables, lambda: DatasetTables(m, ds)),
+                             (sub, lambda: DatasetTables(m, ds).frame_range(3, 9)),
+                             (tables, lambda: DatasetTables(m, ds)),
+                             (sub, lambda: DatasetTables(m, ds).frame_range(3, 9))):
+            loss_g, grad = tables_loss_grad(m, table, v, 1.0, 25.0)
+            loss = tables_loss(m, table, v, 1.0, 25.0)
+            fresh_loss_g, fresh_grad = tables_loss_grad(m, fresh(), v, 1.0, 25.0)
+            assert astuple(loss_g) == astuple(fresh_loss_g)
+            assert grad.tobytes() == fresh_grad.tobytes()
+            assert astuple(loss) == astuple(tables_loss(m, fresh(), v, 1.0, 25.0))
+
+    def test_no_hidden_layers(self):
+        m, ds, v = _labeled_tables_case(True, hidden=())
+        tables = DatasetTables(m, ds)
+        _, grad = tables_loss_grad(m, tables, v, 1.0, 10.0)
+        h = 1e-6
+        fd = np.zeros_like(grad)
+        for i in range(len(v)):
+            vp, vm = v.copy(), v.copy()
+            vp[i] += h
+            vm[i] -= h
+            fd[i] = (tables_loss(m, tables, vp, 1.0, 10.0).combined
+                     - tables_loss(m, tables, vm, 1.0, 10.0).combined) / (2 * h)
+        assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-5
+        pos = np.stack([c.positions for c in ds][:3])
+        E, F, _ = m.with_values(v).energy_forces_batch(pos)
+        for b in range(3):
+            e, f, _ = m.with_values(v).energy_forces(pos[b])
+            assert E[b] == e and np.array_equal(F[b], f)
+
+    def test_repeated_point_allocates_no_pair_array(self):
+        m, ds, v = _labeled_tables_case(True, n_frames=300)
+        tables = DatasetTables(m, ds)
+        pair_array = len(tables.gi) * m.descriptor.n_radial * 8   # bytes of one (P, K)
+        # the first point builds the basis in new arrays, the second keeps its scratch
+        tables_loss(m, tables, m.params.values, 1.0, 1.0)
+        tables_loss(m, tables, v, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            for k in range(1, 4):   # a trainable basis is rebuilt at every point
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                tables_loss(m, tables, v * (1.0 + 0.01 * k), 1.0, 1.0)
+                assert tracemalloc.get_traced_memory()[1] - before < pair_array / 2
+        finally:
+            tracemalloc.stop()
 
 
 class TestRescale:

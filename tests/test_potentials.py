@@ -153,6 +153,35 @@ class TestPeriodic:
         e_direct, _ = lj.energy_forces(np.array([[1.0, 1.0, 1.0], [-0.5, 1.0, 1.0]]))
         assert e_pbc == pytest.approx(e_direct, rel=1e-12)
 
+    def test_cell_narrower_than_twice_the_cutoff_rejected(self):
+        # an LJ pair 4 A apart: across an 8 A periodic axis both images, at +4 and
+        # -4 A, are in range, and one minimum image would count only one of them
+        lj = LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0)
+        pos = dimer(4.0)
+        e_wide, _ = lj.energy_forces(pos, cell=np.diag([40.0] * 3), pbc=[True] * 3)
+        assert e_wide == pytest.approx(-0.02153, abs=1e-5)
+        narrow = np.diag([8.0, 40.0, 40.0])
+        with pytest.raises(ValueError, match="8 A wide across axis 0"):
+            lj.energy_forces(pos, cell=narrow, pbc=[True] * 3)
+        with pytest.raises(ValueError, match="twice the cutoff"):
+            lj.energy_forces_batch(np.stack([pos, pos]), cell=narrow, pbc=[True] * 3)
+        with pytest.raises(ValueError, match="twice the cutoff"):
+            pair_table(pos, lj.cutoff, cell=narrow, pbc=[True] * 3)
+        # a narrow axis that is not periodic, and a width of exactly twice the cutoff
+        assert lj.energy_forces(pos, cell=narrow, pbc=[False, True, True])[0] == e_wide
+        assert lj.energy_forces(pos, cell=np.diag([12.0] * 3), pbc=[True] * 3)[0] == e_wide
+
+    def test_sheared_cell_width_is_perpendicular(self):
+        # b is 12.8 A long, but the cell is only 8 A wide across it (12.5 A across a)
+        cell = np.array([[20.0, 0.0, 0.0], [10.0, 8.0, 0.0], [0.0, 0.0, 20.0]])
+        pos = dimer(3.0)
+        with pytest.raises(ValueError, match="8 A wide across axis 1"):
+            pair_table(pos, 5.0, cell=cell, pbc=[True] * 3)
+        assert len(pair_table(pos, 5.0, cell=cell, pbc=[True, False, True])) == 2
+        # a flat cell is no cell at all
+        with pytest.raises(ValueError, match="twice the cutoff"):
+            pair_table(pos, 5.0, cell=np.zeros((3, 3)), pbc=[True] * 3)
+
 
 class TestBuildCluster:
     def test_near_equilibrium_and_deterministic(self):
@@ -303,3 +332,19 @@ class TestProperties:
             fd[a, k] = -(pot.energy_forces(pp)[0] - pot.energy_forces(pm)[0]) / (2 * h)
         assert np.abs(f - fd).max() <= 1e-5 * max(np.abs(f).max(), 1e-3)
         assert np.array_equal(f[-1], np.zeros(3))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_atoms=st.integers(2, 5), seed=st.integers(0, 2**31 - 1),
+           shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    def test_rigid_motion(self, kind, n_atoms, seed, shift):
+        """E is invariant under rotation and translation, and F rotates with the frame."""
+        pot, cutoff, min_dist = PROPERTY_POTENTIALS[kind]
+        pos = property_cluster(n_atoms, seed, cutoff, min_dist)
+        rot = random_rotation(np.random.default_rng(seed))
+        e, f = pot.energy_forces(pos)[:2]
+        atol = 1e-9 * max(1.0, np.abs(f).max())
+        for moved, f_moved in ((pos + shift, f), (pos @ rot.T, f @ rot.T),
+                               (pos @ rot.T + shift, f @ rot.T)):
+            e2, f2 = pot.energy_forces(moved)[:2]
+            assert e2 == pytest.approx(e, rel=1e-10, abs=1e-12)
+            np.testing.assert_allclose(f2, f_moved, rtol=0, atol=atol)
