@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Exactness check: one sha256 per kernel case over a seeded corpus.
+
+    PYTHONPATH=src python scripts/check_exactness.py > after.txt
+    python scripts/check_exactness.py --compare before.txt after.txt
+
+The first form prints an environment fingerprint (lines starting with ``#``:
+numpy's version and the SIMD extensions it found, and the OpenBLAS config,
+which together decide the rounding) and then ``<case> <sha256>`` lines.  The
+cases are the Lennard-Jones, Morse and neural energies and forces of batches
+of B = 1, 4 and 30 frames, with pairs at the cutoff and in the switching
+window, plus a periodic batch; the neural model with a fixed and a trainable
+basis and hidden layers (), (16, 16) and (5, 4, 3); and ``tables_loss`` and
+``tables_loss_grad`` on a table and on its ``frame_range`` sub-tables.  Run it
+on two trees, on the same host, and compare: ``--compare`` lists the cases
+whose digests differ, or that only one file has, and exits 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import hashlib
+import platform
+import sys
+from dataclasses import astuple
+
+import numpy as np
+
+CELL = np.diag([15.0, 16.0, 17.0])   # wider than twice every cutoff below
+HIDDEN = ((), (16, 16), (5, 4, 3))
+
+
+def fingerprint() -> list[str]:
+    config = np.show_config(mode="dicts")
+    simd = config.get("SIMD Extensions", {})
+    lines = [f"python {platform.python_version()}", f"numpy {np.__version__}",
+             f"simd found {' '.join(simd.get('found', []))}",
+             f"simd baseline {' '.join(simd.get('baseline', []))}",
+             f"openblas {openblas_config()}"]
+    return [f"# {line}" for line in lines]
+
+
+def openblas_config() -> str:
+    """The loaded OpenBLAS's own config string (version, kernels), if it has one."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                     "openblas_get_config64_", "openblas_get_config"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name')} {blas.get('version')} (no runtime config)"
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def clusters(rng, b, n=6, box=3.0, min_dist=1.6):
+    """b frames of n atoms at least min_dist apart (rejection sampled)."""
+    out = []
+    while len(out) < b:
+        pos = rng.uniform(-box, box, (n, 3))
+        d = np.linalg.norm(pos[None] - pos[:, None], axis=-1)
+        np.fill_diagonal(d, np.inf)
+        if d.min() > min_dist:
+            out.append(pos)
+    return np.stack(out)
+
+
+def batches(rng, cutoff, switch_start):
+    """(name, positions, cell, pbc): B = 1, 4, 30 frames, the first with a pair
+    exactly at the cutoff and one in the switching window, and a periodic batch."""
+    out = []
+    for b in (1, 4, 30):
+        pos = clusters(rng, b)
+        pos[0, 1] = pos[0, 0] + [cutoff, 0.0, 0.0]
+        pos[0, 2] = pos[0, 0] + [0.0, 0.5 * (switch_start + cutoff), 0.0]
+        pos[0, 3] = pos[0, 0] + [-20.0, 0.0, 0.0]   # no partner in range
+        out.append((f"B{b}", pos, None, None))
+    pos = clusters(rng, 4)
+    pos[:, ::2] += [6.0, 0.0, 0.0]   # some pairs are nearer through the cell wall
+    out.append(("B4-periodic", pos, CELL, np.array([True, True, True])))
+    return out
+
+
+def cases():
+    from potscape.data import Configuration, Dataset
+    from potscape.descriptors import DescriptorSpec
+    from potscape.model import (DatasetTables, NeuralPotential, Rescale, tables_loss,
+                                tables_loss_grad)
+    from potscape.potentials import LennardJones, Morse
+
+    rng = np.random.default_rng(20260101)
+    ref = Morse()
+    for name, pot in (("lj", LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0)), ("morse", ref)):
+        for label, pos, cell, pbc in batches(rng, pot.cutoff, pot.switch_start):
+            yield f"{name}/{label}", digest(*pot.energy_forces_batch(pos, cell=cell, pbc=pbc))
+
+    # a labelled dataset: 24 free frames, then 6 periodic ones
+    pos = clusters(rng, 30)
+    pos[24:, ::2] += [6.0, 0.0, 0.0]
+    frames = []
+    for k, p in enumerate(pos):
+        cell, pbc = (CELL, np.array([True] * 3)) if k >= 24 else (None, None)
+        e, f = ref.energy_forces(p, cell=cell, pbc=pbc)
+        frames.append(Configuration(p, ["Cu"] * 6, energy=e, forces=f, cell=cell, pbc=pbc))
+    dataset = Dataset(frames)
+
+    for trainable in (False, True):
+        for hidden in HIDDEN:
+            spec = DescriptorSpec.default(cutoff=5.0, n_radial=6, trainable_basis=trainable)
+            m = NeuralPotential.create(spec, hidden=hidden, seed=len(hidden) + 10 * trainable)
+            m.rescale = Rescale(scale=0.4, shift=-1.5, enabled=True)
+            layers = "-".join(map(str, hidden)) or "none"
+            name = f"nn/{'trainable' if trainable else 'fixed'}/{layers}"
+            yield f"{name}/create", digest(m.params.values)
+            for label, p, cell, pbc in batches(rng, spec.cutoff, 0.9 * spec.cutoff):
+                yield f"{name}/{label}", digest(*m.energy_forces_batch(p, cell=cell, pbc=pbc))
+            v = m.params.values + 0.05 * rng.standard_normal(len(m.params.values))
+            tables = DatasetTables(m, dataset)
+            for label, table in (("table", tables), ("sub0-10", tables.frame_range(0, 10)),
+                                 ("sub10-27", tables.frame_range(10, 27)),
+                                 ("sub27-30", tables.frame_range(27, 30))):
+                loss, grad = tables_loss_grad(m, table, v, 1.0, 25.0)
+                yield f"{name}/{label}/loss_grad", digest(astuple(loss), grad)
+                yield f"{name}/{label}/loss", digest(astuple(tables_loss(m, table, v, 1.0, 25.0)))
+
+
+def read_digests(path) -> dict:
+    with open(path) as fh:
+        return dict(line.split() for line in fh if line.strip() and not line.startswith("#"))
+
+
+def compare(a, b) -> int:
+    da, db = read_digests(a), read_digests(b)
+    differ = [case for case in da if case in db and da[case] != db[case]]
+    missing = sorted(set(da) ^ set(db))
+    for case in differ:
+        print(f"differs: {case}")
+    for case in missing:
+        print(f"only in {a if case in da else b}: {case}")
+    print(f"{len(set(da) & set(db))} cases compared, {len(differ)} differ, "
+          f"{len(missing)} in one file only")
+    return 1 if differ or missing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two outputs of this script")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    print("\n".join(fingerprint()))
+    for case, hexdigest in cases():
+        print(case, hexdigest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -439,8 +439,10 @@ def split_by_temperature(d: Dataset, train_T: float, holdout_fraction: float = 0
 
     A seeded random fraction of the train_T frames is held out and returned in
     the test map under the train_T key.  The union of all outputs equals the
-    input as a multiset.
+    input as a multiset.  A holdout fraction outside [0, 1) raises ValueError.
     """
+    if not 0.0 <= holdout_fraction < 1.0:   # NaN fails too
+        raise ValueError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction!r}")
     tags = [c.temperature_tag for c in d]
     if train_T not in tags:
         raise ValueError(f"train temperature {train_T} not present in dataset tags")

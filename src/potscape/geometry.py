@@ -8,7 +8,12 @@ import numpy as np
 
 
 class SingularGeometryError(ArithmeticError):
-    """Two atoms closer than the numerical distance floor."""
+    """Two atoms closer than the numerical distance floor; ``frames`` lists the
+    frames of a batch that have such a pair (empty for one frame)."""
+
+    def __init__(self, message, frames=()):
+        super().__init__(message)
+        self.frames = tuple(frames)
 
 
 class NonFiniteGeometryError(ArithmeticError):
@@ -63,7 +68,8 @@ def distance_matrix(positions, cutoff, cell=None, pbc=None):
     of one frame ``(N, 3)`` or of B frames ``(B, N, 3)``; every diagonal ``r`` is inf.
 
     A non-finite position raises NonFiniteGeometryError, and two atoms closer than
-    ``R_MIN`` raise SingularGeometryError naming the first such pair (and its frame).
+    ``R_MIN`` raise SingularGeometryError naming the first such pair; for B frames
+    its message names that pair's frame and its ``frames`` every frame at fault.
     A cell narrower than twice the pair ``cutoff`` across a periodic axis raises
     ValueError, since the minimum image is then not the only image in range.
     """
@@ -75,9 +81,11 @@ def distance_matrix(positions, cutoff, cell=None, pbc=None):
     r = np.linalg.norm(d, axis=-1)
     r.reshape(r.shape[:-2] + (n * n,))[..., ::n + 1] = np.inf
     if (r < R_MIN).any():
-        *frame, i, j = np.argwhere(r < R_MIN)[0]
+        close = np.argwhere(r < R_MIN)
+        *frame, i, j = close[0]
         where = f" in frame {frame[0]}" if frame else ""
-        raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A){where}")
+        raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A){where}",
+                                    np.unique(close[:, 0]).tolist() if frame else ())
     return d, r
 
 

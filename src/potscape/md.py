@@ -124,10 +124,10 @@ def md_step(model, state, masses, cfg: MDConfig):
     """One velocity-Verlet step of B members, each thermostatted toward its own target.
 
     ``state`` is ``(members, targets, positions, velocities, forces, energies)``
-    with one row per live member.  The step drifts, evaluates, drops the
-    members whose positions, energy or forces are not finite ("numeric") or
-    whose atoms coincide ("collapse"), and kicks the rest.  Returns the new
-    state and {member: (cause, None)} for the members dropped.
+    with one row per live member.  The step drifts, evaluates the members as
+    one batch (``_evaluate``), drops those whose positions, energy or forces are
+    not finite ("numeric") or whose atoms coincide ("collapse"), and kicks the
+    rest.  Returns the new state and {member: (cause, None)} for those dropped.
 
     Every operation acts on each member alone, in a fixed order: the first
     half kick adds ``0.5*dt * (F/m/c)`` and the second ``(0.5*dt*F)/m/c``, and
@@ -148,8 +148,7 @@ def md_step(model, state, masses, cfg: MDConfig):
     energy, forces, lost = _evaluate(model, pos)
     if lost:
         failed.update((int(members[row]), cause) for row, cause in lost.items())
-        members, targets, pos, vel, forces, energy = _drop(
-            lost, (members, targets, pos, vel, forces, energy))
+        members, targets, pos, vel = _drop(lost, (members, targets, pos, vel))
     vel = vel + 0.5 * dt * forces / m / EV_PER_AMU_A2_FS2   # second half kick
     if math.isfinite(cfg.tau_fs):
         lam = berendsen_lambda(dt, cfg.tau_fs, targets, instantaneous_temperature(vel, masses))
@@ -222,32 +221,35 @@ class EnsembleSummary:
 
 
 def _evaluate(model, positions):
-    """Energies and forces of B states, and {row: (cause, None)} for the rows that failed.
+    """Energies and forces of the B states' rows that evaluate, in order, and
+    {row: (cause, None)} for the others.
 
-    A model with ``energy_forces_batch`` evaluates all rows at once; when that
-    raises, or for a model without it, the rows are evaluated one by one.
-    Coincident atoms are a "collapse"; a non-finite site energy, energy or
-    force is "numeric".
+    ``model.energy_forces_batch`` evaluates the rows as one batch.  When it
+    raises SingularGeometryError ("collapse") or NumericEvalError ("numeric"),
+    the frames that the exception names are dropped and the rest evaluated
+    again, until a call succeeds or no row is left; an exception naming no
+    frame propagates.  A batch's frames equal their own evaluations bit for
+    bit, so the dropped rows do not change the others.  A row with a
+    non-finite energy or force is "numeric" too.
     """
-    failed = {}
-    batch = getattr(model, "energy_forces_batch", None)
-    if batch is not None:
+    rows, batch, failed = np.arange(len(positions)), positions, {}
+    while len(rows):
         try:
-            energy, forces = batch(positions)[:2]
-        except (SingularGeometryError, NumericEvalError):
-            batch = None   # find the rows at fault one by one
-    if batch is None:
-        energy, forces = np.zeros(len(positions)), np.zeros_like(positions)
-        for row, pos in enumerate(positions):
-            try:
-                energy[row], forces[row] = model.energy_forces(pos)[:2]
-            except SingularGeometryError:
-                failed[row] = ("collapse", None)
-            except NumericEvalError:
-                failed[row] = ("numeric", None)
+            energy, forces = model.energy_forces_batch(batch)[:2]
+            break
+        except (SingularGeometryError, NumericEvalError) as exc:
+            if not exc.frames:
+                raise
+            cause = "collapse" if isinstance(exc, SingularGeometryError) else "numeric"
+            failed.update((int(rows[f]), (cause, None)) for f in exc.frames)
+            rows = np.delete(rows, exc.frames)
+            batch = positions[rows]
+    else:
+        energy, forces = np.zeros(0), positions[:0]
     if not (np.isfinite(forces).all() and np.isfinite(energy).all()):
         bad = ~(np.isfinite(forces).all(axis=(1, 2)) & np.isfinite(energy))
-        failed.update((row, ("numeric", None)) for row in np.flatnonzero(bad))
+        failed.update((int(row), ("numeric", None)) for row in rows[bad])
+        energy, forces = energy[~bad], forces[~bad]
     return energy, forces, failed
 
 

@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .descriptors import DescriptorSpec, Workspace, basis_values, envelope, new_array
-from .geometry import pair_table, scatter_add
+from .geometry import R_MIN, SingularGeometryError, pair_table, scatter_add
 
 
 class NumericEvalError(ArithmeticError):
-    """Non-finite intermediate during model evaluation."""
+    """Non-finite intermediate during model evaluation; ``frames`` lists the
+    frames of a batch at fault."""
+
+    def __init__(self, message, frames=()):
+        super().__init__(message)
+        self.frames = tuple(frames)
 
 
 # activation name -> (value, first, second derivative): the derivatives are in
@@ -148,22 +154,15 @@ class NeuralPotential:
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         partition = build_partition(descriptor, hidden)
-        values = np.zeros(partition.total)
-        rng = np.random.default_rng(seed)
-        dims = _layer_dims(descriptor.n_radial, hidden)
-        offset = 0
+        model = cls(descriptor, tuple(hidden), activation,
+                    ParameterVector(np.zeros(partition.total), partition), name=name)
+        centers, widths, Ws, _ = model.unpack()   # views; the biases stay zero
         if descriptor.trainable_basis:
-            values[0:descriptor.n_radial] = descriptor.centers
-            values[descriptor.n_radial:2 * descriptor.n_radial] = descriptor.widths
-            offset = 2 * descriptor.n_radial
-        for layer in range(1, len(dims)):
-            fan_in, fan_out = dims[layer - 1], dims[layer]
-            chunk = values[offset:offset + fan_out * (fan_in + 1)].reshape(fan_out, fan_in + 1)
-            chunk[:, :-1] = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
-            chunk[:, -1] = 0.0
-            offset += fan_out * (fan_in + 1)
-        return cls(descriptor, tuple(hidden), activation,
-                   ParameterVector(values, partition), name=name)
+            centers[:], widths[:] = descriptor.centers, descriptor.widths
+        rng = np.random.default_rng(seed)
+        for W in Ws:
+            W[:] = rng.standard_normal(W.shape) / np.sqrt(W.shape[1])
+        return model
 
     def with_values(self, values: np.ndarray) -> "NeuralPotential":
         return replace(self, params=ParameterVector(np.asarray(values, dtype=float),
@@ -172,40 +171,24 @@ class NeuralPotential:
     # -- parameter layout -------------------------------------------------
 
     def unpack(self, values: np.ndarray | None = None):
-        """(centers, widths, [W_l], [b_l]) views into the flat vector."""
+        """(centers, widths, [W_l], [b_l]) views into the flat vector, the one home of
+        its layout: a trainable basis's centers and widths, then each layer's rows
+        of weights plus bias.  With a fixed basis, centers and widths are the
+        spec's own arrays, not views: never write through them."""
         v = self.params.values if values is None else np.asarray(values, dtype=float)
-        dims = _layer_dims(self.descriptor.n_radial, self.hidden_layers)
         k = self.descriptor.n_radial
-        offset = 0
         if self.descriptor.trainable_basis:
-            centers, widths = v[0:k], v[k:2 * k]
-            offset = 2 * k
+            centers, widths, v = v[:k], v[k:2 * k], v[2 * k:]
         else:
             centers, widths = self.descriptor.centers, self.descriptor.widths
         Ws, bs = [], []
-        for layer in range(1, len(dims)):
-            fan_in, fan_out = dims[layer - 1], dims[layer]
-            chunk = v[offset:offset + fan_out * (fan_in + 1)].reshape(fan_out, fan_in + 1)
+        dims = _layer_dims(k, self.hidden_layers)
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            n = fan_out * (fan_in + 1)
+            chunk, v = v[:n].reshape(fan_out, fan_in + 1), v[n:]
             Ws.append(chunk[:, :-1])
             bs.append(chunk[:, -1])
-            offset += fan_out * (fan_in + 1)
         return centers, widths, Ws, bs
-
-    def pack_gradient(self, g_centers, g_widths, gWs, gbs) -> np.ndarray:
-        grad = np.zeros(self.params.partition.total)
-        k = self.descriptor.n_radial
-        offset = 0
-        if self.descriptor.trainable_basis:
-            grad[0:k] = g_centers
-            grad[k:2 * k] = g_widths
-            offset = 2 * k
-        for gW, gb in zip(gWs, gbs):
-            fan_out, fan_in = gW.shape
-            chunk = grad[offset:offset + fan_out * (fan_in + 1)].reshape(fan_out, fan_in + 1)
-            chunk[:, :-1] = gW
-            chunk[:, -1] = gb
-            offset += fan_out * (fan_in + 1)
-        return grad
 
     # -- evaluation --------------------------------------------------------
 
@@ -219,6 +202,9 @@ class NeuralPotential:
         """Energies (B,), forces (B, N, 3) and per-atom energies (B, N) of B frames.
 
         Each frame's values equal ``energy_forces`` of that frame bit for bit.
+        Coincident atoms raise SingularGeometryError and a non-finite site
+        energy NumericEvalError; each names the first fault in its message and
+        every frame at fault in its ``frames``.
         """
         positions = np.asarray(positions, dtype=float)
         B, n = positions.shape[:2]
@@ -230,8 +216,10 @@ class NeuralPotential:
         out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n, n,
                        new_array)
         if not np.all(np.isfinite(out.y)):
-            frame, atom = divmod(int(np.nonzero(~np.isfinite(out.y))[0][0]), n)
-            raise NumericEvalError(f"non-finite site energy at atom {atom} of frame {frame}")
+            bad = np.flatnonzero(~np.isfinite(out.y))
+            frame, atom = divmod(int(bad[0]), n)
+            raise NumericEvalError(f"non-finite site energy at atom {atom} of frame {frame}",
+                                   np.unique(bad // n).tolist())
         scale, shift = self.rescale.effective()
         return out.E, out.F.reshape(B, n, 3), (scale * out.y + shift).reshape(B, n)
 
@@ -309,8 +297,23 @@ class LossValues:
     mse_F: float
 
 
+# the most B * N**2 entries of one DatasetTables pair_table call: 1.5 MB of displacements
+PAIR_BATCH_ENTRIES = 1 << 16
+
+
+def _geometry_kind(c) -> tuple:
+    """Atom count, cell and periodicity: consecutive frames of one kind share a call."""
+    return (c.n_atoms, None if c.cell is None else c.cell.tobytes(),
+            None if c.pbc is None else np.asarray(c.pbc, dtype=bool).tobytes())
+
+
 class DatasetTables:
     """Precomputed geometry, labels, and basis values for fast re-evaluation.
+
+    ``__init__`` makes one batched ``pair_table`` call per run of frames with
+    one atom count, cell and periodicity (of at most ``PAIR_BATCH_ENTRIES``),
+    whose pairs equal the frames' own, bit for bit.  Both it and ``frame_range``
+    build the table from arrays with ``_set``.
 
     Geometry (pair distances/unit vectors) and the basis envelope never change.
     The descriptor matrix G and the basis derivatives are kept per table and
@@ -324,48 +327,46 @@ class DatasetTables:
     """
 
     def __init__(self, model: NeuralPotential, dataset: Dataset):
-        spec = model.descriptor
-        gi, gj, rr, uu = [], [], [], []
-        e_ref, natoms, atom_frame = [], [], []
-        f_ref = []
-        offset = 0
-        starts = [0]
-        for m, c in enumerate(dataset):
-            if c.energy is None or c.forces is None:
-                raise ValueError("loss evaluation requires energy and force labels")
-            pt = pair_table(c.positions, spec.cutoff, cell=c.cell, pbc=c.pbc)
-            gi.append(pt.i + offset)
-            gj.append(pt.j + offset)
-            rr.append(pt.r)
-            uu.append(pt.unit)
-            e_ref.append(c.energy)
-            natoms.append(c.n_atoms)
-            atom_frame.extend([m] * c.n_atoms)
-            f_ref.append(c.forces)
-            offset += c.n_atoms
-            starts.append(offset)
-        self.n_frames = len(dataset)
-        self.n_atoms = offset
-        self.gi = np.concatenate(gi) if gi else np.zeros(0, dtype=int)
-        self.gj = np.concatenate(gj) if gj else np.zeros(0, dtype=int)
-        self.r = np.concatenate(rr) if rr else np.zeros(0)
-        self.unit = np.concatenate(uu) if uu else np.zeros((0, 3))
-        self.e_ref = np.array(e_ref)
-        self.natoms = np.array(natoms)
-        self.atom_frame = np.array(atom_frame, dtype=int)
-        self.atom_start = np.array(starts[:-1], dtype=int)
-        self.f_ref = np.vstack(f_ref)
-        self.pair_frame = self.atom_frame[self.gi] if len(self.gi) else np.zeros(0, dtype=int)
-        self.cutoff = spec.cutoff
-        self.envelope = envelope(self.r, spec.cutoff)
-        self.ws = Workspace()
-        self._init_cache()
-        self.eval_count = 0
+        frames = list(dataset)
+        if any(c.energy is None or c.forces is None for c in frames):
+            raise ValueError("loss evaluation requires energy and force labels")
+        cutoff = model.descriptor.cutoff
+        natoms = np.array([c.n_atoms for c in frames])
+        atom_start = np.cumsum(natoms) - natoms
+        pts = []
+        for _, run in groupby(range(len(frames)), key=lambda m: _geometry_kind(frames[m])):
+            run = list(run)
+            size = max(1, PAIR_BATCH_ENTRIES // max(natoms[run[0]] ** 2, 1))
+            for k in range(0, len(run), size):
+                first, c = run[k], frames[run[k]]
+                batch = np.stack([frames[m].positions for m in run[k:k + size]])
+                try:
+                    pt = pair_table(batch, cutoff, cell=c.cell, pbc=c.pbc)
+                except SingularGeometryError as exc:
+                    bad = [first + f for f in exc.frames]
+                    raise SingularGeometryError(
+                        f"coincident atoms (r < {R_MIN} A) in dataset frames {bad}", bad) from exc
+                pts.append((pt, atom_start[first]))
+        r = np.concatenate([pt.r for pt, _ in pts])
+        self._set(np.concatenate([pt.i + a0 for pt, a0 in pts]),
+                  np.concatenate([pt.j + a0 for pt, a0 in pts]), r,
+                  np.concatenate([pt.unit for pt, _ in pts]), envelope(r, cutoff),
+                  np.array([c.energy for c in frames]), natoms,
+                  np.vstack([c.forces for c in frames]), cutoff, Workspace())
 
-    def _init_cache(self):
+    def _set(self, gi, gj, r, unit, env, e_ref, natoms, f_ref, cutoff, ws):
+        """The table from its pairs (atoms numbered over all frames), their basis
+        envelope, the labels and a workspace; the rest derives from these."""
+        self.n_frames, self.n_atoms = len(natoms), len(f_ref)
+        self.gi, self.gj, self.r, self.unit, self.envelope = gi, gj, r, unit, env
+        self.e_ref, self.natoms, self.f_ref = e_ref, natoms, f_ref
+        self.atom_frame = np.repeat(np.arange(self.n_frames), natoms)
+        self.atom_start = np.cumsum(natoms) - natoms
+        self.pair_frame = self.atom_frame[gi]
+        self.cutoff, self.ws = cutoff, ws
         self._kept = Workspace()   # G and the basis derivatives of the cache key
-        self._cache_key = None
-        self._cache = None
+        self._cache_key = self._cache = None
+        self.eval_count = 0
 
     def basis(self, centers, widths, with_param_grads=False):
         """(G, de, param_grads): descriptor matrix and basis_values' derivatives.
@@ -391,28 +392,15 @@ class DatasetTables:
         return self._cache
 
     def frame_range(self, lo: int, hi: int):
-        """Contiguous-frame view used for deterministic minibatches."""
+        """The table of frames lo..hi-1, a deterministic minibatch that shares
+        this table's workspace; built from its arrays, not by ``__init__``."""
         a0 = self.atom_start[lo]
         a1 = self.atom_start[hi] if hi < self.n_frames else self.n_atoms
         pmask = (self.pair_frame >= lo) & (self.pair_frame < hi)
         sub = DatasetTables.__new__(DatasetTables)
-        sub.n_frames = hi - lo
-        sub.n_atoms = a1 - a0
-        sub.gi = self.gi[pmask] - a0
-        sub.gj = self.gj[pmask] - a0
-        sub.r = self.r[pmask]
-        sub.unit = self.unit[pmask]
-        sub.e_ref = self.e_ref[lo:hi]
-        sub.natoms = self.natoms[lo:hi]
-        sub.atom_frame = self.atom_frame[a0:a1] - lo
-        sub.atom_start = self.atom_start[lo:hi] - a0
-        sub.f_ref = self.f_ref[a0:a1]
-        sub.pair_frame = self.pair_frame[pmask] - lo
-        sub.cutoff = self.cutoff
-        sub.envelope = tuple(v[pmask] for v in self.envelope)
-        sub.ws = self.ws
-        sub._init_cache()
-        sub.eval_count = 0
+        sub._set(self.gi[pmask] - a0, self.gj[pmask] - a0, self.r[pmask], self.unit[pmask],
+                 tuple(v[pmask] for v in self.envelope), self.e_ref[lo:hi],
+                 self.natoms[lo:hi], self.f_ref[a0:a1], self.cutoff, self.ws)
         return sub
 
 
@@ -491,14 +479,14 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
         qs.append(q)
         p1s.append(d1f(h, out=ws(f"p1_{layer}", h.shape)))
         ts.append(np.multiply(p1s[-1], q, out=ws(f"t{layer}", h.shape)))
+    grad = np.zeros(model.params.partition.total)
+    g_centers, g_widths, gWs, gbs = model.unpack(grad)   # views of grad
     gW_rows = np.multiply(c_atom[:, None], hs[-1], out=ws("gW_rows", hs[-1].shape))
     gW_rows += ts[-1]
-    gW_out = gW_rows.sum(axis=0, keepdims=True)
-    gb_out = np.array([c_atom.sum()])
+    gWs[-1][:] = gW_rows.sum(axis=0, keepdims=True)
+    gbs[-1][:] = c_atom.sum()
     hbar = np.multiply(c_atom[:, None], Ws[-1], out=ws("hbar", hs[-1].shape))
     tbar = np.broadcast_to(Ws[-1], hbar.shape)
-    gWs = [gW_out]
-    gbs = [gb_out]
     for idx in range(len(Ws) - 2, -1, -1):
         h, p1 = hs[idx + 1], p1s[idx]
         p2 = d2f(h, p1, out=ws("p2", h.shape))
@@ -507,24 +495,19 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
         zbar = np.multiply(p1, hbar, out=ws("zbar", h.shape))
         zbar += p2
         qbar = np.multiply(p1, tbar, out=ws("qbar", h.shape))
-        gWs.append(zbar.T @ hs[idx] + qbar.T @ ts[idx])
-        gbs.append(zbar.sum(axis=0))
+        np.add(zbar.T @ hs[idx], qbar.T @ ts[idx], out=gWs[idx])
+        gbs[idx][:] = zbar.sum(axis=0)
         hbar = np.matmul(zbar, Ws[idx], out=ws("hbar", hs[idx].shape))
         tbar = np.matmul(qbar, Ws[idx], out=ws("tbar", hs[idx].shape))
-    gWs.reverse()
-    gbs.reverse()
     Xbar, Vbar = hbar, tbar
 
-    g_centers = g_widths = None
     if trainable:
         de_dc, de_dw, d2_rc, d2_rw = extra
         xb = np.take(Xbar, tables.gi, axis=0, mode="clip", out=ws("xb", (P, K)))
         vb = np.take(Vbar, tables.gi, axis=0, mode="clip", out=ws("vb", (P, K)))
         vb *= beta[:, None]
-        g_centers = np.einsum("pd,pd->d", xb, de_dc) + np.einsum("pd,pd->d", vb, d2_rc)
-        g_widths = np.einsum("pd,pd->d", xb, de_dw) + np.einsum("pd,pd->d", vb, d2_rw)
-
-    grad = model.pack_gradient(g_centers, g_widths, gWs, gbs)
+        np.add(np.einsum("pd,pd->d", xb, de_dc), np.einsum("pd,pd->d", vb, d2_rc), out=g_centers)
+        np.add(np.einsum("pd,pd->d", xb, de_dw), np.einsum("pd,pd->d", vb, d2_rw), out=g_widths)
     return loss, grad
 
 

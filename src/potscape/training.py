@@ -38,6 +38,8 @@ class TrainConfig:
             raise ValueError("lr0 must be >= 0")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 = full batch)")
         if self.ema_decay is not None and not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in (0, 1)")
         if self.plateau_patience < 1:
@@ -148,7 +150,7 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
     val_tables = DatasetTables(model, d_val) if d_val is not None else None
 
     n = len(d_train)
-    bs = cfg.batch_size if cfg.batch_size and cfg.batch_size > 0 else n
+    bs = cfg.batch_size or n
     batches = [(lo, min(lo + bs, n)) for lo in range(0, n, bs)]
     batch_tables = [tables.frame_range(lo, hi) for lo, hi in batches] \
         if len(batches) > 1 else [tables]

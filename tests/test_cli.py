@@ -89,6 +89,14 @@ class TestErrors:
         assert exc.value.code == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("key,value", [("data.holdout_fraction", -0.1),
+                                           ("train.batch_size", -50)])
+    def test_out_of_range_split_or_batch_is_config_error(self, gen_dir, tmp_path, key, value):
+        config = {"data.path": str(gen_dir / "dataset.extxyz"), "data.train_t": 300.0,
+                  "seed": 3, **FAST_TRAIN, key: value}
+        assert run_command("train", config, tmp_path) == EXIT_CONFIG
+        assert key.split(".")[1] in read_manifest(tmp_path)["error"]["message"]
+
     def test_coincident_atoms_are_numeric(self, model_dir, tmp_path):
         # a geometry fault, not a config error
         (tmp_path / "bad.extxyz").write_text(

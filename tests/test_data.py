@@ -327,6 +327,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_by_temperature(ds, 450.0)
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, math.nan])
+    def test_holdout_fraction_out_of_range(self, fraction):
+        with pytest.raises(ValueError, match="holdout_fraction"):
+            split_by_temperature(self.tagged_dataset(), 300.0, holdout_fraction=fraction)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(4, 30), st.integers(0, 2**31 - 1))
     def test_partition_property(self, n300, seed):

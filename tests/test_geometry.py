@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potscape.geometry import pair_table, scatter_add
+from potscape.geometry import SingularGeometryError, distance_matrix, pair_table, scatter_add
 from tests.conftest import random_cluster
 
 
@@ -47,3 +47,17 @@ class TestScatterAdd:
         assert not np.all(np.diff(index) >= 0)
         values = np.random.default_rng(k).standard_normal((len(index), k)) * 1e8
         assert_exact(index, values, 7)
+
+
+def test_distance_matrix_names_every_collapsed_frame():
+    pos = np.stack([random_cluster(4, seed) for seed in range(5)])
+    pos[1, 2] = pos[1, 0]
+    pos[3, 3] = pos[3, 1]
+    pos[3, 2] = pos[3, 0]
+    match = r"^atoms 0 and 2 are coincident .* in frame 1$"
+    with pytest.raises(SingularGeometryError, match=match) as err:
+        distance_matrix(pos, 5.0)
+    assert err.value.frames == (1, 3)
+    with pytest.raises(SingularGeometryError) as one:
+        distance_matrix(pos[3], 5.0)
+    assert str(one.value).startswith("atoms 0 and 2 are coincident") and one.value.frames == ()

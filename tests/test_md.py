@@ -143,6 +143,9 @@ class TestIntegration:
             def energy_forces(self, positions):
                 return np.nan, np.full_like(positions, np.nan)
 
+            def energy_forces_batch(self, positions):
+                return np.full(len(positions), np.nan), np.full_like(positions, np.nan)
+
         mo = Morse()
         pos = build_cluster(mo, 4, seed=1)
         state = md_state(pos, np.zeros((1, 4, 3)), [300.0], *mo.energy_forces(pos))
@@ -161,6 +164,10 @@ class TestIntegration:
             def energy_forces(self, positions):
                 self.finite_inputs.append(bool(np.all(np.isfinite(positions))))
                 return 0.0, np.full_like(positions, 1e308)
+
+            def energy_forces_batch(self, positions):
+                self.finite_inputs.append(bool(np.all(np.isfinite(positions))))
+                return np.zeros(len(positions)), np.full_like(positions, 1e308)
 
         pos = build_cluster(Morse(), 4, seed=1)
         cfg = MDConfig(temperature=300.0, timestep_fs=100.0, total_time_ps=1.0,
@@ -289,6 +296,10 @@ class TestEnsemble:
                 self.positions.append(positions.copy())
                 return mo.energy_forces(positions)
 
+            def energy_forces_batch(self, positions):
+                self.positions.extend(positions.copy())
+                return mo.energy_forces_batch(positions)
+
         pos = build_cluster(mo, 6, seed=8)
         start = Configuration(pos, ["Cu"] * 6)
         bond_list = infer_bond_list(pos)
@@ -316,6 +327,10 @@ class TestEnsemble:
                 if self.calls > 3:
                     return np.nan, np.full_like(positions, np.nan)
                 return 0.0, np.zeros_like(positions)
+
+            def energy_forces_batch(self, positions):
+                energy, forces = zip(*map(self.energy_forces, positions))
+                return np.array(energy), np.array(forces)
 
         pos = build_cluster(Morse(), 4, seed=9)
         cfg = MDConfig(temperature=300.0, total_time_ps=0.1, n_trajectories=1,
@@ -390,25 +405,6 @@ class TestBatchedEnsemble:
             solo = run_trajectory(model, start, cfg, velocity_seed(cfg, k))
             assert solo.to_dict() == record.to_dict()
 
-    def test_model_without_batch_method(self):
-        model, start, cfg = self.ensemble()
-
-        class OneFrame:
-            def __init__(self):
-                self.calls = 0
-
-            def energy_forces(self, positions):
-                self.calls += 1
-                return model.energy_forces(positions)
-
-        stub = OneFrame()
-        records, _ = run_ensemble(stub, start, cfg)
-        batched, _ = run_ensemble(model, start, cfg)
-        assert [r.to_dict() for r in records] == [r.to_dict() for r in batched]
-        # the start geometry once, then one call per member and step
-        steps = sum(round(r.time_to_failure * 1000.0 / cfg.timestep_fs) for r in records)
-        assert stub.calls == 1 + steps
-
     def test_dump_files_unchanged(self, tmp_path):
         model, start, cfg = self.ensemble()
         cfg.dump_interval = 15
@@ -416,7 +412,7 @@ class TestBatchedEnsemble:
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in tmp_path.iterdir()} == DUMP_SHA256
 
-    @pytest.mark.parametrize("kind,cause", [("batched", "collapse"), ("one-frame", "collapse"),
+    @pytest.mark.parametrize("kind,cause", [("batched", "collapse"),
                                             ("nan-on-contact", "numeric")])
     def test_one_member_fails_alone(self, kind, cause):
         # zero weights and no thermostat: no forces, so atoms move in straight
@@ -433,19 +429,17 @@ class TestBatchedEnsemble:
                         [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
         start = Configuration(pos, species)
 
-        class OneFrame:
+        class NaNOnContact:
             def energy_forces(self, positions):
                 return zero.energy_forces(positions)
 
-        class NaNOnContact:
-            def energy_forces(self, positions):
+            def energy_forces_batch(self, positions):
                 try:
-                    return zero.energy_forces(positions)
-                except SingularGeometryError:
-                    raise NumericEvalError("non-finite site energy") from None
+                    return zero.energy_forces_batch(positions)
+                except SingularGeometryError as exc:
+                    raise NumericEvalError("non-finite site energy", exc.frames) from None
 
-        model = {"batched": zero, "one-frame": OneFrame(),
-                 "nan-on-contact": NaNOnContact()}[kind]
+        model = {"batched": zero, "nan-on-contact": NaNOnContact()}[kind]
         records, summary = run_ensemble(model, start, cfg)
         assert [(r.cause, r.time_to_failure) for r in records] == \
             [(None, 0.02), (cause, 0.005), (None, 0.02)]
@@ -453,6 +447,35 @@ class TestBatchedEnsemble:
         for k in (0, 2):
             solo = run_trajectory(model, start, cfg, velocity_seed(cfg, k))
             assert solo.to_dict() == records[k].to_dict()
+
+
+def test_collapse_and_numeric_dropped_in_one_step():
+    # no hidden layer and a weight of 1e308 on a narrow basis function at 1 A:
+    # member 2's atoms sit 1 A apart and overflow its site energies; member 1's
+    # atoms 0 and 2 coincide.  The others evaluate, as a batch of two, to the
+    # bits of their own one-member steps.
+    from potscape.descriptors import DescriptorSpec
+    from potscape.model import NeuralPotential
+    spec = DescriptorSpec(2, [1.0, 3.0], [1000.0, 0.5], 5.0)
+    model = NeuralPotential.create(spec, hidden=()).with_values([1e308, 0.3, 0.1])
+    wide = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    tight = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.75 ** 0.5, 0.0]])
+    collapsed = wide.copy()
+    collapsed[2] = collapsed[0]
+    pos = np.stack([wide, collapsed, tight, 1.3 * wide])
+    rng = np.random.default_rng(1)
+    vel, forces = 1e-3 * rng.standard_normal(pos.shape), 1e-2 * rng.standard_normal(pos.shape)
+    state = (np.arange(4), np.array([300.0, 400.0, 500.0, 600.0]), pos, vel, forces,
+             np.zeros(4))
+    masses, cfg = masses_for(["Cu"] * 3), MDConfig(temperature=300.0, timestep_fs=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new, failed = md_step(model, state, masses, cfg)
+        assert failed == {1: ("collapse", None), 2: ("numeric", None)}
+        assert new[0].tolist() == [0, 3]
+        for row, k in enumerate(new[0]):
+            solo, none = md_step(model, tuple(a[k:k + 1] for a in state), masses, cfg)
+            assert none == {}
+            assert all(a[0].tobytes() == b[row].tobytes() for a, b in zip(solo, new))
 
 
 def test_masses_unknown_species():

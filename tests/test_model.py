@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import astuple
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potscape.data import Configuration, Dataset
+from potscape import model as model_module
 from potscape.descriptors import DescriptorSpec
+from potscape.geometry import SingularGeometryError, pair_table
 from potscape.model import (DatasetTables, FilterBlock, FilterPartition, NeuralPotential,
-                            ParameterVector, Rescale, build_partition, fit_rescale,
-                            load_checkpoint, loss_eval, save_checkpoint,
+                            NumericEvalError, ParameterVector, Rescale, build_partition,
+                            fit_rescale, load_checkpoint, loss_eval, save_checkpoint,
                             tables_loss, tables_loss_grad)
 from tests.conftest import labeled_dataset, random_cluster, random_model, random_rotation
 
@@ -125,6 +128,21 @@ class TestBatchEvaluation:
             assert E[b] == e
             assert np.array_equal(F[b], f) and np.array_equal(per_atom[b], p)
         assert np.array_equal(F[0, -1], np.zeros(3))
+
+    def test_numeric_error_names_every_frame(self):
+        # no hidden layer and a weight of 1e308 on a narrow basis function at 1 A:
+        # two neighbours at 1 A overflow the site energy, atoms 2 A or more apart
+        # leave that basis function exactly zero
+        spec = DescriptorSpec(2, [1.0, 3.0], [1000.0, 0.5], 5.0)
+        m = NeuralPotential.create(spec, hidden=())
+        m = m.with_values([1e308, 0.3, 0.1])
+        wide = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        tight = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.75 ** 0.5, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(m.energy_forces_batch(np.stack([wide, 1.2 * wide]))[1]).all()
+            with pytest.raises(NumericEvalError, match="at atom 0 of frame 1$") as err:
+                m.energy_forces_batch(np.stack([wide, tight, 1.2 * wide, tight]))
+        assert err.value.frames == (1, 3)
 
 
 def isolated_atom_dataset(m):
@@ -294,6 +312,99 @@ class TestWorkspace:
                 assert tracemalloc.get_traced_memory()[1] - before < pair_array / 2
         finally:
             tracemalloc.stop()
+
+
+# sha256 of (create's parameter bytes, tables_loss_grad's gradient and loss bytes) of
+# _labeled_tables_case(trainable, hidden, n_frames=6), as given when create and the
+# gradient each wrote out the parameter layout themselves
+LAYOUT_SHA256 = {
+    (False, ()): ("049308f547305c246e045ff84e2bcd174cc8d3e9fb8a196b1c79cde27fa4c29e",
+                  "50ba6f408b1ea34860c4f1e49c5446d392089c8bacaa89f1ddca9247f2acc29b"),
+    (False, (16, 16)): ("3199807c73aca3c155ec5c6c07845ff8d48449960deca406fa223372b62f00d4",
+                        "21c387307944e77a2ea7d237f8e94046fc0655584f3c5a1a50206f22660da063"),
+    (False, (5, 4, 3)): ("7b540d286ec43a16e028dc2c0a0b72a32259e8b767326703117c463fefa5db23",
+                         "215925b1a5e933d71e5b7a36d6968aa50d1a6ee9fc084283c3702d46db86103e"),
+    (True, ()): ("681eae7d7806e533beea08db612f827c303949d92b29f633126c8e10bf486fa9",
+                 "7dfc0a6693cab14e82a717c5db7c567321ce366f3682731d753951b7e5546bfc"),
+    (True, (16, 16)): ("be9184b8e4a0dd2957f14acccfa885cfc0263d12c72d460a9c355c1e8afba2bc",
+                       "8bf2c6f6148071371640d5ee2e6fbc87eb9ebb141c9c673a55d2ed5aac07d294"),
+    (True, (5, 4, 3)): ("e9c93d69b2a08aaf2bf4dad7fede201afc5cc2236768055248240a641de6dad1",
+                        "0ba4836beaa518f430166ee4c375df433d9b09b6117bcce8e1f8814086063cea"),
+}
+
+
+@pytest.mark.parametrize("trainable,hidden", list(LAYOUT_SHA256))
+def test_layout_bytes_pinned(trainable, hidden):
+    """create fills, and tables_loss_grad writes, the vector through unpack's views."""
+    m, ds, v = _labeled_tables_case(trainable, hidden=hidden, n_frames=6)
+    loss, grad = tables_loss_grad(m, DatasetTables(m, ds), v, 1.0, 25.0)
+    assert (hashlib.sha256(m.params.values.tobytes()).hexdigest(),
+            hashlib.sha256(grad.tobytes() + np.array(astuple(loss)).tobytes()).hexdigest()) \
+        == LAYOUT_SHA256[trainable, hidden]
+
+
+def mixed_dataset():
+    """Frames of 4 and 5 atoms, a run of periodic frames and non-periodic ones between."""
+    rng = np.random.default_rng(6)
+    cell = np.diag([11.0, 12.0, 13.0])
+    frames = []
+    for n, periodic in ((4, False), (4, False), (5, False), (5, True), (5, True), (4, True),
+                        (4, False), (5, False), (5, False), (5, False)):
+        pos = random_cluster(n, int(rng.integers(1 << 30)))
+        if periodic:   # some pairs closer through the cell wall than inside it
+            pos = pos + np.array([4.0, 0.0, 0.0]) * (np.arange(n) % 2)[:, None]
+        frames.append(Configuration(pos, ["Ar"] * n, energy=float(rng.normal()),
+                                    forces=rng.normal(size=(n, 3)),
+                                    cell=cell if periodic else None))
+    return Dataset(frames)
+
+
+def table_arrays(tables):
+    """Every attribute of a table but its workspace and basis cache."""
+    return {k: v for k, v in vars(tables).items() if k not in ("ws", "_kept", "_cache_key",
+                                                                 "_cache")}
+
+
+class TestTablesConstructor:
+    @pytest.mark.parametrize("entries", [model_module.PAIR_BATCH_ENTRIES, 40])
+    def test_batched_pairs_equal_frame_pairs(self, entries, monkeypatch):
+        monkeypatch.setattr(model_module, "PAIR_BATCH_ENTRIES", entries)   # 40: 2 frames a call
+        m, ds = random_model(2), mixed_dataset()
+        tables = DatasetTables(m, ds)
+        offsets = np.cumsum([0] + [c.n_atoms for c in ds])
+        pts = [pair_table(c.positions, 5.0, cell=c.cell, pbc=c.pbc) for c in ds]
+        for name, field in (("gi", "i"), ("gj", "j"), ("r", "r"), ("unit", "unit")):
+            expected = [getattr(pt, field) + (a0 if field in "ij" else 0)
+                        for pt, a0 in zip(pts, offsets)]
+            assert getattr(tables, name).tobytes() == np.concatenate(expected).tobytes()
+        assert tables.pair_frame.tolist() == sum(([k] * len(pt) for k, pt in enumerate(pts)), [])
+        assert tables.atom_start.tolist() == offsets[:-1].tolist()
+
+    def test_coincident_frames_named_by_dataset_index(self):
+        frames = list(mixed_dataset())
+        for k in (7, 9):
+            frames[k].positions[2] = frames[k].positions[0]
+        with pytest.raises(SingularGeometryError, match=r"dataset frames \[7, 9\]") as err:
+            DatasetTables(random_model(2), Dataset(frames))
+        assert err.value.frames == (7, 9)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 10), (0, 3), (2, 6), (3, 5), (7, 10), (9, 10)])
+    def test_frame_range_equals_table_of_frames(self, lo, hi):
+        m, ds = random_model(2, trainable_basis=True), mixed_dataset()
+        sub = DatasetTables(m, ds).frame_range(lo, hi)
+        fresh = DatasetTables(m, Dataset(list(ds)[lo:hi]))
+        got, expected = table_arrays(sub), table_arrays(fresh)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            if key == "envelope":
+                assert [a.tobytes() for a in got[key]] == [a.tobytes() for a in value]
+            elif isinstance(value, np.ndarray):
+                assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes()
+            else:
+                assert got[key] == value, key
+        v = m.params.values * 1.01
+        assert tables_loss_grad(m, sub, v, 1.0, 9.0)[1].tobytes() == \
+            tables_loss_grad(m, fresh, v, 1.0, 9.0)[1].tobytes()
 
 
 class TestRescale:

@@ -82,6 +82,9 @@ class TestPlateau:
             TrainConfig(plateau_patience=0)
         with pytest.raises(ValueError):
             TrainConfig(plateau_factor=1.5)
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=-50)
+        assert TrainConfig(batch_size=0).batch_size == 0   # full batch
 
 
 # sha256 of best_params.tobytes() after TestTrain's 20-epoch minibatch run (setup 3),
