@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .model import NeuralPotential, NumericEvalError, loss_eval
 from .seeding import substream
 
@@ -181,25 +180,17 @@ def toy_regression_experiment(n_list, sigma_list, repeats: int = 100,
 # ---------------------------------------------------------------------------
 
 def write_rmse_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("T", "energy_rmse_mev_per_atom", "force_rmse_mev_per_ang", "n_frames"))
-        for r in rows:
-            writer.writerow([r["T"], repr(float(r["energy_rmse_mev_per_atom"])),
-                             repr(float(r["force_rmse_mev_per_ang"])), r["n_frames"]])
+    write_csv(path, ("T", "energy_rmse_mev_per_atom", "force_rmse_mev_per_ang", "n_frames"),
+              [(r["T"], float(r["energy_rmse_mev_per_atom"]), float(r["force_rmse_mev_per_ang"]),
+                r["n_frames"]) for r in rows])
 
 
 def write_slope_json(fit: SlopeFit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fit.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(fit.to_dict(), path)
 
 
 def write_toy_csv(result: ToyRegressionResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "sigma", "mean_rmse", "stderr_rmse", "repeats"))
-        for i, n in enumerate(result.n_list):
-            for j, s in enumerate(result.sigma_list):
-                writer.writerow([n, repr(float(s)), repr(float(result.mean_rmse[i, j])),
-                                 repr(float(result.stderr_rmse[i, j])), result.repeats])
+    write_csv(path, ("n", "sigma", "mean_rmse", "stderr_rmse", "repeats"),
+              [(n, float(s), float(result.mean_rmse[i, j]), float(result.stderr_rmse[i, j]),
+                result.repeats)
+               for i, n in enumerate(result.n_list) for j, s in enumerate(result.sigma_list)])

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, entropy as entropy_mod, landscape as landscape_mod
+from .artifacts import write_csv, write_json
 from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_stats,
                    generate_reference_dataset, read_extxyz_file, split_by_temperature,
                    write_extxyz_file)
@@ -68,12 +69,17 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _get(config, key, default=None, required=False):
-    if key in config:
-        return config[key]
-    if required:
+def _get(config, key, default=None, tp=str, required=False):
+    """``config[key]``, else ``default``, cast to type ``tp`` (see ``_cast``); a value
+    that does not fit exits 2 naming the key."""
+    if required and key not in config:
         raise ConfigError(f"missing required config key {key!r}")
-    return default
+    value = config.get(key, default)
+    try:
+        return _cast(tp, value)
+    except (TypeError, ValueError):
+        name = tp.__name__ if isinstance(tp, type) else tp
+        raise ConfigError(f"{key} must be {name}, got {value!r}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -106,34 +112,36 @@ def _potential(config):
 
 def _fresh_model(config, seed) -> NeuralPotential:
     spec = DescriptorSpec.default(
-        cutoff=float(_get(config, "model.cutoff", 5.0)),
-        n_radial=int(_get(config, "model.n_radial", 8)),
-        first_center=float(_get(config, "model.first_center", 1.0)),
-        trainable_basis=_flag(config, "model.trainable_basis", False),
+        cutoff=_get(config, "model.cutoff", 5.0, float),
+        n_radial=_get(config, "model.n_radial", 8, int),
+        first_center=_get(config, "model.first_center", 1.0, float),
+        trainable_basis=_get(config, "model.trainable_basis", False, bool),
     )
-    hidden = tuple(int(h) for h in _get(config, "model.hidden", [16, 16]))
+    hidden = tuple(_get(config, "model.hidden", [16, 16], list[int]))
     init_seed = int(substream(seed, "init").integers(2**31))
     return NeuralPotential.create(spec, hidden=hidden,
                                   activation=_get(config, "model.activation", "tanh"),
                                   seed=init_seed)
 
 
-def _flag(config, key, default):
-    """The JSON boolean under ``key``; any other value (such as the string "False") exits 2."""
-    value = config.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
 def _cast(tp, value):
-    """``value`` as a field of declared type ``tp``: a number, tuple rows, or ``X | None``."""
+    """``value`` as declared type ``tp``: a string, a number, a bool, ``list[X]``,
+    tuple rows, or ``X | None``.  Only ``X | None`` takes null, only a JSON boolean
+    is a bool (not the string "False"), only a list is a list or tuple, and an int
+    rejects a fraction."""
     if isinstance(tp, types.UnionType):   # X | None; null keeps None
         if value is None:
             return None
         (tp,) = (t for t in tp.__args__ if t is not type(None))
+    if value is None or isinstance(value, bool) != (tp is bool) or \
+            isinstance(value, (list, tuple)) != (tp is tuple or typing.get_origin(tp) is list):
+        raise TypeError
     if tp is tuple:
         return tuple(tuple(row) for row in value)
+    if typing.get_origin(tp) is list:
+        return [_cast(typing.get_args(tp)[0], v) for v in value]
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError
     return tp(value)
 
 
@@ -142,15 +150,8 @@ def _build(cls, config, prefix, **fixed):
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
         key = f"{prefix}.{f.name}"
-        if key not in config or f.name in fixed:
-            continue
-        if hints[f.name] is bool:
-            fixed[f.name] = _flag(config, key, f.default)
-            continue
-        try:
-            fixed[f.name] = _cast(hints[f.name], config[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {key}: {config[key]!r}") from None
+        if key in config and f.name not in fixed:
+            fixed[f.name] = _get(config, key, tp=hints[f.name])
     return cls(**fixed)
 
 
@@ -163,7 +164,7 @@ def _train_on(config, seed, dataset, d_val=None):
     if cfg.swa_tail is not None and not cfg.swa_tail < cfg.max_epochs:
         raise ConfigError(f"train.swa_tail={cfg.swa_tail} leaves no epoch to average")
     model = _fresh_model(config, seed)
-    if _flag(config, "model.rescale", True):
+    if _get(config, "model.rescale", True, bool):
         model = fit_rescale(model, dataset)
     report = train(model, dataset, cfg, d_val=d_val)
     params = (report.swa_params if cfg.swa_tail is not None else
@@ -173,14 +174,14 @@ def _train_on(config, seed, dataset, d_val=None):
 
 def _split(config, ds, train_t, seed):
     return split_by_temperature(
-        ds, float(train_t),
-        holdout_fraction=float(_get(config, "data.holdout_fraction", 0.1)), seed=seed)
+        ds, train_t, holdout_fraction=_get(config, "data.holdout_fraction", 0.1, float),
+        seed=seed)
 
 
 def _landscape_grid(config, t_min=-1.0):
-    return np.linspace(float(_get(config, "landscape.t_min", t_min)),
-                       float(_get(config, "landscape.t_max", 1.0)),
-                       int(_get(config, "landscape.points", 21)))
+    return np.linspace(_get(config, "landscape.t_min", t_min, float),
+                       _get(config, "landscape.t_max", 1.0, float),
+                       _get(config, "landscape.points", 21, int))
 
 
 def _load_profile(config):
@@ -191,10 +192,10 @@ def _load_profile(config):
 
 
 def _frozen_blocks(config, model):
-    frozen = list(_get(config, "landscape.frozen_blocks", []))
-    if _flag(config, "landscape.freeze_basis", False):
+    frozen = _get(config, "landscape.frozen_blocks", [], list[int])
+    if _get(config, "landscape.freeze_basis", False, bool):
         frozen += model.params.partition.blocks_in_layer(0)
-    return sorted(set(int(i) for i in frozen))
+    return sorted(set(frozen))
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +206,28 @@ def cmd_gen_data(config, out: Path, seed: int):
     pot = _potential(config)
     ds = generate_reference_dataset(
         pot,
-        n_atoms=int(_get(config, "data.n_atoms", 6)),
-        temperatures=_get(config, "data.temperatures", [300.0, 600.0, 1200.0]),
-        frames_per_T=int(_get(config, "data.frames_per_t", 100)),
+        n_atoms=_get(config, "data.n_atoms", 6, int),
+        temperatures=_get(config, "data.temperatures", [300.0, 600.0, 1200.0], list[float]),
+        frames_per_T=_get(config, "data.frames_per_t", 100, int),
         seed=seed,
         species=_get(config, "data.species", "Ar"),
-        timestep_fs=float(_get(config, "data.timestep_fs", 1.0)),
-        tau_fs=float(_get(config, "data.tau_fs", 250.0)),
-        stride=int(_get(config, "data.stride", 50)),
-        burn_in_steps=int(_get(config, "data.burn_in_steps", 2000)),
+        timestep_fs=_get(config, "data.timestep_fs", 1.0, float),
+        tau_fs=_get(config, "data.tau_fs", 250.0, float),
+        stride=_get(config, "data.stride", 50, int),
+        burn_in_steps=_get(config, "data.burn_in_steps", 2000, int),
     )
     write_extxyz_file(ds, out / "dataset.extxyz")
-    with open(out / "stats.json", "w") as fh:
-        json.dump(dataset_stats(ds).to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(dataset_stats(ds).to_dict(), out / "stats.json")
     return ["dataset.extxyz", "stats.json"]
 
 
 def cmd_train(config, out: Path, seed: int):
     ds = _load_dataset(config)
-    train_t = _get(config, "data.train_t", None)
+    train_t = _get(config, "data.train_t", None, float | None)
     d_val = None
     if train_t is not None:
         d_train, tests = _split(config, ds, train_t, seed)
-        d_val = tests.get(float(train_t))
+        d_val = tests.get(train_t)
     else:
         d_train = ds
     model, report = _train_on(config, seed, d_train, d_val=d_val)
@@ -241,7 +240,7 @@ def cmd_train(config, out: Path, seed: int):
 def cmd_eval(config, out: Path, seed: int):
     model = load_checkpoint(_get(config, "model.checkpoint", required=True))
     ds = _load_dataset(config)
-    train_t = _get(config, "data.train_t", None)
+    train_t = _get(config, "data.train_t", None, float | None)
     if train_t is not None:
         _, tests = _split(config, ds, train_t, seed)
     else:
@@ -261,7 +260,7 @@ def cmd_landscape1d(config, out: Path, seed: int):
     ds = _load_dataset(config)
     profile = landscape_mod.landscape_1d(
         model, ds,
-        n_dirs=int(_get(config, "landscape.n_directions", 20)),
+        n_dirs=_get(config, "landscape.n_directions", 20, int),
         t_grid=_landscape_grid(config),
         frozen=_frozen_blocks(config, model),
         seed=seed)
@@ -278,8 +277,8 @@ def cmd_landscape2d(config, out: Path, seed: int):
     combined = None
     if "landscape.w_e" in config or "landscape.w_f" in config:
         combined = landscape_mod.reweight_surface(
-            surface, float(_get(config, "landscape.w_e", 1.0)),
-            float(_get(config, "landscape.w_f", 0.0)))
+            surface, _get(config, "landscape.w_e", 1.0, float),
+            _get(config, "landscape.w_f", 0.0, float))
     landscape_mod.write_surface_csv(surface, out / "surface.csv", combined=combined)
     return ["surface.csv", "surface.csv.meta.json"]
 
@@ -297,9 +296,9 @@ def cmd_entropy(config, out: Path, seed: int):
     profile, ppath = _load_profile(config)
     report = entropy_mod.entropy_from_profile(
         profile,
-        T_E=float(_get(config, "entropy.t_e", entropy_mod.DEFAULT_T_E)),
-        T_F=float(_get(config, "entropy.t_f", entropy_mod.DEFAULT_T_F)),
-        alpha=float(_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA)),
+        T_E=_get(config, "entropy.t_e", entropy_mod.DEFAULT_T_E, float),
+        T_F=_get(config, "entropy.t_f", entropy_mod.DEFAULT_T_F, float),
+        alpha=_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA, float),
         profile_ref=ppath)
     entropy_mod.write_report_json(report, out / "entropy.json")
     return ["entropy.json"]
@@ -309,10 +308,10 @@ def cmd_sweep_entropy(config, out: Path, seed: int):
     profile, ppath = _load_profile(config)
     reports, info = entropy_mod.temperature_sweep(
         profile,
-        T_E_range=tuple(_get(config, "sweep.t_e_range", [0.4, 400.0])),
-        T_F_range=tuple(_get(config, "sweep.t_f_range", [4.0, 4000.0])),
-        alpha=float(_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA)),
-        n_points=int(_get(config, "sweep.points", 25)),
+        T_E_range=tuple(_get(config, "sweep.t_e_range", [0.4, 400.0], list[float])),
+        T_F_range=tuple(_get(config, "sweep.t_f_range", [4.0, 4000.0], list[float])),
+        alpha=_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA, float),
+        n_points=_get(config, "sweep.points", 25, int),
         profile_ref=ppath)
     entropy_mod.write_sweep_csv(reports, out / "sweep.csv", info=info)
     return ["sweep.csv", "sweep.csv.meta.json"]
@@ -320,7 +319,7 @@ def cmd_sweep_entropy(config, out: Path, seed: int):
 
 def cmd_md(config, out: Path, seed: int):
     if "model.checkpoint" in config:
-        model = load_checkpoint(config["model.checkpoint"])
+        model = load_checkpoint(_get(config, "model.checkpoint"))
         name = model.name
     else:
         model = _potential(config)
@@ -330,13 +329,13 @@ def cmd_md(config, out: Path, seed: int):
         start = Configuration(start.positions.copy(), list(start.species))
     else:
         pot = _potential(config)
-        n_atoms = int(_get(config, "data.n_atoms", 6))
+        n_atoms = _get(config, "data.n_atoms", 6, int)
         positions = build_cluster(pot, n_atoms, seed=substream(seed, "cluster").integers(2**31))
         start = Configuration(positions, [_get(config, "data.species", "Ar")] * n_atoms)
     cfg = _build(MDConfig, config, "md", seed=seed)
     if not cfg.bond_list:
         cfg.bond_list = infer_bond_list(start.positions,
-                                        factor=float(_get(config, "md.bond_factor", 1.2)))
+                                        factor=_get(config, "md.bond_factor", 1.2, float))
     dump = cfg.dump_interval is not None
     records, summary = run_ensemble(model, start, cfg, dump_dir=out if dump else None)
     write_ensemble_json(records, summary, cfg, out / "ensemble.json", model_name=name)
@@ -349,7 +348,7 @@ def cmd_md(config, out: Path, seed: int):
 
 def cmd_noise_sweep(config, out: Path, seed: int):
     base = _load_dataset(config)
-    sigmas = [float(s) for s in _get(config, "noise.sigmas", [0.0, 0.02, 0.05, 0.1])]
+    sigmas = _get(config, "noise.sigmas", [0.0, 0.02, 0.05, 0.1], list[float])
     target = _get(config, "noise.target", "forces")
     rows = []
     for k, sigma in enumerate(sigmas):
@@ -360,19 +359,17 @@ def cmd_noise_sweep(config, out: Path, seed: int):
         rmse_orig = loss_eval(model, base).loss_F
         baseline = sigma * (base.sigma_dft_force or 0.0) * 1000.0
         rows.append((sigma, rmse_noisy, rmse_orig, baseline))
-    with open(out / "noise_sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("sigma", "force_rmse_vs_noisy_mev_per_ang",
-                         "force_rmse_vs_original_mev_per_ang", "noise_baseline_mev_per_ang"))
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+    write_csv(out / "noise_sweep.csv",
+              ("sigma", "force_rmse_vs_noisy_mev_per_ang", "force_rmse_vs_original_mev_per_ang",
+               "noise_baseline_mev_per_ang"), rows)
     return ["noise_sweep.csv"]
 
 
 def cmd_learning_curve(config, out: Path, seed: int):
     ds = _load_dataset(config)
-    d_train, tests = _split(config, ds, _get(config, "data.train_t", required=True), seed)
-    sizes = [int(n) for n in _get(config, "curve.sizes", [25, 50, 100, 200])]
+    d_train, tests = _split(config, ds, _get(config, "data.train_t", tp=float, required=True),
+                            seed)
+    sizes = _get(config, "curve.sizes", [25, 50, 100, 200], list[int])
     points = []
     for n in sizes:
         if n > len(d_train):
@@ -382,11 +379,7 @@ def cmd_learning_curve(config, out: Path, seed: int):
         model, _ = _train_on(config, seed, subset)
         pooled = analysis.rmse_by_split(model, tests)[-1]
         points.append((n, pooled["force_rmse_mev_per_ang"]))
-    with open(out / "learning_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "force_rmse_mev_per_ang"))
-        for n, eps in points:
-            writer.writerow([n, repr(float(eps))])
+    write_csv(out / "learning_curve.csv", ("n", "force_rmse_mev_per_ang"), points)
     fit = analysis.learning_curve_slope(points)
     analysis.write_slope_json(fit, out / "slope.json")
     return ["learning_curve.csv", "slope.json"]
@@ -394,9 +387,9 @@ def cmd_learning_curve(config, out: Path, seed: int):
 
 def cmd_toy_regression(config, out: Path, seed: int):
     result = analysis.toy_regression_experiment(
-        _get(config, "toy.n_list", [2, 10, 100, 1000, 10000]),
-        _get(config, "toy.sigma_list", [0.0, 0.5, 1.0, 2.0]),
-        repeats=int(_get(config, "toy.repeats", 100)),
+        _get(config, "toy.n_list", [2, 10, 100, 1000, 10000], list[int]),
+        _get(config, "toy.sigma_list", [0.0, 0.5, 1.0, 2.0], list[float]),
+        repeats=_get(config, "toy.repeats", 100, int),
         seed=seed)
     analysis.write_toy_csv(result, out / "toy.csv")
     return ["toy.csv"]
@@ -407,18 +400,14 @@ def cmd_fit_slopes(config, out: Path, seed: int):
     if not os.path.exists(path):
         raise ConfigError(f"input table not found: {path}")
     mode = _get(config, "slopes.mode", "extrapolation")
-    points = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = reader.fieldnames or []
-        for row in reader:
-            first = row[cols[0]]
-            if first == "all":
-                continue
-            y_col = cols[1] if len(cols) > 1 else None
-            if "force_rmse_mev_per_ang" in row:
-                y_col = "force_rmse_mev_per_ang"
-            points.append((float(first), float(row[y_col])))
+        reader = csv.DictReader(fh, restval="")   # a short row fails float() below
+        x_col, *rest = reader.fieldnames or [None]
+        if not rest:
+            raise ConfigError(f"{path}: a slope table needs an x and a y column")
+        y_col = "force_rmse_mev_per_ang" if "force_rmse_mev_per_ang" in rest else rest[0]
+        points = [(float(row[x_col]), float(row[y_col])) for row in reader
+                  if row[x_col] != "all"]
     if mode == "extrapolation":
         fit = analysis.extrapolation_slope(points)
     elif mode == "learning-curve":
@@ -483,7 +472,7 @@ def run_command(command: str, config: dict, out_dir) -> int:
     manifest = {
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
-        "seed": int(config.get("seed", 0)),
+        "seed": config.get("seed", 0),
         "status": "failed",
         "error": None,
         "artifacts": {},
@@ -494,7 +483,7 @@ def run_command(command: str, config: dict, out_dir) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         _check_keys(command, config)
-        artifacts = COMMANDS[command][0](config, out, seed=int(config.get("seed", 0)))
+        artifacts = COMMANDS[command][0](config, out, seed=_get(config, "seed", 0, int))
         manifest["artifacts"] = {name: _sha256(out / name) for name in artifacts}
         manifest["status"] = "ok"
     except (ValueError, ArithmeticError, OSError) as exc:

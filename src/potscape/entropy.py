@@ -8,12 +8,11 @@ are combined as alpha * S_E + (1 - alpha) * S_F.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .landscape import LandscapeProfile
 
 K_CONST = 1.0  # dimensionless
@@ -101,18 +100,11 @@ SWEEP_COLUMNS = ("T_E", "T_F", "S_E", "S_F", "S")
 
 
 def write_report_json(report: EntropyReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def write_sweep_csv(reports, path, info=None) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for r in reports:
-            writer.writerow([repr(float(x)) for x in (r.T_E, r.T_F, r.S_E, r.S_F, r.S)])
+    write_csv(path, SWEEP_COLUMNS,
+              [[float(x) for x in (r.T_E, r.T_F, r.S_E, r.S_F, r.S)] for r in reports])
     if info is not None:
-        with open(str(path) + ".meta.json", "w") as fh:
-            json.dump(info, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(info, str(path) + ".meta.json")

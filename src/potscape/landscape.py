@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .data import Dataset
 from .model import DatasetTables, NeuralPotential, ParameterVector, tables_loss
 from .seeding import substream
@@ -130,20 +131,34 @@ DEFAULT_T_GRID = np.linspace(-1.0, 1.0, 21)
 DEFAULT_N_DIRECTIONS = 20
 
 
-def _losses_on_points(model, tables, points):
-    """Evaluate (loss_E, loss_F) at each flat-parameter point; inf on failure."""
-    out = np.empty((len(points), 2))
+def _directions(m: NeuralPotential, frozen, seed: int, n: int):
+    """The parameters with `frozen` blocks marked, and n raw directions from the seed."""
+    pvec = ParameterVector(m.params.values, m.params.partition.with_frozen(frozen))
+    return pvec, [sample_direction(pvec, substream(seed, "direction", k).integers(2**31))
+                  for k in range(n)]
+
+
+def _scan(m: NeuralPotential, d: Dataset, points, arrange, **meta):
+    """(loss_E, loss_F, metadata) at each flat-parameter point, evaluated in order.
+
+    Non-finite losses become +inf.  `arrange` maps the (2, n_points) losses to the
+    (2, ...) layout of the result.  The metadata is `meta` plus the dataset, the
+    evaluation count and the non-finite grid points.
+    """
+    tables = DatasetTables(m, d)
+    vals = np.empty((2, len(points)))
     for idx, values in enumerate(points):
-        lv = tables_loss(model, tables, values, 1.0, 1.0)
-        out[idx] = (lv.loss_E if np.isfinite(lv.loss_E) else np.inf,
-                    lv.loss_F if np.isfinite(lv.loss_F) else np.inf)
-    return out
+        lv = tables_loss(m, tables, values, 1.0, 1.0)
+        vals[:, idx] = lv.loss_E, lv.loss_F
+    vals[~np.isfinite(vals)] = np.inf
+    loss_E, loss_F = arrange(vals)
+    meta.update(dataset=d.name, n_evaluations=int(tables.eval_count),
+                nonfinite_points=np.argwhere(np.isinf(loss_E) | np.isinf(loss_F)).tolist())
+    return loss_E, loss_F, meta
 
 
-def _nonfinite_points(loss_E, loss_F) -> list:
-    """Indices into the loss arrays where either loss is not finite."""
-    bad = ~(np.isfinite(loss_E) & np.isfinite(loss_F))
-    return [[int(i) for i in idx] for idx in zip(*np.nonzero(bad))]
+def _grid(t) -> dict:
+    return {"min": float(t[0]), "max": float(t[-1]), "points": len(t)}
 
 
 def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTIONS,
@@ -157,46 +172,17 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     if not np.any(t_grid == 0.0):
         raise ValueError("t_grid must contain 0")
-    part = m.params.partition.with_frozen(frozen)
-    pvec = ParameterVector(m.params.values, part)
-    tables = DatasetTables(m, d)
+    pvec, raw = _directions(m, frozen, seed, n_dirs)
     theta = m.params.values
-
-    dirs = []
-    for k in range(n_dirs):
-        raw = sample_direction(pvec, substream(seed, "direction", k).integers(2**31))
-        dirs.append(filter_normalize(raw, pvec).values)
-
     i0 = int(np.nonzero(t_grid == 0.0)[0][0])
-    base = _losses_on_points(m, tables, [theta])[0]
-    points, where = [], []
-    for n in range(n_dirs):
-        for i, t in enumerate(t_grid):
-            if i == i0:
-                continue
-            points.append(theta + t * dirs[n])
-            where.append((n, i))
-    vals = _losses_on_points(m, tables, points)
-
-    loss_E = np.empty((n_dirs, len(t_grid)))
-    loss_F = np.empty((n_dirs, len(t_grid)))
-    loss_E[:, i0] = base[0]
-    loss_F[:, i0] = base[1]
-    for (n, i), (le, lf) in zip(where, vals):
-        loss_E[n, i] = le
-        loss_F[n, i] = lf
-    meta = {
-        "kind": "landscape1d",
-        "model": m.name,
-        "dataset": d.name,
-        "seed": seed,
-        "n_directions": n_dirs,
-        "frozen_blocks": sorted(int(i) for i in frozen),
-        "grid": {"min": float(t_grid[0]), "max": float(t_grid[-1]), "points": len(t_grid)},
-        "n_evaluations": int(tables.eval_count),
-        "nonfinite_points": _nonfinite_points(loss_E, loss_F),
-    }
-    return LandscapeProfile(t_grid, loss_E, loss_F, meta)
+    ts = np.delete(t_grid, i0)
+    dirs = [filter_normalize(r, pvec).values for r in raw]
+    points = [theta] + [theta + t * v for v in dirs for t in ts]
+    return LandscapeProfile(t_grid, *_scan(
+        m, d, points,   # the base point's losses fill every direction's t = 0 column
+        lambda v: np.insert(v[:, 1:].reshape(2, n_dirs, len(ts)), i0, v[:, :1], axis=2),
+        kind="landscape1d", model=m.name, seed=seed, n_directions=n_dirs,
+        frozen_blocks=sorted(int(i) for i in frozen), grid=_grid(t_grid)))
 
 
 def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
@@ -206,61 +192,38 @@ def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
     t2_grid = DEFAULT_T_GRID if t2_grid is None else np.asarray(t2_grid, dtype=float)
     if not np.any(t1_grid == 0.0) or not np.any(t2_grid == 0.0):
         raise ValueError("both grids must contain 0")
-    part = m.params.partition.with_frozen(frozen)
-    pvec = ParameterVector(m.params.values, part)
-    tables = DatasetTables(m, d)
+    pvec, raw = _directions(m, frozen, seed, 2)
+    d1, d2 = orthogonalize_pair(*raw, pvec)
     theta = m.params.values
-
-    raw1 = sample_direction(pvec, substream(seed, "direction", 0).integers(2**31))
-    raw2 = sample_direction(pvec, substream(seed, "direction", 1).integers(2**31))
-    d1, d2 = orthogonalize_pair(raw1, raw2, pvec)
-
-    points = [theta + t1 * d1.values + t2 * d2.values
-              for t1 in t1_grid for t2 in t2_grid]
-    vals = _losses_on_points(m, tables, points)
-    shape = (len(t1_grid), len(t2_grid))
-    loss_E = vals[:, 0].reshape(shape)
-    loss_F = vals[:, 1].reshape(shape)
-    meta = {
-        "kind": "landscape2d",
-        "model": m.name,
-        "dataset": d.name,
-        "seed": seed,
-        "frozen_blocks": sorted(int(i) for i in frozen),
-        "grid1": {"min": float(t1_grid[0]), "max": float(t1_grid[-1]), "points": len(t1_grid)},
-        "grid2": {"min": float(t2_grid[0]), "max": float(t2_grid[-1]), "points": len(t2_grid)},
-        "n_evaluations": int(tables.eval_count),
-        "nonfinite_points": _nonfinite_points(loss_E, loss_F),
-        "orthogonalized_before_normalization": True,
-    }
-    return Surface2D(t1_grid, t2_grid, loss_E, loss_F, meta)
+    points = [theta + t1 * d1.values + t2 * d2.values for t1 in t1_grid for t2 in t2_grid]
+    return Surface2D(t1_grid, t2_grid, *_scan(
+        m, d, points, lambda v: v.reshape(2, len(t1_grid), len(t2_grid)),
+        kind="landscape2d", model=m.name, seed=seed,
+        frozen_blocks=sorted(int(i) for i in frozen), grid1=_grid(t1_grid),
+        grid2=_grid(t2_grid), orthogonalized_before_normalization=True))
 
 
 def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
                        t_grid=None) -> LandscapeProfile:
-    """Losses along the straight segment (1 - t) * thetaA + t * thetaB."""
-    if mA.params.partition.total != mB.params.partition.total or \
-            mA.hidden_layers != mB.hidden_layers or \
-            mA.descriptor.n_radial != mB.descriptor.n_radial:
-        raise ValueError("models must share architecture and partition")
+    """Losses along the straight segment (1 - t) * thetaA + t * thetaB.
+
+    Every point is evaluated with mA's descriptor and rescale, so the models must
+    share them and the architecture; a fixed basis's centers and widths too.
+    """
+    def evaluation(m):
+        s = m.descriptor
+        basis = () if s.trainable_basis else (s.centers.tolist(), s.widths.tolist())
+        return (m.hidden_layers, m.activation, m.rescale.effective(), s.n_radial, s.cutoff,
+                s.trainable_basis, basis)
+
+    if evaluation(mA) != evaluation(mB):
+        raise ValueError("models must share architecture, descriptor and rescale")
     t_grid = np.linspace(0.0, 1.0, 21) if t_grid is None else np.asarray(t_grid, dtype=float)
-    tables = DatasetTables(mA, d)
     a, b = mA.params.values, mB.params.values
-    points = [(1.0 - t) * a + t * b for t in t_grid]
-    vals = _losses_on_points(mA, tables, points)
-    loss_E, loss_F = vals[:, 0].reshape(1, -1), vals[:, 1].reshape(1, -1)
-    meta = {
-        "kind": "interpolation",
-        "model": f"{mA.name}->{mB.name}",
-        "dataset": d.name,
-        "seed": None,
-        "n_directions": 1,
-        "frozen_blocks": [],
-        "grid": {"min": float(t_grid[0]), "max": float(t_grid[-1]), "points": len(t_grid)},
-        "n_evaluations": int(tables.eval_count),
-        "nonfinite_points": _nonfinite_points(loss_E, loss_F),
-    }
-    return LandscapeProfile(t_grid, loss_E, loss_F, meta)
+    return LandscapeProfile(t_grid, *_scan(
+        mA, d, [(1.0 - t) * a + t * b for t in t_grid], lambda v: v.reshape(2, 1, -1),
+        kind="interpolation", model=f"{mA.name}->{mB.name}", seed=None, n_directions=1,
+        frozen_blocks=[], grid=_grid(t_grid)))
 
 
 def reweight_surface(s: Surface2D, w_E: float, w_F: float) -> np.ndarray:
@@ -279,16 +242,10 @@ SURFACE_COLUMNS = ("t1", "t2", "loss_energy", "loss_force")
 
 
 def write_profile_csv(profile: LandscapeProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_COLUMNS)
-        for n in range(profile.n_directions):
-            for i, t in enumerate(profile.t_grid):
-                writer.writerow([n, repr(float(t)), repr(float(profile.loss_E[n, i])),
-                                 repr(float(profile.loss_F[n, i]))])
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(profile.metadata, fh, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, PROFILE_COLUMNS,
+              [(n, t, profile.loss_E[n, i], profile.loss_F[n, i])
+               for n in range(profile.n_directions) for i, t in enumerate(profile.t_grid)])
+    write_json(profile.metadata, str(path) + ".meta.json")
 
 
 def read_profile_csv(path) -> LandscapeProfile:
@@ -318,17 +275,11 @@ def read_profile_csv(path) -> LandscapeProfile:
 
 
 def write_surface_csv(surface: Surface2D, path, combined: np.ndarray | None = None) -> None:
-    columns = SURFACE_COLUMNS + (("combined",) if combined is not None else ())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i, t1 in enumerate(surface.t1_grid):
-            for j, t2 in enumerate(surface.t2_grid):
-                row = [repr(float(t1)), repr(float(t2)),
-                       repr(float(surface.loss_E[i, j])), repr(float(surface.loss_F[i, j]))]
-                if combined is not None:
-                    row.append(repr(float(combined[i, j])))
-                writer.writerow(row)
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(surface.metadata, fh, sort_keys=True)
-        fh.write("\n")
+    header = SURFACE_COLUMNS
+    columns = [*np.meshgrid(surface.t1_grid, surface.t2_grid, indexing="ij"),
+               surface.loss_E, surface.loss_F]
+    if combined is not None:
+        header += ("combined",)
+        columns.append(combined)
+    write_csv(path, header, zip(*(np.asarray(c, dtype=float).ravel() for c in columns)))
+    write_json(surface.metadata, str(path) + ".meta.json")

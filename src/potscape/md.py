@@ -10,14 +10,13 @@ as one (B, N, 3) state, stepped by ``md_step``.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .data import Configuration, Dataset, write_extxyz_file
 from .geometry import SingularGeometryError
 from .model import NumericEvalError
@@ -378,17 +377,11 @@ def write_ensemble_json(records, summary, cfg: MDConfig, path, model_name="model
         "records": [r.to_dict() for r in records],
         "summary": summary.to_dict(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def write_summary_csv(rows, path) -> None:
     """rows: list of (model_name, EnsembleSummary)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for name, s in rows:
-            writer.writerow([name] + [repr(float(x)) for x in
-                                      (s.mean_ttf, s.std_ttf, s.median_ttf, s.q1_ttf, s.q3_ttf)]
-                            + [s.n_failed])
+    write_csv(path, SUMMARY_COLUMNS,
+              [[name] + [float(x) for x in (s.mean_ttf, s.std_ttf, s.median_ttf, s.q1_ttf,
+                                            s.q3_ttf)] + [s.n_failed] for name, s in rows])

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_json
 from .data import Dataset
 from .descriptors import DescriptorSpec, Workspace, basis_values, envelope, new_array
 from .geometry import R_MIN, SingularGeometryError, pair_table, scatter_add
@@ -213,8 +214,9 @@ class NeuralPotential:
         # the pair count changes with every call, so nothing is worth keeping
         e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff, ws=new_array)
         G = scatter_add(pt.i, e, B * n).reshape(B, n, -1)
-        out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n, n,
-                       new_array)
+        with np.errstate(over="ignore", invalid="ignore"):   # reported as NumericEvalError
+            out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n,
+                           n, new_array)
         if not np.all(np.isfinite(out.y)):
             bad = np.flatnonzero(~np.isfinite(out.y))
             frame, atom = divmod(int(bad[0]), n)
@@ -558,9 +560,7 @@ def save_checkpoint(m: NeuralPotential, path) -> None:
         "partition": [[b.layer, b.filter, b.offset, b.length, b.frozen]
                       for b in m.params.partition.blocks],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_checkpoint(path) -> NeuralPotential:

@@ -8,11 +8,11 @@ weights, and optional uniform tail averaging of weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .data import Dataset
 from .model import DatasetTables, NeuralPotential, tables_loss, tables_loss_grad
 
@@ -205,8 +205,6 @@ HISTORY_COLUMNS = ("epoch", "loss_E", "loss_F", "combined", "lr", "w_E", "w_F")
 
 
 def write_history_csv(report: TrainReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for row in report.history:
-            writer.writerow([row["epoch"]] + [repr(float(row[k])) for k in HISTORY_COLUMNS[1:]])
+    write_csv(path, HISTORY_COLUMNS,
+              [[row["epoch"]] + [float(row[k]) for k in HISTORY_COLUMNS[1:]]
+               for row in report.history])

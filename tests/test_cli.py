@@ -180,6 +180,10 @@ class TestKeyTable:
             "toy-regression": {"toy.n_list": [2], "toy.sigma_list": [0.0], "toy.repeats": 1},
             "landscape1d": {"model.checkpoint": ckpt, "data.path": data,
                             "landscape.n_directions": 1, "landscape.points": 3},
+            "gen-data": dict(GEN_ARGS),
+            "noise-sweep": {"data.path": data, "seed": 3, **FAST_TRAIN},
+            "learning-curve": {"data.path": data, "data.train_t": 300.0, "seed": 3,
+                               **FAST_TRAIN},
         }[command]
 
     @staticmethod
@@ -283,6 +287,36 @@ class TestKeyTable:
         config = {**self.base("md", gen_dir, model_dir), "md.dump_interval": value}
         assert run_command("md", config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, "dump_interval")
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("gen-data", "data.temperatures", 300),
+        ("gen-data", "data.n_atoms", 4.7),
+        ("train", "model.hidden", 16),
+        ("train", "train.max_epochs", 2.5),
+        ("md", "md.n_trajectories", 1.5),
+        ("noise-sweep", "noise.sigmas", 0.1),
+        ("learning-curve", "curve.sizes", 50),
+        ("landscape1d", "landscape.frozen_blocks", 3),
+        ("landscape1d", "landscape.points", True),
+        ("toy-regression", "seed", 2.5),
+        ("toy-regression", "seed", "abc"),
+        ("md", "data.species", ["Cu"]),
+        ("md", "data.species", None),
+    ])
+    def test_value_of_wrong_type_rejected(self, gen_dir, model_dir, tmp_path, command, key,
+                                          value):
+        # a scalar for a list, or a seed that is no number, once raised with no
+        # manifest; a fraction for an int was truncated
+        config = {**self.base(command, gen_dir, model_dir), key: value}
+        assert run_command(command, config, tmp_path) == EXIT_CONFIG
+        self.assert_rejected(tmp_path, key)
+
+    def test_numeric_path_is_a_file_name(self, gen_dir, model_dir, tmp_path, monkeypatch):
+        # a JSON number once reached open() as a file descriptor
+        (tmp_path / "987654").write_bytes((model_dir / "model.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        config = {"model.checkpoint": 987654, "data.path": str(gen_dir / "dataset.extxyz")}
+        assert run_command("eval", config, tmp_path / "out") == EXIT_OK
 
     def test_dump_interval_cast_to_int(self, gen_dir, model_dir, tmp_path):
         config = {**self.base("md", gen_dir, model_dir), "md.dump_interval": "10"}
@@ -406,6 +440,17 @@ class TestPipeline:
                                           "slopes.mode": "extrapolation"}, out) == EXIT_OK
         fit = json.loads((out / "slope.json").read_text())
         assert fit["m"] == pytest.approx(0.1, abs=1e-12)
+
+
+    @pytest.mark.parametrize("text", ["x\n1\n2\n3\n", "", "x,y\n1,2\n3\n"])
+    def test_fit_slopes_rejects_unusable_table(self, tmp_path, text):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        out = tmp_path / "fs"
+        assert run_command("fit-slopes", {"slopes.input": str(table)}, out) == EXIT_CONFIG
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        if text.count(",") == 0:
+            assert str(table) in read_manifest(out)["error"]["message"]
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from potscape.landscape import (DegenerateDirectionError, Direction, LandscapePr
                                 reweight_surface, sample_direction, write_profile_csv,
                                 write_surface_csv)
 from potscape.model import (FilterBlock, FilterPartition, NeuralPotential,
-                            ParameterVector, loss_eval)
+                            ParameterVector, Rescale, loss_eval)
 from potscape.seeding import substream
 from tests.conftest import labeled_dataset, random_model
 
@@ -300,6 +301,21 @@ class TestInterpolation:
         mB = random_model(16, hidden=(8, 8))
         ds = labeled_dataset(mA, 2, seed=99, energy_offset=0.01)
         with pytest.raises(ValueError):
+            interpolate_models(mA, mB, ds)
+
+    @pytest.mark.parametrize("change", [
+        lambda m: replace(m, descriptor=replace(m.descriptor, cutoff=6.0)),
+        lambda m: replace(m, rescale=Rescale()),
+        lambda m: replace(m, descriptor=replace(m.descriptor, centers=m.descriptor.centers * 0.9)),
+        lambda m: replace(m, descriptor=replace(m.descriptor, widths=m.descriptor.widths * 2.0)),
+    ], ids=["cutoff", "rescale", "centers", "widths"])
+    def test_evaluation_mismatch_rejected(self, change):
+        # every point is evaluated with mA's descriptor and rescale, so a t = 1 loss
+        # would not be mB's own
+        mA = random_model(15)
+        mB = change(random_model(16))
+        ds = labeled_dataset(mA, 2, seed=99, energy_offset=0.01)
+        with pytest.raises(ValueError, match="share"):
             interpolate_models(mA, mB, ds)
 
 
