@@ -94,11 +94,8 @@ def _sha256(path: Path) -> str:
 # shared builders
 # ---------------------------------------------------------------------------
 
-def _load_dataset(config, key="data.path") -> Dataset:
-    path = _get(config, key, required=True)
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
-    return read_extxyz_file(path)
+def _load_dataset(config) -> Dataset:
+    return read_extxyz_file(_get(config, "data.path", required=True))
 
 def _potential(config):
     kind = _get(config, "potential.kind", required=True)
@@ -186,9 +183,7 @@ def _landscape_grid(config, t_min=-1.0):
 
 def _load_profile(config):
     path = _get(config, "profile.path", required=True)
-    if not os.path.exists(path):
-        raise ConfigError(f"profile not found: {path}")
-    return landscape_mod.read_profile_csv(path), str(path)
+    return landscape_mod.read_profile_csv(path), path
 
 
 def _frozen_blocks(config, model):
@@ -326,6 +321,8 @@ def cmd_md(config, out: Path, seed: int):
         name = "reference"
     if "data.path" in config:
         start = _load_dataset(config)[0]
+        if start.cell is not None and start.pbc.any():   # the integrator has no cell
+            raise ConfigError("md cannot run a periodic start frame (data.path)")
         start = Configuration(start.positions.copy(), list(start.species))
     else:
         pot = _potential(config)
@@ -397,8 +394,6 @@ def cmd_toy_regression(config, out: Path, seed: int):
 
 def cmd_fit_slopes(config, out: Path, seed: int):
     path = _get(config, "slopes.input", required=True)
-    if not os.path.exists(path):
-        raise ConfigError(f"input table not found: {path}")
     mode = _get(config, "slopes.mode", "extrapolation")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")   # a short row fails float() below
@@ -433,6 +428,8 @@ _LANDSCAPE = _DATA + _GRID + ("model.checkpoint", "landscape.frozen_blocks",
                               "landscape.freeze_basis")
 _GEN = ("data.temperatures", "data.frames_per_t", "data.timestep_fs", "data.tau_fs",
         "data.stride", "data.burn_in_steps")
+_INPUTS = ("data.path", "profile.path", "slopes.input", "model.checkpoint", "model.checkpoint_a",
+           "model.checkpoint_b")   # the keys that name an input file
 
 COMMANDS = {
     "gen-data": (cmd_gen_data, _CLUSTER + _GEN),
@@ -453,7 +450,8 @@ COMMANDS = {
 
 
 def _check_keys(command, config):
-    """Reject every key the command does not read, naming the keys it does."""
+    """Reject every key the command does not read, naming the keys it does, and every
+    input file that does not exist."""
     keys = ("seed", "out") + COMMANDS[command][1]
     prefixes = tuple(k for k in keys if k.endswith("."))
     unread = sorted(k for k in config if k not in keys and not k.startswith(prefixes))
@@ -461,6 +459,9 @@ def _check_keys(command, config):
         reads = ", ".join(k + "*" if k.endswith(".") else k for k in keys)
         raise ConfigError(f"{command} does not read config key(s) {', '.join(unread)}; "
                           f"it reads {reads}")
+    for key in _INPUTS:
+        if key in config and not os.path.exists(path := _get(config, key)):
+            raise ConfigError(f"{key} not found: {path}")
 
 
 def run_command(command: str, config: dict, out_dir) -> int:

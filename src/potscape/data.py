@@ -6,7 +6,9 @@ Per-atom energy statistics are reported in meV/atom.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,53 +132,69 @@ class NoiseSpec:
 _DEFAULT_PROPERTIES = "species:S:1:pos:R:3"
 
 
-def _split_comment(line: str) -> dict[str, str]:
-    """key=value pairs from a comment line; values may be double-quoted."""
-    items: dict[str, str] = {}
-    i, n = 0, len(line)
-    while i < n:
-        while i < n and line[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        start = i
-        while i < n and line[i] not in "= \t":
-            i += 1
-        key = line[start:i]
-        if i < n and line[i] == "=":
-            i += 1
-            if i < n and line[i] == '"':
-                i += 1
-                vstart = i
-                while i < n and line[i] != '"':
-                    i += 1
-                value = line[vstart:i]
-                i += 1
-            else:
-                vstart = i
-                while i < n and not line[i].isspace():
-                    i += 1
-                value = line[vstart:i]
-        else:
-            value = "T"  # bare key acts as a true flag
-        if key:
-            items[key] = value
-    return items
+# One comment-line item: a key, then ``=value``, ``="quoted value"`` (a missing closing
+# quote runs to the end of the line) or nothing; the value is group 3, absent for a flag.
+_ITEM = re.compile(r'\s*([^= \t]*)(?:=(")?((?(2)[^"]*|\S*))"?)?')
 
 
-def _parse_properties(spec: str, frame: int):
+def _floats(text, what: str) -> np.ndarray:
+    """A str, or a list of str, as float64; numpy parses each str with ``float()``."""
+    try:
+        return np.array(text, dtype=float)
+    except ValueError:
+        raise ValueError(f"non-numeric {what}") from None
+
+
+def _frame(comment: str, rows: list[list[str]]) -> Configuration:
+    """One frame from its comment line and its split atom lines; a fault raises ValueError.
+
+    Declared columns other than species, pos and forces are skipped by width.  Of the
+    atom-line faults, the first in atom order, then column order, is named.
+    """
+    items = {key: value for key, _, value in (m.groups("T") for m in _ITEM.finditer(comment))
+             if key}   # a flag reads "T"
+    spec = items.get("Properties", _DEFAULT_PROPERTIES)
     fields = spec.split(":")
-    if len(fields) % 3 != 0:
-        raise ExtxyzError(f"frame {frame}: malformed Properties string {spec!r}")
-    out = []
-    for k in range(0, len(fields), 3):
-        name, dtype, ncols = fields[k], fields[k + 1], fields[k + 2]
-        try:
-            ncols = int(ncols)
-        except ValueError:
-            raise ExtxyzError(f"frame {frame}: bad column count in Properties") from None
-        out.append((name, dtype, ncols))
-    return out
+    if len(fields) % 3:
+        raise ValueError(f"malformed Properties string {spec!r}")
+    try:
+        widths = [int(w) for w in fields[2::3]]
+        if min(widths) < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError("bad column count in Properties") from None
+    ends = list(itertools.accumulate(widths))
+    columns = list(zip(fields[::3], [0] + ends, ends))   # (name, first, end) per property
+
+    energy = float(_floats(items["energy"], "energy")) if "energy" in items else None
+    cell = pbc = None
+    if "Lattice" in items:
+        cell = _floats(items["Lattice"].split(), "Lattice")
+        if cell.size != 9:
+            raise ValueError("Lattice needs 9 numbers")
+        cell = cell.reshape(3, 3)
+        if "pbc" in items:
+            pbc = np.array([t in ("T", "True", "1") for t in items["pbc"].split()])
+    temperature = (float(_floats(items["temperature"], "temperature"))
+                   if "temperature" in items else None)
+
+    try:
+        if min(map(len, rows)) < ends[-1]:
+            raise ValueError
+        values = {name: np.array([r[first:end] for r in rows], dtype=float)
+                  for name, first, end in columns if name in ("pos", "forces")}
+    except ValueError:
+        for a, r in enumerate(rows):
+            for name, first, end in columns:
+                if end > len(r):
+                    raise ValueError(f"atom line {a} has too few columns") from None
+                if name in ("pos", "forces"):
+                    _floats(r[first:end], f"{name} on atom line {a}")
+        raise
+    species = [r[first] for name, first, _ in columns if name == "species" for r in rows]
+    return Configuration(values.get("pos", np.zeros((len(rows), 3))), species, energy=energy,
+                         forces=values.get("forces"), cell=cell, pbc=pbc,
+                         temperature_tag=temperature)
 
 
 def parse_extxyz(text: str | bytes, name: str = "dataset") -> Dataset:
@@ -189,81 +207,26 @@ def parse_extxyz(text: str | bytes, name: str = "dataset") -> Dataset:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     lines = text.splitlines()
-    pos = 0
     frames: list[Configuration] = []
-    frame = 0
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        try:
-            natoms = int(lines[pos].strip())
-        except ValueError:
-            raise ExtxyzError(f"frame {frame}: malformed header {lines[pos]!r}") from None
-        if natoms <= 0:
-            raise ExtxyzError(f"frame {frame}: nonpositive atom count")
-        if pos + 2 + natoms > len(lines):
-            raise ExtxyzError(f"frame {frame}: truncated frame (expected {natoms} atoms)")
-        comment = _split_comment(lines[pos + 1]) if pos + 1 < len(lines) else {}
-        props = _parse_properties(comment.get("Properties", _DEFAULT_PROPERTIES), frame)
-
-        energy = None
-        if "energy" in comment:
+    pos = 0
+    try:
+        while pos < len(lines):
+            if not lines[pos].strip():
+                pos += 1
+                continue
             try:
-                energy = float(comment["energy"])
+                natoms = int(lines[pos])
             except ValueError:
-                raise ExtxyzError(f"frame {frame}: non-numeric energy") from None
-        cell = pbc = None
-        if "Lattice" in comment:
-            try:
-                vals = [float(x) for x in comment["Lattice"].split()]
-            except ValueError:
-                raise ExtxyzError(f"frame {frame}: non-numeric Lattice") from None
-            if len(vals) != 9:
-                raise ExtxyzError(f"frame {frame}: Lattice needs 9 numbers")
-            cell = np.array(vals).reshape(3, 3)
-            if "pbc" in comment:
-                pbc = np.array([t in ("T", "True", "1") for t in comment["pbc"].split()])
-        temperature = None
-        if "temperature" in comment:
-            try:
-                temperature = float(comment["temperature"])
-            except ValueError:
-                raise ExtxyzError(f"frame {frame}: non-numeric temperature") from None
-
-        species: list[str] = []
-        positions = np.zeros((natoms, 3))
-        has_forces = any(p[0] == "forces" for p in props)
-        forces = np.zeros((natoms, 3)) if has_forces else None
-        for a in range(natoms):
-            tokens = lines[pos + 2 + a].split()
-            col = 0
-            for pname, dtype, ncols in props:
-                if col + ncols > len(tokens):
-                    raise ExtxyzError(f"frame {frame}: atom line {a} has too few columns")
-                chunk = tokens[col:col + ncols]
-                col += ncols
-                if pname == "species":
-                    species.append(chunk[0])
-                elif pname in ("pos", "forces"):
-                    try:
-                        vec = [float(x) for x in chunk]
-                    except ValueError:
-                        raise ExtxyzError(
-                            f"frame {frame}: non-numeric {pname} on atom line {a}"
-                        ) from None
-                    if pname == "pos":
-                        positions[a] = vec
-                    else:
-                        forces[a] = vec
-                # other declared columns are skipped by width
-        try:
-            frames.append(Configuration(positions, species, energy=energy, forces=forces,
-                                        cell=cell, pbc=pbc, temperature_tag=temperature))
-        except ValueError as exc:
-            raise ExtxyzError(f"frame {frame}: {exc}") from None
-        pos += 2 + natoms
-        frame += 1
+                raise ValueError(f"malformed header {lines[pos]!r}") from None
+            if natoms <= 0:
+                raise ValueError("nonpositive atom count")
+            if pos + 2 + natoms > len(lines):
+                raise ValueError(f"truncated frame (expected {natoms} atoms)")
+            frames.append(_frame(lines[pos + 1],
+                                 [line.split() for line in lines[pos + 2:pos + 2 + natoms]]))
+            pos += 2 + natoms
+    except ValueError as exc:
+        raise ExtxyzError(f"frame {len(frames)}: {exc}") from None
     if not frames:
         raise ExtxyzError("no frames found")
     return Dataset(frames, name=name)

@@ -522,16 +522,14 @@ def loss_eval(m: NeuralPotential, d: Dataset, w_E: float = 1.0, w_F: float = 100
 
 
 def fit_rescale(m: NeuralPotential, d: Dataset) -> NeuralPotential:
-    """Set shift to the mean per-atom energy and scale to the force-component std."""
+    """Set shift to the mean per-atom energy and scale to ``d.sigma_dft_force``."""
     if len(d) < 2:
         raise ValueError("rescale fit needs at least 2 frames")
     e = [c.energy / c.n_atoms for c in d if c.energy is not None]
-    f = [c.forces.ravel() for c in d if c.forces is not None]
-    if not e or not f:
+    if not e or d.sigma_dft_force is None:
         raise ValueError("rescale fit needs energy and force labels")
-    shift = float(np.mean(e))
-    scale = float(np.std(np.concatenate(f)))
-    return replace(m, rescale=Rescale(scale=scale, shift=shift, enabled=True))
+    return replace(m, rescale=Rescale(scale=d.sigma_dft_force, shift=float(np.mean(e)),
+                                      enabled=True))
 
 
 # ---------------------------------------------------------------------------

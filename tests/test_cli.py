@@ -67,10 +67,33 @@ class TestErrors:
         assert manifest["status"] == "failed"
         assert "bogus.key" in manifest["error"]["message"]
 
-    def test_missing_input(self, tmp_path):
-        code = run_command("entropy", {"profile.path": "/nonexistent.csv"}, tmp_path)
-        assert code == EXIT_CONFIG
-        assert read_manifest(tmp_path)["error"] is not None
+    @pytest.mark.parametrize("command,key", [
+        ("entropy", "profile.path"),
+        ("sweep-entropy", "profile.path"),
+        ("fit-slopes", "slopes.input"),
+        ("train", "data.path"),
+        ("eval", "model.checkpoint"),
+        ("eval", "data.path"),
+        ("landscape2d", "model.checkpoint"),
+        ("interp", "model.checkpoint_a"),
+        ("interp", "model.checkpoint_b"),
+        ("md", "model.checkpoint"),
+        ("md", "data.path"),
+    ])
+    def test_missing_input(self, gen_dir, model_dir, tmp_path, command, key):
+        # a missing checkpoint once exited 4 (I/O) with FileNotFoundError
+        data, ckpt = str(gen_dir / "dataset.extxyz"), str(model_dir / "model.json")
+        config = {
+            "eval": {"model.checkpoint": ckpt, "data.path": data},
+            "landscape2d": {"model.checkpoint": ckpt, "data.path": data},
+            "interp": {"model.checkpoint_a": ckpt, "model.checkpoint_b": ckpt, "data.path": data},
+            "md": {"model.checkpoint": ckpt, "data.path": data},
+        }.get(command, {})
+        config[key] = "/nonexistent.csv"
+        assert run_command(command, config, tmp_path) == EXIT_CONFIG
+        manifest = read_manifest(tmp_path)
+        assert manifest["error"]["message"] == f"{key} not found: /nonexistent.csv"
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     def test_unwritable_output(self):
         assert run_command("toy-regression",
@@ -119,6 +142,19 @@ class TestErrors:
         assert run_command("eval", config, tmp_path / "out") == EXIT_CONFIG
         error = read_manifest(tmp_path / "out")["error"]
         assert error["type"] == "ValueError" and "twice the cutoff" in error["message"]
+
+    @pytest.mark.parametrize("pbc", ["T T T", "F F T"])
+    def test_periodic_md_start_frame_is_config_error(self, tmp_path, pbc):
+        # 2.5 A apart through the boundary; run without the cell, both trajectories
+        # were once recorded as bond failures
+        (tmp_path / "pbc.extxyz").write_text(
+            f'2\nLattice="20 0 0 0 20 0 0 0 20" pbc="{pbc}"\nCu 1 0 0\nCu 18.5 0 0\n')
+        config = {"data.path": str(tmp_path / "pbc.extxyz"), "potential.kind": "morse",
+                  "md.total_time_ps": 0.01, "md.n_trajectories": 2}
+        out = tmp_path / "out"
+        assert run_command("md", config, out) == EXIT_CONFIG
+        assert "periodic" in read_manifest(out)["error"]["message"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("key,value", [("data.burn_in_steps", -40), ("data.stride", 0),
                                            ("data.stride", -10)])

@@ -81,6 +81,89 @@ class TestParse:
         np.testing.assert_array_equal(c.positions[0], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(c.forces[0], [9.0, 8.0, 7.0])
 
+    CUBE = [[10.0, 0, 0], [0, 10.0, 0], [0, 0, 10.0]]
+
+    # each case: the text, then the exact ExtxyzError message or the fields of frame 0
+    # (fields not given are None)
+    @pytest.mark.parametrize("text,expected", [
+        pytest.param("1\nis_relaxed energy=1.5\nH 1 2 3",
+                     {"species": ["H"], "positions": [[1, 2, 3]], "energy": 1.5},
+                     id="bare-flag"),
+        pytest.param('1\nenergy=2 Lattice="10 0 0 0 10 0 0 0 10\nH 0 0 0',
+                     {"species": ["H"], "positions": [[0, 0, 0]], "energy": 2.0,
+                      "cell": CUBE, "pbc": [True, True, True]},
+                     id="unterminated-quote-runs-to-line-end"),
+        pytest.param('1\nLattice="10 0 0 0 10 0 0 0 10 energy=1\nH 0 0 0',
+                     "frame 0: non-numeric Lattice", id="unterminated-quote-takes-the-rest"),
+        pytest.param("1\nenergy=\nH 0 0 0", "frame 0: non-numeric energy", id="empty-energy"),
+        pytest.param('1\nenergy="1 2"\nH 0 0 0', "frame 0: non-numeric energy",
+                     id="two-number-energy"),
+        pytest.param("2\nProperties=id:I:1:species:S:1:pos:R:3:forces:R:3 energy=-2\n"
+                     "7 Cu 1 2 3 0.5 0.25 -1\n8 Cu 4 5 6 -0.5 -0.25 1",
+                     {"species": ["Cu", "Cu"], "positions": [[1, 2, 3], [4, 5, 6]],
+                      "energy": -2.0, "forces": [[0.5, 0.25, -1], [-0.5, -0.25, 1]]},
+                     id="id-column-skipped-by-width"),
+        pytest.param("1\nProperties=species:S:1:pos:R:2\nH 0 0",
+                     "frame 0: positions must be (N, 3)", id="two-column-pos"),
+        pytest.param('1\nLattice="10 0 0 0 10 0 0 0"\nH 0 0 0',
+                     "frame 0: Lattice needs 9 numbers", id="lattice-of-8"),
+        pytest.param('1\nLattice="10 0 0 0 x 0 0 0 10"\nH 0 0 0',
+                     "frame 0: non-numeric Lattice", id="non-numeric-lattice"),
+        pytest.param("1\ntemperature=hot\nH 0 0 0", "frame 0: non-numeric temperature",
+                     id="non-numeric-temperature"),
+        pytest.param("2\nenergy=0\nH 0 0 0\nH 1 0", "frame 0: atom line 1 has too few columns",
+                     id="short-atom-line"),
+        pytest.param("1\nProperties=species:S:1:pos:R:three\nH 0 0 0",
+                     "frame 0: bad column count in Properties", id="width-not-a-number"),
+        pytest.param("1\nProperties=species:S:1:pos:R\nH 0 0 0",
+                     "frame 0: malformed Properties string 'species:S:1:pos:R'",
+                     id="fields-not-a-multiple-of-3"),
+        pytest.param("1\nProperties=pos:R:3\n0 0 0",
+                     "frame 0: species count does not match positions", id="no-species"),
+        pytest.param("1\nProperties=species:S:1:species:S:1:pos:R:3\nH He 0 0 0",
+                     "frame 0: species count does not match positions", id="two-species"),
+        pytest.param("1\nProperties=species:S:1 energy=1\nH",
+                     {"species": ["H"], "positions": [[0, 0, 0]], "energy": 1.0},
+                     id="no-pos-reads-zeros"),
+        pytest.param('1\nLattice="10 0 0 0 10 0 0 0 10" pbc="True 1 F"\nH 0 0 0',
+                     {"species": ["H"], "positions": [[0, 0, 0]], "cell": CUBE,
+                      "pbc": [True, True, False]},
+                     id="pbc-tokens"),
+        pytest.param('1\npbc="T T T" energy=0\nH 0 0 0',
+                     {"species": ["H"], "positions": [[0, 0, 0]], "energy": 0.0},
+                     id="pbc-without-lattice"),
+        pytest.param("1\nenergy=2.5\tProperties=species:S:1:pos:R:3\tfoo\nH\t1\t2\t3",
+                     {"species": ["H"], "positions": [[1, 2, 3]], "energy": 2.5},
+                     id="tabs"),
+        pytest.param("2\nenergy=0\nH 0 x 0\nH 1 0", "frame 0: non-numeric pos on atom line 0",
+                     id="first-fault-in-atom-order"),
+        pytest.param("1\n\nH 0 0 0\n1\n\nH 0 0 0\n1\nProperties=species:S:1:pos:R:x\nH 0 0 0",
+                     "frame 2: bad column count in Properties", id="fault-in-frame-2"),
+    ])
+    def test_reader_cases(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ExtxyzError) as exc:
+                parse_extxyz(text)
+            assert str(exc.value) == expected
+            return
+        c = parse_extxyz(text)[0]
+        assert c.species == expected["species"]
+        np.testing.assert_array_equal(c.positions, expected["positions"])
+        assert c.energy == expected.get("energy") and c.temperature_tag is None
+        for name in ("forces", "cell", "pbc"):
+            if name in expected:
+                np.testing.assert_array_equal(getattr(c, name), expected[name])
+            else:
+                assert getattr(c, name) is None
+
+    @pytest.mark.parametrize("properties", ["species:S:1:pos:R:3:x:R:-1:forces:R:3",
+                                            "species:S:0:pos:R:3:x:R:1:forces:R:3"])
+    def test_column_narrower_than_one_rejected(self, properties):
+        # the -1 once read these forces as [3, 4, 5]; the species of width 0 raised IndexError
+        with pytest.raises(ExtxyzError) as exc:
+            parse_extxyz(f"1\nProperties={properties}\nH 1 2 3 4 5 6")
+        assert str(exc.value) == "frame 0: bad column count in Properties"
+
 
 class TestWrite:
     def test_frame_without_forces_omits_columns(self):
