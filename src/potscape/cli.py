@@ -4,7 +4,8 @@ Every run reads an optional ``key = value`` config file (dotted keys, values
 parsed as JSON fragments when possible), applies ``--set key=value``
 overrides, writes its artifacts into one output directory, and always leaves
 a ``manifest.json`` there (config echo, seed, wall time, sha256 of each
-artifact) even on failure.
+artifact) even on failure.  A key is declared where a command reads it; a key
+the run does not read exits 2 before any work.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -21,6 +22,7 @@ import time
 import types
 import typing
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +71,29 @@ def load_config_file(path) -> dict:
     return out
 
 
+class _Config(dict):
+    """One run's config; ``_get`` records the keys the run reads, in order."""
+
+    def __init__(self, command, items):
+        super().__init__(items)
+        self.command = command
+        self.read = dict.fromkeys(("seed", "out"))   # an ordered set
+
+    def check(self):
+        """Reject each key not read so far, naming those read, and each missing input file."""
+        unread = sorted(k for k in self if k not in self.read)
+        if unread:
+            raise ConfigError(f"{self.command} does not read config key(s) {', '.join(unread)}; "
+                              f"it reads {', '.join(self.read)}")
+        for key in _INPUTS:
+            if self.get(key) is not None and not os.path.exists(path := str(self[key])):
+                raise ConfigError(f"{key} not found: {path}")
+
+
 def _get(config, key, default=None, tp=str, required=False):
-    """``config[key]``, else ``default``, cast to type ``tp`` (see ``_cast``); a value
-    that does not fit exits 2 naming the key."""
+    """``config[key]``, else ``default``, cast to type ``tp`` (see ``_cast``); records ``key``
+    as read, and a value that does not fit exits 2 naming the key."""
+    config.read.setdefault(key)
     if required and key not in config:
         raise ConfigError(f"missing required config key {key!r}")
     value = config.get(key, default)
@@ -83,42 +105,23 @@ def _get(config, key, default=None, tp=str, required=False):
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# shared builders
+# shared readers: each reads its keys now and returns what the command needs later
 # ---------------------------------------------------------------------------
-
-def _load_dataset(config) -> Dataset:
-    return read_extxyz_file(_get(config, "data.path", required=True))
 
 def _potential(config):
+    """``make_potential`` of ``potential.kind``, the other ``potential.*`` keys its parameters."""
     kind = _get(config, "potential.kind", required=True)
-    params = {k.split(".", 1)[1]: v for k, v in config.items()
-              if k.startswith("potential.") and k != "potential.kind"}
+    params = [k for k in config if k.startswith("potential.") and k != "potential.kind"]
+    config.read.update(dict.fromkeys(params))
     try:
-        return make_potential(kind, **params)
+        return make_potential(kind, **{k.split(".", 1)[1]: config[k] for k in params})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from None
-
-
-def _fresh_model(config, seed) -> NeuralPotential:
-    spec = DescriptorSpec.default(
-        cutoff=_get(config, "model.cutoff", 5.0, float),
-        n_radial=_get(config, "model.n_radial", 8, int),
-        first_center=_get(config, "model.first_center", 1.0, float),
-        trainable_basis=_get(config, "model.trainable_basis", False, bool),
-    )
-    hidden = tuple(_get(config, "model.hidden", [16, 16], list[int]))
-    init_seed = int(substream(seed, "init").integers(2**31))
-    return NeuralPotential.create(spec, hidden=hidden,
-                                  activation=_get(config, "model.activation", "tanh"),
-                                  seed=init_seed)
 
 
 def _cast(tp, value):
@@ -143,36 +146,48 @@ def _cast(tp, value):
 
 
 def _build(cls, config, prefix, **fixed):
-    """``cls`` from the ``<prefix>.<field>`` keys given; other fields keep their defaults."""
+    """``cls``, each field not in ``fixed`` read from ``<prefix>.<field>``, else its default."""
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key in config and f.name not in fixed:
-            fixed[f.name] = _get(config, key, tp=hints[f.name])
+        if f.name not in fixed:
+            fixed[f.name] = _get(config, f"{prefix}.{f.name}", f.default, hints[f.name])
     return cls(**fixed)
 
 
-def _train_on(config, seed, dataset, d_val=None):
-    """Train a fresh model; it keeps the tail average with ``train.swa_tail``, the
-    weight EMA with ``train.ema_decay``, and the best epoch's weights otherwise."""
+def _trainer(config, seed):
+    """``fit(dataset, d_val=None)``: train a fresh model; keep the tail average with
+    ``train.swa_tail``, the EMA with ``train.ema_decay``, else the best epoch's weights."""
     cfg = _build(TrainConfig, config, "train")
     if cfg.ema_decay is not None and cfg.swa_tail is not None:
         raise ConfigError("train.ema_decay and train.swa_tail exclude each other")
     if cfg.swa_tail is not None and not cfg.swa_tail < cfg.max_epochs:
         raise ConfigError(f"train.swa_tail={cfg.swa_tail} leaves no epoch to average")
-    model = _fresh_model(config, seed)
-    if _get(config, "model.rescale", True, bool):
-        model = fit_rescale(model, dataset)
-    report = train(model, dataset, cfg, d_val=d_val)
-    params = (report.swa_params if cfg.swa_tail is not None else
-              report.ema_params if cfg.ema_decay is not None else report.best_params)
-    return model.with_values(params), report
+    spec = DescriptorSpec.default(
+        cutoff=_get(config, "model.cutoff", 5.0, float),
+        n_radial=_get(config, "model.n_radial", 8, int),
+        first_center=_get(config, "model.first_center", 1.0, float),
+        trainable_basis=_get(config, "model.trainable_basis", False, bool))
+    hidden = tuple(_get(config, "model.hidden", [16, 16], list[int]))
+    fresh = NeuralPotential.create(spec, hidden, _get(config, "model.activation", "tanh"),
+                                   seed=int(substream(seed, "init").integers(2**31)))
+    rescale = _get(config, "model.rescale", True, bool)
+
+    def fit(dataset, d_val=None):
+        model = fit_rescale(fresh, dataset) if rescale else fresh
+        report = train(model, dataset, cfg, d_val=d_val)
+        params = (report.swa_params if cfg.swa_tail is not None else
+                  report.ema_params if cfg.ema_decay is not None else report.best_params)
+        return model.with_values(params), report
+    return fit
 
 
-def _split(config, ds, train_t, seed):
-    return split_by_temperature(
-        ds, train_t, holdout_fraction=_get(config, "data.holdout_fraction", 0.1, float),
-        seed=seed)
+def _splitter(config, seed, required=False):
+    """``data.train_t`` and ``dataset -> (train split, test splits)``; ``data.holdout_fraction``
+    is read only with a training temperature."""
+    train_t = _get(config, "data.train_t", None, float if required else float | None, required)
+    fraction = None if train_t is None else _get(config, "data.holdout_fraction", 0.1, float)
+    return train_t, lambda ds: split_by_temperature(ds, train_t, holdout_fraction=fraction,
+                                                    seed=seed)
 
 
 def _landscape_grid(config, t_min=-1.0):
@@ -181,63 +196,61 @@ def _landscape_grid(config, t_min=-1.0):
                        _get(config, "landscape.points", 21, int))
 
 
-def _load_profile(config):
-    path = _get(config, "profile.path", required=True)
-    return landscape_mod.read_profile_csv(path), path
-
-
-def _frozen_blocks(config, model):
-    frozen = _get(config, "landscape.frozen_blocks", [], list[int])
-    if _get(config, "landscape.freeze_basis", False, bool):
-        frozen += model.params.partition.blocks_in_layer(0)
-    return sorted(set(frozen))
+def _frozen(config):
+    """``model -> sorted frozen block indices``."""
+    blocks = _get(config, "landscape.frozen_blocks", [], list[int])
+    basis = _get(config, "landscape.freeze_basis", False, bool)
+    return lambda model: sorted(set(blocks).union(
+        model.params.partition.blocks_in_layer(0) if basis else ()))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each reads all its keys, calls config.check(), then loads its inputs
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(config, out: Path, seed: int):
-    pot = _potential(config)
-    ds = generate_reference_dataset(
-        pot,
+    generate = partial(
+        generate_reference_dataset, _potential(config),
         n_atoms=_get(config, "data.n_atoms", 6, int),
         temperatures=_get(config, "data.temperatures", [300.0, 600.0, 1200.0], list[float]),
-        frames_per_T=_get(config, "data.frames_per_t", 100, int),
-        seed=seed,
+        frames_per_T=_get(config, "data.frames_per_t", 100, int), seed=seed,
         species=_get(config, "data.species", "Ar"),
         timestep_fs=_get(config, "data.timestep_fs", 1.0, float),
         tau_fs=_get(config, "data.tau_fs", 250.0, float),
         stride=_get(config, "data.stride", 50, int),
-        burn_in_steps=_get(config, "data.burn_in_steps", 2000, int),
-    )
+        burn_in_steps=_get(config, "data.burn_in_steps", 2000, int))
+    config.check()
+    ds = generate()
     write_extxyz_file(ds, out / "dataset.extxyz")
     write_json(dataset_stats(ds).to_dict(), out / "stats.json")
     return ["dataset.extxyz", "stats.json"]
 
 
 def cmd_train(config, out: Path, seed: int):
-    ds = _load_dataset(config)
-    train_t = _get(config, "data.train_t", None, float | None)
-    d_val = None
+    path = _get(config, "data.path", required=True)
+    train_t, split = _splitter(config, seed)
+    fit = _trainer(config, seed)
+    name = _get(config, "model.name", "model")
+    config.check()
+    d_train, d_val = read_extxyz_file(path), None
     if train_t is not None:
-        d_train, tests = _split(config, ds, train_t, seed)
+        d_train, tests = split(d_train)
         d_val = tests.get(train_t)
-    else:
-        d_train = ds
-    model, report = _train_on(config, seed, d_train, d_val=d_val)
-    model.name = _get(config, "model.name", "model")
+    model, report = fit(d_train, d_val=d_val)
+    model.name = name
     save_checkpoint(model, out / "model.json")
     write_history_csv(report, out / "history.csv")
     return ["model.json", "history.csv"]
 
 
 def cmd_eval(config, out: Path, seed: int):
-    model = load_checkpoint(_get(config, "model.checkpoint", required=True))
-    ds = _load_dataset(config)
-    train_t = _get(config, "data.train_t", None, float | None)
+    ckpt = _get(config, "model.checkpoint", required=True)
+    path = _get(config, "data.path", required=True)
+    train_t, split = _splitter(config, seed)
+    config.check()
+    model, ds = load_checkpoint(ckpt), read_extxyz_file(path)
     if train_t is not None:
-        _, tests = _split(config, ds, train_t, seed)
+        _, tests = split(ds)
     else:
         tags = {c.temperature_tag for c in ds}
         if None not in tags and len(tags) > 1:
@@ -245,94 +258,105 @@ def cmd_eval(config, out: Path, seed: int):
                      for t in sorted(tags)}
         else:
             tests = {"all_frames": ds}
-    rows = analysis.rmse_by_split(model, tests)
-    analysis.write_rmse_csv(rows, out / "rmse.csv")
+    analysis.write_rmse_csv(analysis.rmse_by_split(model, tests), out / "rmse.csv")
     return ["rmse.csv"]
 
 
 def cmd_landscape1d(config, out: Path, seed: int):
-    model = load_checkpoint(_get(config, "model.checkpoint", required=True))
-    ds = _load_dataset(config)
-    profile = landscape_mod.landscape_1d(
-        model, ds,
-        n_dirs=_get(config, "landscape.n_directions", 20, int),
-        t_grid=_landscape_grid(config),
-        frozen=_frozen_blocks(config, model),
-        seed=seed)
+    ckpt = _get(config, "model.checkpoint", required=True)
+    path = _get(config, "data.path", required=True)
+    n_dirs = _get(config, "landscape.n_directions", 20, int)
+    grid, frozen = _landscape_grid(config), _frozen(config)
+    config.check()
+    model, ds = load_checkpoint(ckpt), read_extxyz_file(path)
+    profile = landscape_mod.landscape_1d(model, ds, n_dirs=n_dirs, t_grid=grid,
+                                         frozen=frozen(model), seed=seed)
     landscape_mod.write_profile_csv(profile, out / "profile.csv")
     return ["profile.csv", "profile.csv.meta.json"]
 
 
 def cmd_landscape2d(config, out: Path, seed: int):
-    model = load_checkpoint(_get(config, "model.checkpoint", required=True))
-    ds = _load_dataset(config)
-    surface = landscape_mod.landscape_2d(
-        model, ds, t1_grid=_landscape_grid(config), t2_grid=_landscape_grid(config),
-        seed=seed, frozen=_frozen_blocks(config, model))
+    ckpt = _get(config, "model.checkpoint", required=True)
+    path = _get(config, "data.path", required=True)
+    grid, frozen = _landscape_grid(config), _frozen(config)
+    w_e = _get(config, "landscape.w_e", None, float | None)
+    w_f = _get(config, "landscape.w_f", None, float | None)
+    config.check()
+    model, ds = load_checkpoint(ckpt), read_extxyz_file(path)
+    surface = landscape_mod.landscape_2d(model, ds, t1_grid=grid, t2_grid=grid, seed=seed,
+                                         frozen=frozen(model))
     combined = None
-    if "landscape.w_e" in config or "landscape.w_f" in config:
-        combined = landscape_mod.reweight_surface(
-            surface, _get(config, "landscape.w_e", 1.0, float),
-            _get(config, "landscape.w_f", 0.0, float))
+    if w_e is not None or w_f is not None:
+        combined = landscape_mod.reweight_surface(surface, 1.0 if w_e is None else w_e,
+                                                  0.0 if w_f is None else w_f)
     landscape_mod.write_surface_csv(surface, out / "surface.csv", combined=combined)
     return ["surface.csv", "surface.csv.meta.json"]
 
 
 def cmd_interp(config, out: Path, seed: int):
-    m_a = load_checkpoint(_get(config, "model.checkpoint_a", required=True))
-    m_b = load_checkpoint(_get(config, "model.checkpoint_b", required=True))
-    ds = _load_dataset(config)
-    profile = landscape_mod.interpolate_models(m_a, m_b, ds, _landscape_grid(config, t_min=0.0))
+    ckpt_a = _get(config, "model.checkpoint_a", required=True)
+    ckpt_b = _get(config, "model.checkpoint_b", required=True)
+    path = _get(config, "data.path", required=True)
+    grid = _landscape_grid(config, t_min=0.0)
+    config.check()
+    profile = landscape_mod.interpolate_models(load_checkpoint(ckpt_a), load_checkpoint(ckpt_b),
+                                               read_extxyz_file(path), grid)
     landscape_mod.write_profile_csv(profile, out / "profile.csv")
     return ["profile.csv", "profile.csv.meta.json"]
 
 
 def cmd_entropy(config, out: Path, seed: int):
-    profile, ppath = _load_profile(config)
-    report = entropy_mod.entropy_from_profile(
-        profile,
+    path = _get(config, "profile.path", required=True)
+    entropy = partial(
+        entropy_mod.entropy_from_profile,
         T_E=_get(config, "entropy.t_e", entropy_mod.DEFAULT_T_E, float),
         T_F=_get(config, "entropy.t_f", entropy_mod.DEFAULT_T_F, float),
         alpha=_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA, float),
-        profile_ref=ppath)
+        profile_ref=path)
+    config.check()
+    report = entropy(landscape_mod.read_profile_csv(path))
     entropy_mod.write_report_json(report, out / "entropy.json")
     return ["entropy.json"]
 
 
 def cmd_sweep_entropy(config, out: Path, seed: int):
-    profile, ppath = _load_profile(config)
-    reports, info = entropy_mod.temperature_sweep(
-        profile,
+    path = _get(config, "profile.path", required=True)
+    sweep = partial(
+        entropy_mod.temperature_sweep,
         T_E_range=tuple(_get(config, "sweep.t_e_range", [0.4, 400.0], list[float])),
         T_F_range=tuple(_get(config, "sweep.t_f_range", [4.0, 4000.0], list[float])),
         alpha=_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA, float),
         n_points=_get(config, "sweep.points", 25, int),
-        profile_ref=ppath)
+        profile_ref=path)
+    config.check()
+    reports, info = sweep(landscape_mod.read_profile_csv(path))
     entropy_mod.write_sweep_csv(reports, out / "sweep.csv", info=info)
     return ["sweep.csv", "sweep.csv.meta.json"]
 
 
 def cmd_md(config, out: Path, seed: int):
-    if "model.checkpoint" in config:
-        model = load_checkpoint(_get(config, "model.checkpoint"))
-        name = model.name
-    else:
-        model = _potential(config)
-        name = "reference"
-    if "data.path" in config:
-        start = _load_dataset(config)[0]
+    """MD of the checkpoint's model, else the potential, from data.path's frame 0 or a cluster."""
+    ckpt = _get(config, "model.checkpoint", None, str | None)
+    path = _get(config, "data.path", None, str | None)
+    pot = _potential(config) if ckpt is None or path is None else None
+    if path is None:
+        n_atoms = _get(config, "data.n_atoms", 6, int)
+        species = _get(config, "data.species", "Ar")
+    cfg = _build(MDConfig, config, "md", seed=seed)
+    bond_factor = None if cfg.bond_list else _get(config, "md.bond_factor", 1.2, float)
+    config.check()
+    model = pot if ckpt is None else load_checkpoint(ckpt)
+    name = "reference" if ckpt is None else model.name
+    if path is not None:
+        start = read_extxyz_file(path)[0]
         if start.cell is not None and start.pbc.any():   # the integrator has no cell
             raise ConfigError("md cannot run a periodic start frame (data.path)")
         start = Configuration(start.positions.copy(), list(start.species))
     else:
-        pot = _potential(config)
-        n_atoms = _get(config, "data.n_atoms", 6, int)
         positions = build_cluster(pot, n_atoms, seed=substream(seed, "cluster").integers(2**31))
-        start = Configuration(positions, [_get(config, "data.species", "Ar")] * n_atoms)
-    cfg = _build(MDConfig, config, "md", seed=seed)
+        start = Configuration(positions, [species] * n_atoms)
     if not cfg.bond_list:
-        cfg.bond_list = infer_bond_list(start.positions,
-                                        factor=_get(config, "md.bond_factor", 1.2, float))
+        cfg.bond_list = infer_bond_list(start.positions, factor=bond_factor)
     dump = cfg.dump_interval is not None
     records, summary = run_ensemble(model, start, cfg, dump_dir=out if dump else None)
     write_ensemble_json(records, summary, cfg, out / "ensemble.json", model_name=name)
@@ -344,18 +368,23 @@ def cmd_md(config, out: Path, seed: int):
 
 
 def cmd_noise_sweep(config, out: Path, seed: int):
-    base = _load_dataset(config)
+    path = _get(config, "data.path", required=True)
     sigmas = _get(config, "noise.sigmas", [0.0, 0.02, 0.05, 0.1], list[float])
     target = _get(config, "noise.target", "forces")
+    specs = [NoiseSpec(sigma=sigma, target=target,
+                       seed=int(substream(seed, "noise", k).integers(2**31)))
+             for k, sigma in enumerate(sigmas)]
+    fit = _trainer(config, seed)
+    config.check()
+    base = read_extxyz_file(path)
     rows = []
-    for k, sigma in enumerate(sigmas):
-        noise_seed = int(substream(seed, "noise", k).integers(2**31))
-        noisy = corrupt_labels(base, NoiseSpec(sigma=sigma, target=target, seed=noise_seed))
-        model, _ = _train_on(config, seed, noisy)
+    for spec in specs:
+        noisy = corrupt_labels(base, spec)
+        model, _ = fit(noisy)
         rmse_noisy = loss_eval(model, noisy).loss_F
         rmse_orig = loss_eval(model, base).loss_F
-        baseline = sigma * (base.sigma_dft_force or 0.0) * 1000.0
-        rows.append((sigma, rmse_noisy, rmse_orig, baseline))
+        baseline = spec.sigma * (base.sigma_dft_force or 0.0) * 1000.0
+        rows.append((spec.sigma, rmse_noisy, rmse_orig, baseline))
     write_csv(out / "noise_sweep.csv",
               ("sigma", "force_rmse_vs_noisy_mev_per_ang", "force_rmse_vs_original_mev_per_ang",
                "noise_baseline_mev_per_ang"), rows)
@@ -363,38 +392,46 @@ def cmd_noise_sweep(config, out: Path, seed: int):
 
 
 def cmd_learning_curve(config, out: Path, seed: int):
-    ds = _load_dataset(config)
-    d_train, tests = _split(config, ds, _get(config, "data.train_t", tp=float, required=True),
-                            seed)
+    path = _get(config, "data.path", required=True)
+    _, split = _splitter(config, seed, required=True)
     sizes = _get(config, "curve.sizes", [25, 50, 100, 200], list[int])
+    fit = _trainer(config, seed)
+    config.check()
+    d_train, tests = split(read_extxyz_file(path))
     points = []
     for n in sizes:
         if n > len(d_train):
             raise ConfigError(f"curve size {n} exceeds training split ({len(d_train)})")
         idx = substream(seed, "curve", n).permutation(len(d_train))[:n]
         subset = Dataset([d_train[i] for i in sorted(idx)], name=f"{d_train.name}-n{n}")
-        model, _ = _train_on(config, seed, subset)
+        model, _ = fit(subset)
         pooled = analysis.rmse_by_split(model, tests)[-1]
         points.append((n, pooled["force_rmse_mev_per_ang"]))
     write_csv(out / "learning_curve.csv", ("n", "force_rmse_mev_per_ang"), points)
-    fit = analysis.learning_curve_slope(points)
-    analysis.write_slope_json(fit, out / "slope.json")
+    analysis.write_slope_json(analysis.learning_curve_slope(points), out / "slope.json")
     return ["learning_curve.csv", "slope.json"]
 
 
 def cmd_toy_regression(config, out: Path, seed: int):
-    result = analysis.toy_regression_experiment(
+    experiment = partial(
+        analysis.toy_regression_experiment,
         _get(config, "toy.n_list", [2, 10, 100, 1000, 10000], list[int]),
         _get(config, "toy.sigma_list", [0.0, 0.5, 1.0, 2.0], list[float]),
         repeats=_get(config, "toy.repeats", 100, int),
         seed=seed)
-    analysis.write_toy_csv(result, out / "toy.csv")
+    config.check()
+    analysis.write_toy_csv(experiment(), out / "toy.csv")
     return ["toy.csv"]
 
 
 def cmd_fit_slopes(config, out: Path, seed: int):
     path = _get(config, "slopes.input", required=True)
     mode = _get(config, "slopes.mode", "extrapolation")
+    slope = {"extrapolation": analysis.extrapolation_slope,
+             "learning-curve": analysis.learning_curve_slope}.get(mode)
+    if slope is None:
+        raise ConfigError(f"unknown slopes.mode {mode!r}")
+    config.check()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")   # a short row fails float() below
         x_col, *rest = reader.fieldnames or [None]
@@ -403,65 +440,18 @@ def cmd_fit_slopes(config, out: Path, seed: int):
         y_col = "force_rmse_mev_per_ang" if "force_rmse_mev_per_ang" in rest else rest[0]
         points = [(float(row[x_col]), float(row[y_col])) for row in reader
                   if row[x_col] != "all"]
-    if mode == "extrapolation":
-        fit = analysis.extrapolation_slope(points)
-    elif mode == "learning-curve":
-        fit = analysis.learning_curve_slope(points)
-    else:
-        raise ConfigError(f"unknown slopes.mode {mode!r}")
-    analysis.write_slope_json(fit, out / "slope.json")
+    analysis.write_slope_json(slope(points), out / "slope.json")
     return ["slope.json"]
 
 
-# The config keys each command reads besides ``seed`` and ``out``; any other key
-# is an error.  An entry ending in "." admits every key under it (make_potential
-# rejects a parameter it does not know).
-_DATA = ("data.path",)
-_SPLIT = ("data.train_t", "data.holdout_fraction")
-_CLUSTER = ("potential.", "data.n_atoms", "data.species")
-_MODEL = ("model.cutoff", "model.n_radial", "model.first_center", "model.trainable_basis",
-          "model.hidden", "model.activation", "model.rescale")
-_TRAIN = tuple(f"train.{f.name}" for f in fields(TrainConfig))
-_MD = tuple(f"md.{f.name}" for f in fields(MDConfig) if f.name != "seed") + ("md.bond_factor",)
-_GRID = ("landscape.t_min", "landscape.t_max", "landscape.points")
-_LANDSCAPE = _DATA + _GRID + ("model.checkpoint", "landscape.frozen_blocks",
-                              "landscape.freeze_basis")
-_GEN = ("data.temperatures", "data.frames_per_t", "data.timestep_fs", "data.tau_fs",
-        "data.stride", "data.burn_in_steps")
 _INPUTS = ("data.path", "profile.path", "slopes.input", "model.checkpoint", "model.checkpoint_a",
            "model.checkpoint_b")   # the keys that name an input file
 
-COMMANDS = {
-    "gen-data": (cmd_gen_data, _CLUSTER + _GEN),
-    "train": (cmd_train, _DATA + _SPLIT + _MODEL + _TRAIN + ("model.name",)),
-    "eval": (cmd_eval, _DATA + _SPLIT + ("model.checkpoint",)),
-    "landscape1d": (cmd_landscape1d, _LANDSCAPE + ("landscape.n_directions",)),
-    "landscape2d": (cmd_landscape2d, _LANDSCAPE + ("landscape.w_e", "landscape.w_f")),
-    "interp": (cmd_interp, _DATA + _GRID + ("model.checkpoint_a", "model.checkpoint_b")),
-    "entropy": (cmd_entropy, ("profile.path", "entropy.t_e", "entropy.t_f", "entropy.alpha")),
-    "sweep-entropy": (cmd_sweep_entropy, ("profile.path", "entropy.alpha", "sweep.t_e_range",
-                                          "sweep.t_f_range", "sweep.points")),
-    "md": (cmd_md, _DATA + _CLUSTER + _MD + ("model.checkpoint",)),
-    "noise-sweep": (cmd_noise_sweep, _DATA + _MODEL + _TRAIN + ("noise.sigmas", "noise.target")),
-    "learning-curve": (cmd_learning_curve, _DATA + _SPLIT + _MODEL + _TRAIN + ("curve.sizes",)),
-    "toy-regression": (cmd_toy_regression, ("toy.n_list", "toy.sigma_list", "toy.repeats")),
-    "fit-slopes": (cmd_fit_slopes, ("slopes.input", "slopes.mode")),
-}
-
-
-def _check_keys(command, config):
-    """Reject every key the command does not read, naming the keys it does, and every
-    input file that does not exist."""
-    keys = ("seed", "out") + COMMANDS[command][1]
-    prefixes = tuple(k for k in keys if k.endswith("."))
-    unread = sorted(k for k in config if k not in keys and not k.startswith(prefixes))
-    if unread:
-        reads = ", ".join(k + "*" if k.endswith(".") else k for k in keys)
-        raise ConfigError(f"{command} does not read config key(s) {', '.join(unread)}; "
-                          f"it reads {reads}")
-    for key in _INPUTS:
-        if key in config and not os.path.exists(path := _get(config, key)):
-            raise ConfigError(f"{key} not found: {path}")
+COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "eval": cmd_eval,
+            "landscape1d": cmd_landscape1d, "landscape2d": cmd_landscape2d, "interp": cmd_interp,
+            "entropy": cmd_entropy, "sweep-entropy": cmd_sweep_entropy, "md": cmd_md,
+            "noise-sweep": cmd_noise_sweep, "learning-curve": cmd_learning_curve,
+            "toy-regression": cmd_toy_regression, "fit-slopes": cmd_fit_slopes}
 
 
 def run_command(command: str, config: dict, out_dir) -> int:
@@ -469,6 +459,7 @@ def run_command(command: str, config: dict, out_dir) -> int:
     if command not in COMMANDS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return EXIT_CONFIG
+    config = _Config(command, config)
     out = Path(out_dir)
     manifest = {
         "command": command,
@@ -483,8 +474,7 @@ def run_command(command: str, config: dict, out_dir) -> int:
     code = EXIT_OK
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _check_keys(command, config)
-        artifacts = COMMANDS[command][0](config, out, seed=_get(config, "seed", 0, int))
+        artifacts = COMMANDS[command](config, out, seed=_get(config, "seed", 0, int))
         manifest["artifacts"] = {name: _sha256(out / name) for name in artifacts}
         manifest["status"] = "ok"
     except (ValueError, ArithmeticError, OSError) as exc:

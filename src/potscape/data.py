@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,8 @@ class Configuration:
             if self.pbc is None:
                 self.pbc = np.array([True, True, True])
             self.pbc = np.asarray(self.pbc, dtype=bool)
+            if self.pbc.shape != (3,):
+                raise ValueError("pbc needs 3 flags")
             if np.any(self.pbc) and abs(np.linalg.det(self.cell)) < 1e-12:
                 raise ValueError("periodic cell is singular")
 
@@ -165,6 +168,8 @@ def _frame(comment: str, rows: list[list[str]]) -> Configuration:
         raise ValueError("bad column count in Properties") from None
     ends = list(itertools.accumulate(widths))
     columns = list(zip(fields[::3], [0] + ends, ends))   # (name, first, end) per property
+    if "pos" not in fields[::3]:
+        raise ValueError("Properties has no pos column")
 
     energy = float(_floats(items["energy"], "energy")) if "energy" in items else None
     cell = pbc = None
@@ -173,8 +178,13 @@ def _frame(comment: str, rows: list[list[str]]) -> Configuration:
         if cell.size != 9:
             raise ValueError("Lattice needs 9 numbers")
         cell = cell.reshape(3, 3)
-        if "pbc" in items:
-            pbc = np.array([t in ("T", "True", "1") for t in items["pbc"].split()])
+    if "pbc" in items:
+        if cell is None:
+            raise ValueError("pbc needs a Lattice")
+        tokens = items["pbc"].split()
+        if not set(tokens) <= {"T", "True", "1", "F", "False", "0"}:
+            raise ValueError(f"pbc takes only T, True, 1, F, False and 0, got {items['pbc']!r}")
+        pbc = np.array([t in ("T", "True", "1") for t in tokens])
     temperature = (float(_floats(items["temperature"], "temperature"))
                    if "temperature" in items else None)
 
@@ -192,7 +202,7 @@ def _frame(comment: str, rows: list[list[str]]) -> Configuration:
                     _floats(r[first:end], f"{name} on atom line {a}")
         raise
     species = [r[first] for name, first, _ in columns if name == "species" for r in rows]
-    return Configuration(values.get("pos", np.zeros((len(rows), 3))), species, energy=energy,
+    return Configuration(values["pos"], species, energy=energy,
                          forces=values.get("forces"), cell=cell, pbc=pbc,
                          temperature_tag=temperature)
 
@@ -333,21 +343,18 @@ class DatasetStats:
 
 
 def dataset_stats(d: Dataset) -> DatasetStats:
-    """Label distributions: per-atom energies (meV/atom), force components (eV/A)."""
-    e = np.array([c.energy / c.n_atoms for c in d if c.energy is not None])
+    """Label distributions: per-atom energies (meV/atom), force components (eV/A); the
+    standard deviations are the dataset's ``sigma_dft_energy`` and ``sigma_dft_force``."""
+    e = [c.energy / c.n_atoms for c in d if c.energy is not None]
     f = [c.forces.ravel() for c in d if c.forces is not None]
-    counts: dict = {}
-    for c in d:
-        counts[c.temperature_tag] = counts.get(c.temperature_tag, 0) + 1
-    fcat = np.concatenate(f) if f else None
     return DatasetStats(
         n_configurations=len(d),
         n_atoms_total=sum(c.n_atoms for c in d),
-        energy_mean_mev_per_atom=float(np.mean(e)) * 1000.0 if len(e) else None,
-        energy_std_mev_per_atom=float(np.std(e)) * 1000.0 if len(e) else None,
-        force_mean_ev_per_ang=float(np.mean(fcat)) if fcat is not None else None,
-        force_std_ev_per_ang=float(np.std(fcat)) if fcat is not None else None,
-        counts_per_temperature=counts,
+        energy_mean_mev_per_atom=float(np.mean(e)) * 1000.0 if e else None,
+        energy_std_mev_per_atom=d.sigma_dft_energy,
+        force_mean_ev_per_ang=float(np.mean(np.concatenate(f))) if f else None,
+        force_std_ev_per_ang=d.sigma_dft_force,
+        counts_per_temperature=dict(Counter(c.temperature_tag for c in d)),
     )
 
 

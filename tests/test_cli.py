@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from potscape import landscape
-from potscape.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config_file, main,
-                          run_command)
+from potscape import cli, landscape
+from potscape.cli import (COMMANDS, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config_file,
+                          main, run_command)
 from potscape.data import read_extxyz_file, split_by_temperature
 from potscape.descriptors import DescriptorSpec
 from potscape.model import NeuralPotential, fit_rescale, load_checkpoint
@@ -56,16 +56,30 @@ def model_dir(tmp_path_factory, gen_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def profile_dir(tmp_path_factory, gen_dir, model_dir):
+    out = tmp_path_factory.mktemp("profile")
+    config = {"model.checkpoint": str(model_dir / "model.json"),
+              "data.path": str(gen_dir / "dataset.extxyz"), "landscape.n_directions": 1,
+              "landscape.points": 3}
+    assert run_command("landscape1d", config, out) == EXIT_OK
+    return out
+
+
 class TestErrors:
     def test_unknown_command(self, tmp_path):
         assert run_command("frobnicate", {}, tmp_path) == EXIT_CONFIG
 
-    def test_invalid_config_key(self, tmp_path):
-        code = run_command("toy-regression", {"bogus.key": 1}, tmp_path)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_invalid_config_key(self, gen_dir, model_dir, profile_dir, tmp_path, command):
+        # a command that worked before checking its keys would leave an artifact
+        config = {**TestKeyTable.base(command, gen_dir, model_dir, profile_dir), "bogus.key": 1}
+        code = run_command(command, config, tmp_path)
         assert code == EXIT_CONFIG
         manifest = read_manifest(tmp_path)
         assert manifest["status"] == "failed"
         assert "bogus.key" in manifest["error"]["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("command,key", [
         ("entropy", "profile.path"),
@@ -206,10 +220,18 @@ class TestKeyTable:
     """Each command accepts only the keys it reads, cast like the dataclass defaults."""
 
     @staticmethod
-    def base(command, gen_dir, model_dir):
+    def base(command, gen_dir, model_dir, profile_dir=None):
         data, ckpt = str(gen_dir / "dataset.extxyz"), str(model_dir / "model.json")
+        profile = str(profile_dir / "profile.csv") if profile_dir else None
         return {
             "train": {"data.path": data, "seed": 3, **FAST_TRAIN},
+            "eval": {"model.checkpoint": ckpt, "data.path": data},
+            "landscape2d": {"model.checkpoint": ckpt, "data.path": data, "landscape.points": 3},
+            "interp": {"model.checkpoint_a": ckpt, "model.checkpoint_b": ckpt, "data.path": data,
+                       "landscape.points": 3},
+            "entropy": {"profile.path": profile},
+            "sweep-entropy": {"profile.path": profile, "sweep.points": 3},
+            "fit-slopes": {"slopes.input": str(model_dir / "history.csv")},
             "md": {"model.checkpoint": ckpt, "potential.kind": "morse", "data.n_atoms": 5,
                    "data.species": "Cu", "md.temperature": 300, "md.total_time_ps": 0.02,
                    "md.n_trajectories": 1, "md.failure_bond_length": 3.75, "seed": 3},
@@ -236,9 +258,36 @@ class TestKeyTable:
         ("landscape1d", "data.train_t"),
         ("train", "landscape.points"),
         ("md", "md.seed"),
+        # keys that act only together with another key, or only without it
+        ("train", "data.holdout_fraction"),
+        ("eval", "data.holdout_fraction"),
+        ("md", "data.n_atoms"),
+        ("md", "potential.kind"),
+        ("md", "data.species"),
+        ("md", "md.bond_factor"),
     ])
     def test_unread_key_rejected(self, gen_dir, model_dir, tmp_path, command, key):
+        # each of the last six once exited 0 with the key silently ignored
         config = {**self.base(command, gen_dir, model_dir), key: 1}
+        if key in ("data.n_atoms", "potential.kind", "data.species"):   # no cluster to build
+            config["data.path"] = str(gen_dir / "dataset.extxyz")
+        if key == "md.bond_factor":   # no bonds to infer
+            config["md.bond_list"] = [[0, 1]]
+        assert run_command(command, config, tmp_path) == EXIT_CONFIG
+        self.assert_rejected(tmp_path, key)
+
+    @pytest.mark.parametrize("command,key,value", [("train", "model.name", ["x"]),
+                                                   ("landscape2d", "landscape.w_e", "abc")],
+                             ids=["train-model.name", "landscape2d-landscape.w_e"])
+    def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, tmp_path, monkeypatch,
+                                             command, key, value):
+        # these values were once cast only after training or after the whole surface
+        def work(*args, **kwargs):
+            raise AssertionError("the run worked before casting its values")
+        for module, name in ((cli, "train"), (landscape, "landscape_2d"),
+                             (cli, "read_extxyz_file"), (cli, "load_checkpoint")):
+            monkeypatch.setattr(module, name, work)
+        config = {**self.base(command, gen_dir, model_dir), key: value}
         assert run_command(command, config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, key)
 

@@ -123,15 +123,22 @@ class TestParse:
         pytest.param("1\nProperties=species:S:1:species:S:1:pos:R:3\nH He 0 0 0",
                      "frame 0: species count does not match positions", id="two-species"),
         pytest.param("1\nProperties=species:S:1 energy=1\nH",
-                     {"species": ["H"], "positions": [[0, 0, 0]], "energy": 1.0},
-                     id="no-pos-reads-zeros"),
+                     "frame 0: Properties has no pos column", id="no-pos-column"),
         pytest.param('1\nLattice="10 0 0 0 10 0 0 0 10" pbc="True 1 F"\nH 0 0 0',
                      {"species": ["H"], "positions": [[0, 0, 0]], "cell": CUBE,
                       "pbc": [True, True, False]},
                      id="pbc-tokens"),
-        pytest.param('1\npbc="T T T" energy=0\nH 0 0 0',
-                     {"species": ["H"], "positions": [[0, 0, 0]], "energy": 0.0},
+        pytest.param('1\npbc="T T T" energy=0\nH 0 0 0', "frame 0: pbc needs a Lattice",
                      id="pbc-without-lattice"),
+        pytest.param('1\nLattice="10 0 0 0 10 0 0 0 10" pbc="T T"\nH 0 0 0',
+                     "frame 0: pbc needs 3 flags", id="pbc-of-2"),
+        pytest.param('1\nLattice="10 0 0 0 10 0 0 0 10" pbc="T"\nH 0 0 0',
+                     "frame 0: pbc needs 3 flags", id="pbc-of-1"),
+        pytest.param('1\nLattice="10 0 0 0 10 0 0 0 10" pbc="T T T T"\nH 0 0 0',
+                     "frame 0: pbc needs 3 flags", id="pbc-of-4"),
+        pytest.param('1\nLattice="10 0 0 0 10 0 0 0 10" pbc="T yes F"\nH 0 0 0',
+                     "frame 0: pbc takes only T, True, 1, F, False and 0, got 'T yes F'",
+                     id="pbc-unknown-token"),
         pytest.param("1\nenergy=2.5\tProperties=species:S:1:pos:R:3\tfoo\nH\t1\t2\t3",
                      {"species": ["H"], "positions": [[1, 2, 3]], "energy": 2.5},
                      id="tabs"),
