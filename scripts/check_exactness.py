@@ -10,10 +10,14 @@ which together decide the rounding) and then ``<case> <sha256>`` lines.  The
 cases are the Lennard-Jones, Morse and neural energies and forces of batches
 of B = 1, 4 and 30 frames, with pairs at the cutoff and in the switching
 window, plus a periodic batch; the neural model with a fixed and a trainable
-basis and hidden layers (), (16, 16) and (5, 4, 3); and ``tables_loss`` and
-``tables_loss_grad`` on a table and on its ``frame_range`` sub-tables.  Run it
-on two trees, on the same host, and compare: ``--compare`` lists the cases
-whose digests differ, or that only one file has, and exits 1 if there are any.
+basis and hidden layers (), (16, 16) and (5, 4, 3); ``tables_loss`` and
+``tables_loss_grad`` on a table and on its ``frame_range`` sub-tables; and a
+``landscape_1d`` profile and a ``landscape_2d`` surface, with their metadata,
+for a fixed and a trainable basis.  Run it on two trees, on the same host, and
+compare: ``--compare`` lists the cases whose digests differ, or that only one
+file has, and exits 1 if there are any.  The landscapes split their points over
+the CPUs of the affinity mask, so a run under ``taskset -c 0`` against one with
+several CPUs compares the forked path with the one-process path.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
+import json
 import platform
 import sys
 from dataclasses import astuple
@@ -60,10 +65,11 @@ def openblas_config() -> str:
     return f"{blas.get('name')} {blas.get('version')} (no runtime config)"
 
 
-def digest(*arrays) -> str:
+def digest(*arrays, text: str = "") -> str:
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    h.update(text.encode())
     return h.hexdigest()
 
 
@@ -98,6 +104,7 @@ def batches(rng, cutoff, switch_start):
 def cases():
     from potscape.data import Configuration, Dataset
     from potscape.descriptors import DescriptorSpec
+    from potscape.landscape import landscape_1d, landscape_2d
     from potscape.model import (DatasetTables, NeuralPotential, Rescale, tables_loss,
                                 tables_loss_grad)
     from potscape.potentials import LennardJones, Morse
@@ -136,6 +143,15 @@ def cases():
                 loss, grad = tables_loss_grad(m, table, v, 1.0, 25.0)
                 yield f"{name}/{label}/loss_grad", digest(astuple(loss), grad)
                 yield f"{name}/{label}/loss", digest(astuple(tables_loss(m, table, v, 1.0, 25.0)))
+            if hidden == HIDDEN[1]:
+                grid = np.linspace(-1.0, 1.0, 5)
+                for label, result in (
+                        ("landscape1d", landscape_1d(m, dataset, n_dirs=3, t_grid=grid, seed=5)),
+                        ("landscape2d", landscape_2d(m, dataset, t1_grid=grid, t2_grid=grid[1:4],
+                                                     seed=5))):
+                    yield f"{name}/{label}", digest(
+                        result.loss_E, result.loss_F,
+                        text=json.dumps(result.metadata, sort_keys=True))
 
 
 def read_digests(path) -> dict:

@@ -35,7 +35,7 @@ from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_st
 from .descriptors import DescriptorSpec
 from .md import MDConfig, infer_bond_list, run_ensemble, write_ensemble_json, write_summary_csv
 from .model import NeuralPotential, fit_rescale, load_checkpoint, loss_eval, save_checkpoint
-from .potentials import build_cluster, make_potential
+from .potentials import build_cluster, potential_class
 from .seeding import substream
 from .training import TrainConfig, train, write_history_csv
 
@@ -114,14 +114,10 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 def _potential(config):
-    """``make_potential`` of ``potential.kind``, the other ``potential.*`` keys its parameters."""
-    kind = _get(config, "potential.kind", required=True)
-    params = [k for k in config if k.startswith("potential.") and k != "potential.kind"]
-    config.read.update(dict.fromkeys(params))
-    try:
-        return make_potential(kind, **{k.split(".", 1)[1]: config[k] for k in params})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad potential spec: {exc}") from None
+    """The pair potential that ``potential.kind`` names, each field read from
+    ``potential.<field>``, else its default."""
+    return _build(potential_class(_get(config, "potential.kind", required=True)), config,
+                  "potential")
 
 
 def _cast(tp, value):
@@ -398,10 +394,10 @@ def cmd_learning_curve(config, out: Path, seed: int):
     fit = _trainer(config, seed)
     config.check()
     d_train, tests = split(read_extxyz_file(path))
+    if max(sizes, default=0) > len(d_train):   # before any model is trained
+        raise ConfigError(f"curve size {max(sizes)} exceeds training split ({len(d_train)})")
     points = []
     for n in sizes:
-        if n > len(d_train):
-            raise ConfigError(f"curve size {n} exceeds training split ({len(d_train)})")
         idx = substream(seed, "curve", n).permutation(len(d_train))[:n]
         subset = Dataset([d_train[i] for i in sorted(idx)], name=f"{d_train.name}-n{n}")
         model, _ = fit(subset)

@@ -136,13 +136,18 @@ class Morse(_PairPotential):
         return self.r0
 
 
-def make_potential(kind: str, **kwargs):
+def potential_class(kind: str):
+    """The pair potential dataclass that ``kind`` names, in any case."""
     kind = kind.lower()
     if kind in ("lj", "lennardjones", "lennard-jones"):
-        return LennardJones(**kwargs)
+        return LennardJones
     if kind == "morse":
-        return Morse(**kwargs)
+        return Morse
     raise ValueError(f"unknown potential kind {kind!r}")
+
+
+def make_potential(kind: str, **kwargs):
+    return potential_class(kind)(**kwargs)
 
 
 def build_cluster(pot, n_atoms: int, seed: int = 0, relax_steps: int = 800) -> np.ndarray:

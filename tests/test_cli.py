@@ -403,6 +403,36 @@ class TestKeyTable:
         config = {"model.checkpoint": 987654, "data.path": str(gen_dir / "dataset.extxyz")}
         assert run_command("eval", config, tmp_path / "out") == EXIT_OK
 
+    @pytest.mark.parametrize("value,code", [("true", EXIT_CONFIG), ('"0.4"', EXIT_OK)])
+    def test_potential_keys_cast(self, tmp_path, value, code):
+        # potential.* values once reached the potential uncast: true ran as a well
+        # depth of 1.0, and "0.4" exited 2 from a comparison inside Morse
+        sets = {"potential.kind": "morse", "data.n_atoms": 4, "data.species": "Cu",
+                "md.temperature": 300, "md.total_time_ps": 0.02, "md.n_trajectories": 1,
+                "md.failure_bond_length": 3.75}
+        args = [arg for k, v in sets.items() for arg in ("--set", f"{k}={json.dumps(v)}")]
+        assert main(["md", "--out", str(tmp_path / "number"), *args,
+                     "--set", "potential.well_depth=0.4"]) == EXIT_OK
+        out = tmp_path / "given"
+        assert main(["md", "--out", str(out), *args,
+                     "--set", f"potential.well_depth={value}"]) == code
+        if code == EXIT_CONFIG:
+            self.assert_rejected(out, "potential.well_depth")
+        else:
+            assert ((out / "ensemble.json").read_bytes()
+                    == (tmp_path / "number" / "ensemble.json").read_bytes())
+
+    def test_curve_sizes_checked_before_training(self, gen_dir, model_dir, tmp_path,
+                                                 monkeypatch):
+        # the sizes below the split's were once trained before the run exited 2
+        fits = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: fits.append(args))
+        config = {**self.base("learning-curve", gen_dir, model_dir), "curve.sizes": [4, 8, 100]}
+        assert run_command("learning-curve", config, tmp_path) == EXIT_CONFIG
+        assert fits == []
+        assert (read_manifest(tmp_path)["error"]["message"]
+                == "curve size 100 exceeds training split (11)")
+
     def test_dump_interval_cast_to_int(self, gen_dir, model_dir, tmp_path):
         config = {**self.base("md", gen_dir, model_dir), "md.dump_interval": "10"}
         assert run_command("md", config, tmp_path) == EXIT_OK

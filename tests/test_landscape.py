@@ -1,9 +1,14 @@
 import hashlib
+import json
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from potscape import landscape
 from potscape.descriptors import DescriptorSpec
 from potscape.landscape import (DegenerateDirectionError, Direction, LandscapeProfile,
                                 filter_normalize, interpolate_models, landscape_1d,
@@ -317,6 +322,120 @@ class TestInterpolation:
         ds = labeled_dataset(mA, 2, seed=99, energy_offset=0.01)
         with pytest.raises(ValueError, match="share"):
             interpolate_models(mA, mB, ds)
+
+
+def cpus(monkeypatch, n):
+    """Make the scan see n CPUs in the affinity mask; returns the list of the CPU
+    sets that the parent pins itself to (a child pins itself in its own copy)."""
+    pinned = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pinned.append(sorted(mask)))
+    return pinned
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitOverCPUs:
+    """The scan splits the points over the CPUs of the affinity mask, one process
+    each; the split never shows in a result."""
+
+    @staticmethod
+    def all_kinds(m, ds):
+        grid = np.linspace(-1.0, 1.0, 5)
+        return [landscape_1d(m, ds, n_dirs=3, t_grid=grid, seed=7),
+                landscape_2d(m, ds, t1_grid=grid, t2_grid=np.linspace(-0.5, 0.5, 3), seed=7),
+                interpolate_models(m, m.with_values(1.1 * m.params.values), ds,
+                                   np.linspace(0.0, 1.0, 4))]
+
+    @pytest.mark.parametrize("trainable_basis", [False, True])
+    def test_bytes_do_not_depend_on_the_cpus(self, monkeypatch, trainable_basis):
+        m = random_model(6, trainable_basis=trainable_basis)
+        ds = labeled_dataset(m, 3, seed=56, energy_offset=0.02)
+        mask = os.sched_getaffinity(0)
+
+        def run():
+            return [(r.loss_E.tobytes(), r.loss_F.tobytes(),
+                     json.dumps(r.metadata, sort_keys=True)) for r in self.all_kinds(m, ds)]
+        results = {"this host": run()}   # each process really pinned to its CPU
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child_left()
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for n in (1, 2, 3):
+            pinned = cpus(monkeypatch, n)
+            results[n] = run()
+            assert len(forks) == 3 * (n - 1)   # each of the 3 scans has 4 points or more
+            assert pinned == ([[0], list(range(n))] * 3 if n > 1 else [])
+            forks.clear()
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+        assert results["this host"] == results[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cpus,n_points,n_forks", [(1, 3, 0), (3, 2, 1), (2, 1, 0)])
+    def test_one_process_per_cpu_at_most_one_per_point(self, monkeypatch, n_cpus, n_points,
+                                                       n_forks):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cpus(monkeypatch, n_cpus)
+        m = random_model(6)
+        profile = interpolate_models(m, m, labeled_dataset(m, 2, seed=56),
+                                     np.linspace(0.0, 1.0, n_points))
+        assert len(forks) == n_forks
+        assert profile.metadata["n_evaluations"] == n_points
+
+    @pytest.mark.parametrize("fault", ["raise", "sigkill"])
+    def test_failed_child_raises_and_is_reaped(self, monkeypatch, fault):
+        parent, loss = os.getpid(), landscape.tables_loss
+
+        def child_fails(*args):
+            if os.getpid() != parent:
+                if fault == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("a fault in a child only")
+            return loss(*args)
+        monkeypatch.setattr(landscape, "tables_loss", child_fails)
+        pinned = cpus(monkeypatch, 3)
+        m = random_model(6)
+        with pytest.raises(ChildProcessError, match="landscape worker"):
+            landscape_1d(m, labeled_dataset(m, 2, seed=56), n_dirs=2, t_grid=[-1.0, 0.0, 1.0])
+        assert_no_child_left()
+        assert pinned == [[0], [0, 1, 2]]   # the parent's mask is restored
+
+    def test_child_that_sends_short_data_raises(self, monkeypatch):
+        parent, real_open = os.getpid(), open
+
+        def no_send(file, mode="r"):   # a child's losses go nowhere; it still exits 0
+            return real_open(os.devnull if os.getpid() != parent else file, mode)
+        monkeypatch.setattr(landscape, "open", no_send, raising=False)
+        cpus(monkeypatch, 2)
+        m = random_model(6)
+        with pytest.raises(ChildProcessError, match="exited 0 after sending 0 bytes"):
+            landscape_1d(m, labeled_dataset(m, 2, seed=56), n_dirs=2, t_grid=[-1.0, 0.0, 1.0])
+        assert_no_child_left()
+
+    def test_parent_fault_kills_the_children(self, monkeypatch):
+        parent, loss, calls = os.getpid(), landscape.tables_loss, []
+
+        def parent_fails(*args):
+            if os.getpid() != parent:
+                time.sleep(60)   # reaped within the test only if the parent kills it
+            calls.append(1)
+            if len(calls) == 2:   # the parent's first point after the fork
+                raise KeyboardInterrupt
+            return loss(*args)
+        monkeypatch.setattr(landscape, "tables_loss", parent_fails)
+        pinned = cpus(monkeypatch, 2)
+        m = random_model(6)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            landscape_1d(m, labeled_dataset(m, 2, seed=56), n_dirs=2, t_grid=[-1.0, 0.0, 1.0])
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+        assert pinned == [[0], [0, 1]]
 
 
 class TestPersistence:
