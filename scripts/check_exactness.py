@@ -13,9 +13,11 @@ window, plus a periodic batch; the neural model with a fixed and a trainable
 basis and hidden layers (), (16, 16) and (5, 4, 3); ``tables_loss`` and
 ``tables_loss_grad`` on a table and on its ``frame_range`` sub-tables; and a
 ``landscape_1d`` profile and a ``landscape_2d`` surface, with their metadata,
-for a fixed and a trainable basis.  Run it on two trees, on the same host, and
-compare: ``--compare`` lists the cases whose digests differ, or that only one
-file has, and exits 1 if there are any.  The landscapes split their points over
+for a fixed and a trainable basis; reference datasets generated under
+Lennard-Jones and Morse with one and three temperatures; and a Morse MD
+ensemble of 30 trajectories, some of which fail.  Run it on two trees, on the
+same host, and compare: ``--compare`` lists the cases whose digests differ, or
+that only one file has, and exits 1 if there are any.  The landscapes split their points over
 the CPUs of the affinity mask, so a run under ``taskset -c 0`` against one with
 several CPUs compares the forked path with the one-process path.
 """
@@ -102,18 +104,35 @@ def batches(rng, cutoff, switch_start):
 
 
 def cases():
-    from potscape.data import Configuration, Dataset
+    from potscape.data import Configuration, Dataset, generate_reference_dataset, write_extxyz
     from potscape.descriptors import DescriptorSpec
     from potscape.landscape import landscape_1d, landscape_2d
     from potscape.model import (DatasetTables, NeuralPotential, Rescale, tables_loss,
                                 tables_loss_grad)
-    from potscape.potentials import LennardJones, Morse
+    from potscape.md import MDConfig, run_ensemble
+    from potscape.potentials import LennardJones, Morse, build_cluster
 
     rng = np.random.default_rng(20260101)
     ref = Morse()
     for name, pot in (("lj", LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0)), ("morse", ref)):
         for label, pos, cell, pbc in batches(rng, pot.cutoff, pot.switch_start):
             yield f"{name}/{label}", digest(*pot.energy_forces_batch(pos, cell=cell, pbc=pbc))
+
+    # reference data: 300 MD steps per chain, every 50th after step 100 kept
+    for name, pot, temperatures in (("lj", LennardJones(), ((40.0,), (20.0, 40.0, 60.0))),
+                                    ("morse", ref, ((300.0,), (300.0, 600.0, 900.0)))):
+        for temps in temperatures:
+            ds = generate_reference_dataset(pot, 6, temps, frames_per_T=4, seed=3,
+                                            stride=50, burn_in_steps=100)
+            yield f"gen-data/{name}/T{len(temps)}", digest(text=write_extxyz(ds))
+
+    # reference MD: 30 members for 300 steps, 13 of whose bonds break
+    start = Configuration(build_cluster(ref, 6, seed=8), ["Cu"] * 6)
+    cfg = MDConfig(temperature=900.0, total_time_ps=0.3, n_trajectories=30,
+                   failure_bond_length=1.2 * ref.r0, trace_interval=5, seed=4)
+    records, summary = run_ensemble(ref, start, cfg)
+    yield "md/morse/B30", digest(text=json.dumps([[r.to_dict() for r in records],
+                                                  summary.to_dict()], sort_keys=True))
 
     # a labelled dataset: 24 free frames, then 6 periodic ones
     pos = clusters(rng, 30)

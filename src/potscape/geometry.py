@@ -1,6 +1,5 @@
-"""The checked distance matrix of small clusters and periodic cells (minimum
-image), the pair tables built from it, and the scatter that sums per-pair values
-onto atoms."""
+"""The checked pair tables of small clusters and periodic cells (minimum image),
+and the scatter that sums per-pair values onto atoms."""
 
 from dataclasses import dataclass
 
@@ -63,10 +62,12 @@ def _displacements(positions, cutoff, cell=None, pbc=None):
     return d
 
 
-def distance_matrix(positions, cutoff, cell=None, pbc=None):
-    """Displacements ``d[..., i, j]`` (atom i to atom j, minimum image) and distances ``r``
-    of one frame ``(N, 3)`` or of B frames ``(B, N, 3)``; every diagonal ``r`` is inf.
+def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
+    """Pairs of one frame ``(N, 3)``, or of B frames ``(B, N, 3)`` numbered ``b*N + i``;
+    across a periodic axis each pair is taken to its minimum image.
 
+    A frame's pairs come in the order of its own one-frame table (row-major in
+    i, j), so per-atom sums over a batch equal the frames' own sums bit for bit.
     A non-finite position raises NonFiniteGeometryError, and two atoms closer than
     ``R_MIN`` raise SingularGeometryError naming the first such pair; for B frames
     its message names that pair's frame and its ``frames`` every frame at fault.
@@ -86,24 +87,11 @@ def distance_matrix(positions, cutoff, cell=None, pbc=None):
         where = f" in frame {frame[0]}" if frame else ""
         raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A){where}",
                                     np.unique(close[:, 0]).tolist() if frame else ())
-    return d, r
-
-
-def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
-    """Pairs of one frame ``(N, 3)``, or of B frames ``(B, N, 3)`` numbered ``b*N + i``.
-
-    A frame's pairs come in the order of its own one-frame table (row-major in
-    i, j), so per-atom sums over a batch equal the frames' own sums bit for bit.
-    """
-    d, r = distance_matrix(positions, cutoff, cell, pbc)
-    n = r.shape[-1]
-    pairs = np.nonzero(r < cutoff)
-    rr = r[pairs]
-    unit = d[pairs] / rr[:, None]
-    ii, jj = pairs[-2:]
-    if r.ndim == 3:
-        ii, jj = pairs[0] * n + ii, pairs[0] * n + jj
-    return PairTable(ii, jj, rr, unit)
+    pairs = np.flatnonzero(r < cutoff)   # row-major: frame, then i, then j
+    rr = r.ravel()[pairs]
+    unit = d.reshape(-1, 3)[pairs] / rr[:, None]
+    ii, j = np.divmod(pairs, n)   # ii = b*N + i
+    return PairTable(ii, ii - ii % n + j, rr, unit)
 
 
 def scatter_add(index, values, n: int, out=None) -> np.ndarray:

@@ -330,20 +330,30 @@ def write_profile_csv(profile: LandscapeProfile, path) -> None:
 
 
 def read_profile_csv(path) -> LandscapeProfile:
-    rows = []
+    """The profile that ``write_profile_csv`` wrote; a row without exactly four
+    fields, a second row for a (direction, t) cell, or directions other than
+    0..n-1 raise ValueError."""
+    cells = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != PROFILE_COLUMNS:
+        if tuple(next(reader, ())) != PROFILE_COLUMNS:
             raise ValueError(f"unexpected profile header in {path}")
         for rec in reader:
-            rows.append((int(rec[0]), float(rec[1]), float(rec[2]), float(rec[3])))
-    dirs = sorted({r[0] for r in rows})
-    ts = sorted({r[1] for r in rows})
+            where = f"{path} line {reader.line_num}"
+            if len(rec) != len(PROFILE_COLUMNS):
+                raise ValueError(f"{where}: {len(rec)} fields, expected {len(PROFILE_COLUMNS)}")
+            cell = int(rec[0]), float(rec[1])
+            if cell in cells:
+                raise ValueError(f"{where}: second row for direction {cell[0]} at t = {cell[1]!r}")
+            cells[cell] = float(rec[2]), float(rec[3])
+    dirs = sorted({n for n, _ in cells})
+    if dirs != list(range(len(dirs))):
+        raise ValueError(f"{path}: directions {dirs} are not 0..{len(dirs) - 1}")
+    ts = sorted({t for _, t in cells})
     tindex = {t: i for i, t in enumerate(ts)}
     loss_E = np.full((len(dirs), len(ts)), np.nan)
     loss_F = np.full((len(dirs), len(ts)), np.nan)
-    for n, t, le, lf in rows:
+    for (n, t), (le, lf) in cells.items():
         loss_E[n, tindex[t]] = le
         loss_F[n, tindex[t]] = lf
     meta = {}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .data import Configuration, Dataset, write_extxyz_file
-from .geometry import SingularGeometryError
+from .geometry import SingularGeometryError, pair_table
 from .model import NumericEvalError
 from .potentials import KB_EV_PER_K
 from .seeding import substream
@@ -156,13 +156,11 @@ def md_step(model, state, masses, cfg: MDConfig):
 
 
 def infer_bond_list(positions, factor: float = 1.2) -> tuple:
-    """Pairs within ``factor`` times the nearest-neighbor distance of the geometry."""
-    pos = np.asarray(positions, dtype=float)
-    d = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=-1)
-    np.fill_diagonal(d, np.inf)
-    rmin = d.min()
-    ii, jj = np.nonzero(np.triu(d <= factor * rmin, k=1))
-    return tuple((int(i), int(j)) for i, j in zip(ii, jj))
+    """Pairs within ``factor`` times the nearest-neighbor distance of the geometry;
+    coincident atoms and non-finite positions raise, as in ``pair_table``."""
+    pt = pair_table(positions, np.inf)
+    bonded = (pt.i < pt.j) & (pt.r <= factor * pt.r.min(initial=np.inf))
+    return tuple(zip(pt.i[bonded].tolist(), pt.j[bonded].tolist()))
 
 
 def _check_bonds(positions, bonds, threshold):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import distance_matrix
+from .geometry import pair_table, scatter_add
 
 KB_EV_PER_K = 8.617333262e-5  # Boltzmann constant, eV/K
 
@@ -51,30 +51,21 @@ class _PairPotential:
         return float(energy[0]), forces[0]
 
     def energy_forces_batch(self, positions, cell=None, pbc=None):
-        """Energies (B,) and forces (B, N, 3) of B frames from their checked distance matrix.
+        """Energies (B,) and forces (B, N, 3) of B frames from their pair table.
 
-        Only the in-cutoff pairs i < j are evaluated.  Each frame's energy sums
-        its pair energies in row-major order of (i, j), and atom a's force sums
-        its pair forces over the partners k = 0..N-1 in turn, starting from +0.0.
-        Neither order depends on the other frames, so each frame's results equal
-        those of the frame alone bit for bit, and an atom with no partner in
-        range gets exactly +0.0.  A periodic cell narrower than twice the cutoff
-        raises ValueError.
+        Each frame's energy sums its pairs i < j and its forces go through
+        ``scatter_add``, so each frame's results equal those of the frame alone
+        bit for bit.  A periodic cell narrower than twice the cutoff raises
+        ValueError.
         """
-        d, r = distance_matrix(positions, self.cutoff, cell, pbc)
-        b, n = r.shape[:2]
-        near = (r < self.cutoff) & (np.arange(n)[:, None] < np.arange(n))
-        frame, i, j = np.nonzero(near)
-        rr = r[near]
-        v, dv = self.pair_energy_deriv(rr)
-        ends = frame.searchsorted(np.arange(1, b + 1)).tolist()   # where each frame's pairs end
+        b, n = np.shape(positions)[:2]
+        pt = pair_table(positions, self.cutoff, cell, pbc)
+        v, dv = self.pair_energy_deriv(pt.r)
+        upper = pt.i < pt.j
+        v, first = v[upper], pt.i[upper]
+        ends = first.searchsorted(n * np.arange(1, b + 1)).tolist()   # where each frame's pairs end
         energy = np.array([v[start:end].sum() for start, end in zip([0] + ends, ends)])
-        # pair[j, b, i] = dv * unit(i->j) is the force on i from j (i < j); subtracting
-        # the transpose adds the force on j from i, so pair[k, b, a] is the force on a
-        # from k, and the sum over the first axis runs over k in order
-        pair = np.zeros((n, b, n, 3))
-        pair[j, frame, i] = dv[:, None] * (d[frame, i, j] / rr[:, None])
-        forces = (pair - pair.transpose(2, 1, 0, 3)).sum(axis=0)
+        forces = scatter_add(pt.i, dv[:, None] * pt.unit, b * n).reshape(b, n, 3)
         return energy, forces
 
 
@@ -144,10 +135,6 @@ def potential_class(kind: str):
     if kind == "morse":
         return Morse
     raise ValueError(f"unknown potential kind {kind!r}")
-
-
-def make_potential(kind: str, **kwargs):
-    return potential_class(kind)(**kwargs)
 
 
 def build_cluster(pot, n_atoms: int, seed: int = 0, relax_steps: int = 800) -> np.ndarray:

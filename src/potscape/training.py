@@ -55,8 +55,6 @@ class TrainConfig:
 
 def apply_weight_schedule(schedule, epoch: int):
     """Piecewise-constant (w_E, w_F): last entry whose epoch <= current."""
-    if hasattr(schedule, "weight_schedule"):
-        schedule = schedule.weight_schedule
     if not schedule:
         raise ValueError("empty weight schedule")
     current = None

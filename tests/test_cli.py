@@ -15,6 +15,9 @@ from potscape.seeding import substream
 from potscape.training import TrainConfig, train
 
 
+PROFILE_HEADER = ",".join(landscape.PROFILE_COLUMNS)
+
+
 def read_manifest(out):
     return json.loads((out / "manifest.json").read_text())
 
@@ -214,6 +217,24 @@ class TestErrors:
         assert run_command("landscape2d", config, tmp_path) == EXIT_NUMERIC
         error = read_manifest(tmp_path)["error"]
         assert error["type"] == "DegenerateDirectionError" and "zero" in error["message"]
+
+    @pytest.mark.parametrize("command", ["entropy", "sweep-entropy"])
+    @pytest.mark.parametrize("lines,message", [
+        ([], "unexpected profile header"),
+        ([PROFILE_HEADER, "0,0.0,1.0,2.0", "0,1.0,1.5"], "line 3: 3 fields, expected 4"),
+        ([PROFILE_HEADER, "0,0.0,1.0,2.0", "3,0.0,1.0,2.0"], "directions [0, 3] are not 0..1"),
+        ([PROFILE_HEADER, "0,0.0,1.0,2.0", "0,1.0,1.5,2.5", "0,0.0,1.2,2.2"],
+         "line 4: second row for direction 0 at t = 0.0"),
+    ], ids=["empty", "short-row", "direction-gap", "duplicate-cell"])
+    def test_malformed_profile_is_config_error(self, tmp_path, command, lines, message):
+        # an empty file, a short row or a gap in the directions once crashed with a
+        # traceback (exit 1, no manifest), and a second row for a cell replaced the first
+        path = tmp_path / "profile.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--set", f"profile.path={path}"]) == EXIT_CONFIG
+        assert message in read_manifest(out)["error"]["message"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 class TestKeyTable:

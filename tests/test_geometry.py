@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potscape.geometry import SingularGeometryError, distance_matrix, pair_table, scatter_add
+from potscape.geometry import SingularGeometryError, pair_table, scatter_add
 from tests.conftest import random_cluster
 
 
@@ -56,8 +56,8 @@ def test_distance_matrix_names_every_collapsed_frame():
     pos[3, 2] = pos[3, 0]
     match = r"^atoms 0 and 2 are coincident .* in frame 1$"
     with pytest.raises(SingularGeometryError, match=match) as err:
-        distance_matrix(pos, 5.0)
+        pair_table(pos, 5.0)
     assert err.value.frames == (1, 3)
     with pytest.raises(SingularGeometryError) as one:
-        distance_matrix(pos[3], 5.0)
+        pair_table(pos[3], 5.0)
     assert str(one.value).startswith("atoms 0 and 2 are coincident") and one.value.frames == ()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from potscape.data import Configuration
-from potscape.geometry import SingularGeometryError
+from potscape.geometry import NonFiniteGeometryError, SingularGeometryError
 from potscape.md import (MDConfig, _check_bonds, berendsen_lambda, infer_bond_list,
                          init_velocities, instantaneous_temperature, kinetic_energy, masses_for,
                          md_step, run_ensemble, run_trajectory, write_ensemble_json,
@@ -245,6 +245,17 @@ class TestFailureDetection:
             assert i < j
             np.fill_diagonal(d, np.inf)
             assert d[i, j] <= 1.2 * d.min()
+
+    def test_infer_bond_list_checks_the_geometry(self):
+        # coincident atoms were once returned as a bond, and a NaN position as no bonds
+        pos = build_cluster(Morse(), 4, seed=4)
+        assert infer_bond_list(pos[:1]) == ()
+        pos[3] = pos[1]
+        with pytest.raises(SingularGeometryError, match="atoms 1 and 3 are coincident"):
+            infer_bond_list(pos)
+        pos[3, 0] = np.nan
+        with pytest.raises(NonFiniteGeometryError):
+            infer_bond_list(pos)
 
 
 class TestEnsemble:

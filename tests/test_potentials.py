@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from potscape.data import Configuration
 from potscape.geometry import NonFiniteGeometryError, SingularGeometryError, pair_table
-from potscape.potentials import LennardJones, Morse, build_cluster, make_potential
+from potscape.potentials import LennardJones, Morse, build_cluster, potential_class
 from tests.conftest import random_cluster, random_model, random_rotation
 
 
@@ -197,10 +197,10 @@ class TestBuildCluster:
 
 
 def test_make_potential_factory():
-    assert isinstance(make_potential("lj", epsilon=0.1, sigma=3.0, cutoff=8.0), LennardJones)
-    assert isinstance(make_potential("morse"), Morse)
+    assert isinstance(potential_class("lj")(epsilon=0.1, sigma=3.0, cutoff=8.0), LennardJones)
+    assert isinstance(potential_class("morse")(), Morse)
     with pytest.raises(ValueError):
-        make_potential("buckingham")
+        potential_class("buckingham")
 
 
 # sha256 of energy_forces_batch's energies and forces (.tobytes()) on pin_frames,

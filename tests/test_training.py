@@ -27,10 +27,6 @@ class TestWeightSchedule:
         with pytest.raises(ValueError):
             apply_weight_schedule((), 0)
 
-    def test_accepts_config_object(self):
-        cfg = TrainConfig(weight_schedule=((0, 2.0, 3.0),))
-        assert apply_weight_schedule(cfg, 10) == (2.0, 3.0)
-
     def test_non_increasing_schedule_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(weight_schedule=((10, 1.0, 1.0), (5, 1.0, 1.0)))
