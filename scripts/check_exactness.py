@@ -5,21 +5,20 @@
     python scripts/check_exactness.py --compare before.txt after.txt
 
 The first form prints an environment fingerprint (lines starting with ``#``:
-numpy's version and the SIMD extensions it found, and the OpenBLAS config,
-which together decide the rounding) and then ``<case> <sha256>`` lines.  The
-cases are the Lennard-Jones, Morse and neural energies and forces of batches
-of B = 1, 4 and 30 frames, with pairs at the cutoff and in the switching
-window, plus a periodic batch; the neural model with a fixed and a trainable
-basis and hidden layers (), (16, 16) and (5, 4, 3); ``tables_loss`` and
-``tables_loss_grad`` on a table and on its ``frame_range`` sub-tables; and a
-``landscape_1d`` profile and a ``landscape_2d`` surface, with their metadata,
-for a fixed and a trainable basis; reference datasets generated under
-Lennard-Jones and Morse with one and three temperatures; and a Morse MD
-ensemble of 30 trajectories, some of which fail.  Run it on two trees, on the
-same host, and compare: ``--compare`` lists the cases whose digests differ, or
-that only one file has, and exits 1 if there are any.  The landscapes split their points over
-the CPUs of the affinity mask, so a run under ``taskset -c 0`` against one with
-several CPUs compares the forked path with the one-process path.
+the python and numpy versions, the SIMD extensions numpy found, and the
+OpenBLAS config, which together decide the rounding) and then
+``<case> <sha256>`` lines.  The cases cover the pair potentials and the neural
+model (fixed and trainable basis, three layer shapes) on batches with pairs at
+the cutoff, in the switching window and through a periodic cell; loss tables,
+their sub-tables and gradients; 1D and 2D landscapes; reference datasets; MD
+ensembles and their dump files; training; and models scored against their own
+one-frame labels.  ``--compare`` lists the cases whose digests differ between
+two outputs, or that only one has, and exits 1 if there are any.  The
+landscapes split their points over the CPUs of the affinity mask, so a run
+under ``taskset -c 0`` against one with several CPUs compares the forked path
+with the one-process path.  The output on each known fingerprint is committed
+as ``tests/digests/<sha256 of the # lines>.txt``, which
+``tests/test_exactness.py`` checks.
 """
 
 from __future__ import annotations
@@ -30,7 +29,9 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 
@@ -75,16 +76,10 @@ def digest(*arrays, text: str = "") -> str:
     return h.hexdigest()
 
 
-def clusters(rng, b, n=6, box=3.0, min_dist=1.6):
-    """b frames of n atoms at least min_dist apart (rejection sampled)."""
-    out = []
-    while len(out) < b:
-        pos = rng.uniform(-box, box, (n, 3))
-        d = np.linalg.norm(pos[None] - pos[:, None], axis=-1)
-        np.fill_diagonal(d, np.inf)
-        if d.min() > min_dist:
-            out.append(pos)
-    return np.stack(out)
+def clusters(rng, b):
+    """b frames of 6 atoms at least 1.6 A apart, drawn from rng."""
+    from tests.conftest import random_cluster
+    return np.stack([random_cluster(6, rng, box=3.0) for _ in range(b)])
 
 
 def batches(rng, cutoff, switch_start):
@@ -172,6 +167,85 @@ def cases():
                         result.loss_E, result.loss_F,
                         text=json.dumps(result.metadata, sort_keys=True))
 
+    yield from fixture_cases(ref)
+
+
+def fixture_cases(ref):
+    """Cases set up as in the tests (tests/conftest.py's helpers), on their own seeds."""
+    from potscape.analysis import rmse_by_split
+    from potscape.data import Configuration, generate_reference_dataset, write_extxyz
+    from potscape.landscape import landscape_1d, write_profile_csv
+    from potscape.md import MDConfig, infer_bond_list, run_ensemble
+    from potscape.model import DatasetTables, loss_eval, tables_loss_grad
+    from potscape.potentials import LennardJones, Morse, build_cluster
+    from potscape.training import TrainConfig, train
+    from tests.conftest import (isolated_atom_dataset, labeled_dataset, labeled_tables_case,
+                                pin_frames, random_cluster, random_model)
+
+    # pair potentials on frames with a switched pair, pairs beyond the cutoff and an
+    # isolated atom; then two frames of 12 atoms, whose energies sum 8 or more terms
+    for name, pot in (("lj", LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0)),
+                      ("morse", Morse(cutoff=6.0))):
+        for b in (1, 3):
+            for periodic in (False, True):
+                pos, cell, pbc = pin_frames(b, periodic)
+                yield (f"pair/{name}/B{b}{'-periodic' if periodic else ''}",
+                       digest(*pot.energy_forces_batch(pos, cell=cell, pbc=pbc)))
+        pos = np.stack([random_cluster(12, seed, box=3.5, min_dist=1.9) for seed in (3, 4)])
+        yield f"pair/{name}/B2-12-atoms", digest(*pot.energy_forces_batch(pos))
+
+    for temps, frames in (((300.0,), 300), ((300.0, 600.0, 1200.0), 100)):
+        ds = generate_reference_dataset(ref, 6, temps, frames, seed=0, species="Cu",
+                                        burn_in_steps=1000, stride=20)
+        yield f"gen-data/morse-cu/T{len(temps)}", digest(text=write_extxyz(ds))
+
+    for trainable in (False, True):
+        kind = "trainable" if trainable else "fixed"
+        for hidden in HIDDEN:
+            m, ds, v = labeled_tables_case(trainable, hidden=hidden, n_frames=6)
+            loss, grad = tables_loss_grad(m, DatasetTables(m, ds), v, 1.0, 25.0)
+            layers = "-".join(map(str, hidden)) or "none"
+            yield f"layout/{kind}/{layers}/create", digest(m.params.values)
+            yield f"layout/{kind}/{layers}/loss_grad", digest(grad, astuple(loss))
+
+        m = random_model(3, trainable_basis=trainable)
+        ds = labeled_dataset(m, 6, seed=103, energy_offset=0.05,
+                             force_offset=np.array([0.05, -0.02, 0.01]))
+        report = train(m, ds, TrainConfig(max_epochs=20, batch_size=2, lr0=0.01,
+                                          weight_schedule=((0, 1.0, 10.0),)))
+        yield f"train/{kind}/best_params", digest(report.best_params)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        pos = build_cluster(ref, 6, seed=8)
+        cfg = MDConfig(temperature=600.0, total_time_ps=0.2, n_trajectories=6,
+                       failure_bond_length=1.2 * ref.r0, bond_list=infer_bond_list(pos), seed=5,
+                       dump_interval=15)
+        run_ensemble(random_model(4, n_radial=8, hidden=(16, 16)),
+                     Configuration(pos, ["Cu"] * 6), cfg, dump_dir=out)
+        for path in sorted(out.iterdir()):
+            yield f"md-dump/{path.name}", digest(text=path.read_bytes().decode())
+
+        for trainable in (False, True):
+            m = random_model(6, trainable_basis=trainable)
+            ds = labeled_dataset(m, 3, seed=56, energy_offset=0.02,
+                                 force_offset=np.array([0.03, 0.0, -0.01]))
+            profile = landscape_1d(m, ds, n_dirs=3, t_grid=np.linspace(-1.0, 1.0, 5), seed=7)
+            write_profile_csv(profile, out / "profile.csv")
+            yield (f"profile-csv/{'trainable' if trainable else 'fixed'}",
+                   digest(text=(out / "profile.csv").read_bytes().decode()))
+
+    # labels from one-frame evaluations against a table's: exactly zero on some kernels
+    m = random_model(1)
+    for label, ds in (("labeled", labeled_dataset(m, 4, seed=2)),
+                      ("isolated-atom", isolated_atom_dataset(m))):
+        yield f"zero-loss/loss_eval/{label}", digest(astuple(loss_eval(m, ds)))
+    m = random_model(0)
+    rows = rmse_by_split(m, {300.0: labeled_dataset(m, 2, seed=1),
+                             600.0: labeled_dataset(m, 3, seed=2)})
+    yield "zero-loss/rmse_by_split", digest(
+        [(r["energy_rmse_mev_per_atom"], r["force_rmse_mev_per_ang"]) for r in rows])
+
 
 def read_digests(path) -> dict:
     with open(path) as fh:
@@ -205,4 +279,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))   # for tests.conftest
     sys.exit(main())

@@ -140,9 +140,6 @@ class ToyRegressionResult:
     stderr_rmse: np.ndarray
     repeats: int
 
-    def cell(self, n, sigma) -> float:
-        return float(self.mean_rmse[self.n_list.index(n), self.sigma_list.index(sigma)])
-
 
 def toy_regression_experiment(n_list, sigma_list, repeats: int = 100,
                               seed: int = 0) -> ToyRegressionResult:

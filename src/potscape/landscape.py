@@ -331,8 +331,8 @@ def write_profile_csv(profile: LandscapeProfile, path) -> None:
 
 def read_profile_csv(path) -> LandscapeProfile:
     """The profile that ``write_profile_csv`` wrote; a row without exactly four
-    fields, a second row for a (direction, t) cell, or directions other than
-    0..n-1 raise ValueError."""
+    fields, a second row for a (direction, t) cell, a missing cell, or directions
+    other than 0..n-1 raise ValueError."""
     cells = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -350,6 +350,10 @@ def read_profile_csv(path) -> LandscapeProfile:
     if dirs != list(range(len(dirs))):
         raise ValueError(f"{path}: directions {dirs} are not 0..{len(dirs) - 1}")
     ts = sorted({t for _, t in cells})
+    for n in dirs:
+        for t in ts:
+            if (n, t) not in cells:
+                raise ValueError(f"{path}: no row for direction {n} at t = {t!r}")
     tindex = {t: i for i, t in enumerate(ts)}
     loss_E = np.full((len(dirs), len(ts)), np.nan)
     loss_F = np.full((len(dirs), len(ts)), np.nan)

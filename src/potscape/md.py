@@ -260,7 +260,15 @@ def _integrate(model, start: Configuration, cfg: MDConfig, seeds, targets, bonds
     on each member alone, so a member's record does not depend on the others.
     ``frames = (s0, k)`` keeps every k-th step after step s0 of each member as
     a labelled Configuration.  Returns the records and each member's frames.
+    A bond that is not a pair of distinct atom indices of ``start`` raises ValueError.
     """
+    n_atoms = len(start.positions)
+    for pair in bonds:
+        if np.ndim(pair) != 1 or len(pair) != 2 or pair[0] == pair[1] or not all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n_atoms
+                for i in pair):
+            raise ValueError(f"bond_list entry {pair!r} is not a pair of distinct atom "
+                             f"indices in 0..{n_atoms - 1}")
     bonds, threshold = np.array(bonds), cfg.failure_bond_length
     n_steps = int(round(cfg.total_time_ps * 1000.0 / cfg.timestep_fs))
     masses = masses_for(start.species)

@@ -46,11 +46,21 @@ class TrainConfig:
             raise ValueError("plateau_patience must be >= 1")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ValueError("plateau_factor must be in (0, 1)")
-        epochs = [int(e) for e, _, _ in self.weight_schedule]
-        if not self.weight_schedule:
+        try:
+            rows = [(int(e), float(w_e), float(w_f)) for e, w_e, w_f in self.weight_schedule]
+        except (TypeError, ValueError):
+            raise ValueError("weight_schedule entries must be (epoch, w_E, w_F) triples, "
+                             f"got {self.weight_schedule!r}") from None
+        if not rows:
             raise ValueError("weight_schedule must be nonempty")
+        epochs = [e for e, _, _ in rows]
+        if epochs[0] > 0:
+            raise ValueError(f"weight_schedule must start at epoch 0, not {epochs[0]}")
         if sorted(epochs) != epochs or len(set(epochs)) != len(epochs):
             raise ValueError("weight_schedule epochs must be strictly increasing")
+        if not all(0.0 <= w < np.inf for _, *weights in rows for w in weights):
+            raise ValueError(f"weight_schedule weights must be finite and >= 0, "
+                             f"got {self.weight_schedule!r}")
 
 
 def apply_weight_schedule(schedule, epoch: int):

@@ -8,7 +8,7 @@ from potscape.potentials import Morse
 
 
 def random_cluster(n_atoms, seed, box=2.5, min_dist=1.6):
-    """Well-separated random positions (rejection sampled, seeded)."""
+    """Well-separated random positions (rejection sampled; seed may be a Generator)."""
     rng = np.random.default_rng(seed)
     while True:
         pos = rng.uniform(-box, box, (n_atoms, 3))
@@ -57,6 +57,38 @@ def labeled_dataset(model, n_frames, n_atoms=5, seed=0, energy_offset=0.0,
         frames.append(Configuration(pos, ["Ar"] * n_atoms,
                                     energy=e + energy_offset, forces=f))
     return Dataset(frames, name="self-labeled")
+
+
+def isolated_atom_dataset(m):
+    """Random frames plus a last frame whose atom 2 sits exactly at the cutoff
+    (5 A) from atom 0 and whose last atom has no neighbor at all."""
+    pos = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 5.0], [40.0, 0.0, 0.0]])
+    e, f, _ = m.energy_forces(pos)
+    frames = list(labeled_dataset(m, 3, seed=2))
+    return Dataset(frames + [Configuration(pos, ["Ar"] * 4, energy=e, forces=f)])
+
+
+def labeled_tables_case(trainable, hidden=(8, 7), n_frames=12):
+    """A model, a dataset labeled by another model, and a point away from the model's."""
+    m = random_model(3, trainable_basis=trainable, hidden=hidden)
+    ds = labeled_dataset(random_model(9, hidden=hidden), n_frames, seed=5, energy_offset=0.02)
+    v = m.params.values + 0.05 * np.random.default_rng(4).standard_normal(m.params.partition.total)
+    return m, ds, v
+
+
+def pin_frames(n_frames, periodic):
+    """(positions, cell, pbc) of frames of 6 atoms: a pair in the switching window of
+    a cutoff of 6 A, pairs beyond it and an isolated atom; in a periodic cell of 16 A,
+    wrapped so that pairs cross its faces."""
+    base = np.vstack([random_cluster(4, 5, box=2.0, min_dist=1.9), np.zeros((2, 3))])
+    base[4] = base[0] + [5.7, 0.0, 0.0]
+    base[5] = [8.0, 8.0, 8.0] if periodic else [40.0, 0.0, 0.0]
+    shake = 0.05 * np.random.default_rng(11).standard_normal((n_frames, 5, 3))
+    frames = np.repeat(base[None], n_frames, axis=0)
+    frames[1:, :5] += shake[1:]
+    if periodic:
+        return frames % 16.0, np.diag([16.0, 16.0, 16.0]), [True] * 3
+    return frames, None, None
 
 
 @pytest.fixture(scope="session")

@@ -213,7 +213,7 @@ def test_09_toy_regression():
         assert abs(a - 2.0) < 1e-12 and abs(b - 1.0) < 1e-12
     # sigma=2: mean RMSE at N=10000 under 10% of N=2 (100 repeats each)
     big = toy_regression_experiment([2, 10000], [2.0], repeats=100, seed=1)
-    assert big.cell(10000, 2.0) < 0.1 * big.cell(2, 2.0)
+    assert big.mean_rmse[1, 0] < 0.1 * big.mean_rmse[0, 0]
     # nonincreasing in N within 3 standard errors
     sweep = toy_regression_experiment([2, 8, 32, 128, 512], [2.0], repeats=100, seed=2)
     rmse = sweep.mean_rmse[:, 0]

@@ -25,8 +25,9 @@ class TestRmseBySplit:
         m = random_model(0)
         tests = {300.0: labeled_dataset(m, 2, seed=1), 600.0: labeled_dataset(m, 3, seed=2)}
         rows = rmse_by_split(m, tests)
-        assert all(r["energy_rmse_mev_per_atom"] == 0.0 for r in rows)
-        assert all(r["force_rmse_mev_per_ang"] == 0.0 for r in rows)
+        # exact zeros on some kernels only: the exactness corpus pins these bytes
+        assert all(r["energy_rmse_mev_per_atom"] == pytest.approx(0.0, abs=1e-12) for r in rows)
+        assert all(r["force_rmse_mev_per_ang"] == pytest.approx(0.0, abs=1e-12) for r in rows)
 
     def test_single_frame_energy_error(self):
         m = random_model(1)
@@ -159,7 +160,7 @@ class TestToyRegression:
 
     def test_large_n_suppresses_noise(self):
         result = toy_regression_experiment([10000], [1.0], repeats=100, seed=1)
-        assert result.cell(10000, 1.0) < 0.05
+        assert result.mean_rmse[0, 0] < 0.05
 
     def test_rmse_nonincreasing_in_n(self):
         result = toy_regression_experiment([4, 16, 64, 256, 1024], [1.0],

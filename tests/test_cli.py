@@ -225,16 +225,47 @@ class TestErrors:
         ([PROFILE_HEADER, "0,0.0,1.0,2.0", "3,0.0,1.0,2.0"], "directions [0, 3] are not 0..1"),
         ([PROFILE_HEADER, "0,0.0,1.0,2.0", "0,1.0,1.5,2.5", "0,0.0,1.2,2.2"],
          "line 4: second row for direction 0 at t = 0.0"),
-    ], ids=["empty", "short-row", "direction-gap", "duplicate-cell"])
+        ([PROFILE_HEADER, "0,0.0,1.0,2.0", "0,1.0,1.5,2.5", "1,0.0,1.2,2.2"],
+         "profile.csv: no row for direction 1 at t = 1.0"),
+    ], ids=["empty", "short-row", "direction-gap", "duplicate-cell", "missing-cell"])
     def test_malformed_profile_is_config_error(self, tmp_path, command, lines, message):
         # an empty file, a short row or a gap in the directions once crashed with a
-        # traceback (exit 1, no manifest), and a second row for a cell replaced the first
+        # traceback (exit 1, no manifest), a second row for a cell replaced the first,
+        # and a missing cell was read as NaN
         path = tmp_path / "profile.csv"
         path.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "out"
         assert main([command, "--out", str(out), "--set", f"profile.path={path}"]) == EXIT_CONFIG
         assert message in read_manifest(out)["error"]["message"]
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("bonds", ["[[0,99]]", "[[0]]", "[[-1,0]]", "[[2,2]]"])
+    def test_bad_bond_list_is_config_error(self, tmp_path, bonds):
+        # the first two once crashed with an IndexError (exit 1, no manifest), and
+        # [[-1,0]] ran, watching the bond (5, 0)
+        out = tmp_path / "out"
+        assert main(["md", "--out", str(out), "--set", "potential.kind=morse",
+                     "--set", f"md.bond_list={bonds}"]) == EXIT_CONFIG
+        message = read_manifest(out)["error"]["message"]
+        assert message.startswith("bond_list entry ") and message.endswith(" in 0..5")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("schedule,message", [
+        ("[[3,1.0,10.0]]", "weight_schedule must start at epoch 0, not 3"),
+        ("[[0,1.0]]", "weight_schedule entries must be (epoch, w_E, w_F) triples"),
+        ("[[0,-1.0,10.0]]", "weight_schedule weights must be finite and >= 0"),
+    ], ids=["late-start", "pair", "negative"])
+    def test_bad_weight_schedule_fails_before_any_work(self, gen_dir, tmp_path, monkeypatch,
+                                                       schedule, message):
+        # these once failed after the data were read, failed without naming the key,
+        # or trained with a negative weight
+        def work(*args, **kwargs):
+            raise AssertionError("the run worked before checking its schedule")
+        monkeypatch.setattr(cli, "read_extxyz_file", work)
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), "--set", f"data.path={gen_dir}/dataset.extxyz",
+                     "--set", f"train.weight_schedule={schedule}"]) == EXIT_CONFIG
+        assert read_manifest(out)["error"]["message"].startswith(message)
 
 
 class TestKeyTable:

@@ -1,13 +1,10 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potscape.data import Configuration
 from potscape.geometry import NonFiniteGeometryError, SingularGeometryError, pair_table
 from potscape.potentials import LennardJones, Morse, build_cluster, potential_class
-from tests.conftest import random_cluster, random_model, random_rotation
+from tests.conftest import pin_frames, random_cluster, random_model, random_rotation
 
 
 def dimer(r):
@@ -203,50 +200,18 @@ def test_make_potential_factory():
         potential_class("buckingham")
 
 
-# sha256 of energy_forces_batch's energies and forces (.tobytes()) on pin_frames,
-# recorded when the forces were summed from a pair table by bincount
-PAIR_SHA256 = {
-    ("lj", 1, False):
-        "226094a27a72a6950e4617c6c60da763ec460c0df973156fb7633847cfafe1be",
-    ("lj", 3, False):
-        "641dda0a1f62dfa7c2a5fdd2738f58e26932cd6e516de9816dd32e3eb537a762",
-    ("lj", 1, True):
-        "3ccec62137a97a918f956921d6dbae80505848d434b91055a8e2a32f3b91877e",
-    ("lj", 3, True):
-        "1dfbe9bfeee1128a912482960607090c267e669fa36f88556e7b4fcd0f0f6ece",
-    ("morse", 1, False):
-        "141f844a2ee1c10ef2c28c2072eee665858e016e6c0825d7550205edacafdd0c",
-    ("morse", 3, False):
-        "88e2c826db075f233521f1b52d79689f3a33c3af400b7147cde1e788256f631f",
-    ("morse", 1, True):
-        "abf33f53c52ef5dd003f6ac68f68aa86590ea2e9512c2492d8af2a2f8ea8e3f6",
-    ("morse", 3, True):
-        "a3b510a3dec595e89e85864a04ed0cdec4d90932ea628963b02f0d5de4fe8ec6",
-}
 PIN_POTENTIALS = {"lj": LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0),
                   "morse": Morse(cutoff=6.0)}
-PIN_CELL = np.diag([16.0, 16.0, 16.0])
-
-
-def pin_frames(n_frames, periodic):
-    """Frames of 6 atoms: a pair in the switching window, pairs beyond the cutoff and
-    an isolated atom; in a periodic cell, wrapped so that pairs cross its faces."""
-    base = np.vstack([random_cluster(4, 5, box=2.0, min_dist=1.9), np.zeros((2, 3))])
-    base[4] = base[0] + [5.7, 0.0, 0.0]
-    base[5] = [8.0, 8.0, 8.0] if periodic else [40.0, 0.0, 0.0]
-    shake = 0.05 * np.random.default_rng(11).standard_normal((n_frames, 5, 3))
-    frames = np.repeat(base[None], n_frames, axis=0)
-    frames[1:, :5] += shake[1:]
-    return frames % 16.0 if periodic else frames
 
 
 @pytest.mark.parametrize("periodic", [False, True], ids=["cluster", "periodic"])
 @pytest.mark.parametrize("n_frames", [1, 3])
 @pytest.mark.parametrize("kind", ["lj", "morse"])
 def test_pair_bytes_pinned(kind, n_frames, periodic):
-    pot, pos = PIN_POTENTIALS[kind], pin_frames(n_frames, periodic)
-    cell, pbc = (PIN_CELL, [True] * 3) if periodic else (None, None)
-    energy, forces = pot.energy_forces_batch(pos, cell=cell, pbc=pbc)
+    """pin_frames reach every branch of the pair kernel; the exactness corpus pins
+    the bytes of these evaluations (cases ``pair/<kind>/B<n_frames>[-periodic]``)."""
+    pot, (pos, cell, pbc) = PIN_POTENTIALS[kind], pin_frames(n_frames, periodic)
+    _, forces = pot.energy_forces_batch(pos, cell=cell, pbc=pbc)
     d = pos[:, :5, None] - pos[:, None, :5]
     if periodic:
         d -= 16.0 * np.round(d / 16.0)
@@ -255,24 +220,6 @@ def test_pair_bytes_pinned(kind, n_frames, periodic):
     assert ((r > pot.switch_start) & (r < pot.cutoff)).any() and (r > pot.cutoff).any()
     assert np.array_equal(forces[:, 5], np.zeros((n_frames, 3)))
     assert not np.signbit(forces[:, 5]).any()   # +0.0: no pair reached the isolated atom
-    digest = hashlib.sha256(energy.tobytes() + forces.tobytes()).hexdigest()
-    assert digest == PAIR_SHA256[kind, n_frames, periodic]
-
-
-# as PAIR_SHA256, for two frames of 12 atoms with 49 and 46 pairs in range: numpy
-# sums 8 or more terms pairwise, so these pins also fix each frame's energy order
-DENSE_SHA256 = {
-    "lj": "1b66fde23ae43ced0751fdb71f325e990d59ba7ccd7d5b11641fa6254f261cff",
-    "morse": "1c9403a23f288860f5e6b392f1e6f34e62d98361beccab14c7d7a7fb3165c14f",
-}
-
-
-@pytest.mark.parametrize("kind", ["lj", "morse"])
-def test_dense_pair_bytes_pinned(kind):
-    pos = np.stack([random_cluster(12, seed, box=3.5, min_dist=1.9) for seed in (3, 4)])
-    energy, forces = PIN_POTENTIALS[kind].energy_forces_batch(pos)
-    digest = hashlib.sha256(energy.tobytes() + forces.tobytes()).hexdigest()
-    assert digest == DENSE_SHA256[kind]
 
 
 @pytest.mark.parametrize("pot", [LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0), Morse()])
