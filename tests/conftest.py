@@ -1,3 +1,7 @@
+import hashlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,14 @@ from potscape.data import Configuration, Dataset
 from potscape.descriptors import DescriptorSpec
 from potscape.model import NeuralPotential, Rescale
 from potscape.potentials import Morse
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tests" / "digests"
+
+_spec = importlib.util.spec_from_file_location("check_exactness",
+                                               ROOT / "scripts" / "check_exactness.py")
+exactness = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(exactness)
 
 
 def random_cluster(n_atoms, seed, box=2.5, min_dist=1.6):
@@ -102,3 +114,28 @@ def morse_dataset(morse_pot):
     return generate_reference_dataset(morse_pot, 6, [300.0, 600.0], 60, seed=0,
                                       species="Cu", burn_in_steps=500, stride=20,
                                       name="morse-fixture")
+
+
+def digest_table(fingerprint):
+    """The committed digests for ``fingerprint`` (check_exactness.py's ``#`` lines):
+    tests/digests/<sha256 of those lines, each ending in a newline>.txt."""
+    name = hashlib.sha256("".join(f"{line}\n" for line in fingerprint).encode()).hexdigest()
+    path = DIGESTS / f"{name}.txt"
+    if not path.exists():
+        raise LookupError("no digest table for this fingerprint:\n" + "\n".join(fingerprint)
+                          + f"\nrecord one as {path.relative_to(ROOT)} (see README.md)")
+    return exactness.read_digests(path)
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """(case -> digest) of the exactness corpus, run once, and the digest table of the
+    running fingerprint."""
+    return dict(exactness.cases()), digest_table(exactness.fingerprint())
+
+
+def differing_cases(corpus, *names):
+    """The corpus cases among ``names`` whose digest is not the table's."""
+    got, table = corpus
+    assert set(names) <= set(got)
+    return [name for name in names if got[name] != table.get(name)]

@@ -1,32 +1,10 @@
-import hashlib
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DIGESTS = ROOT / "tests" / "digests"
-
-spec = importlib.util.spec_from_file_location("check_exactness",
-                                              ROOT / "scripts" / "check_exactness.py")
-exactness = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(exactness)
+from tests.conftest import digest_table, exactness
 
 
-def digest_table(fingerprint):
-    """The committed digests for ``fingerprint`` (check_exactness.py's ``#`` lines):
-    tests/digests/<sha256 of those lines, each ending in a newline>.txt."""
-    name = hashlib.sha256("".join(f"{line}\n" for line in fingerprint).encode()).hexdigest()
-    path = DIGESTS / f"{name}.txt"
-    if not path.exists():
-        raise LookupError("no digest table for this fingerprint:\n" + "\n".join(fingerprint)
-                          + f"\nrecord one as {path.relative_to(ROOT)} (see README.md)")
-    return exactness.read_digests(path)
-
-
-def test_corpus_matches_digest_table():
-    table = digest_table(exactness.fingerprint())
-    got = dict(exactness.cases())
+def test_corpus_matches_digest_table(corpus):
+    got, table = corpus
     assert [case for case in got if got[case] != table.get(case)] == []
     assert [case for case in table if case not in got] == []
 

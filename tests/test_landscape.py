@@ -17,7 +17,7 @@ from potscape.landscape import (DegenerateDirectionError, Direction, LandscapePr
 from potscape.model import (FilterBlock, FilterPartition, NeuralPotential,
                             ParameterVector, Rescale, loss_eval)
 from potscape.seeding import substream
-from tests.conftest import labeled_dataset, random_model
+from tests.conftest import differing_cases, labeled_dataset, random_model
 
 
 def two_block_vector(values, frozen=(False, False)):
@@ -207,6 +207,13 @@ class TestLandscape1D:
                 direct = loss_eval(m.with_values(m.params.values + t * d), ds)
                 assert profile.loss_E[n, i] == direct.loss_E
                 assert profile.loss_F[n, i] == direct.loss_F
+
+    @pytest.mark.parametrize("trainable_basis", [False, True])
+    def test_profile_bytes_pinned(self, corpus, trainable_basis):
+        # the profile CSV of setup 6 (3 directions, 5 points, seed 7), as recorded when
+        # the pair gathers were fancy indexing and the scatter one flat bincount
+        kind = "trainable" if trainable_basis else "fixed"
+        assert differing_cases(corpus, f"profile-csv/{kind}") == []
 
     def test_nonfinite_sentinel(self):
         m, ds = self.make_setup(7)

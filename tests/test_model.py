@@ -13,8 +13,8 @@ from potscape.model import (DatasetTables, FilterBlock, FilterPartition, NeuralP
                             NumericEvalError, ParameterVector, Rescale, build_partition,
                             fit_rescale, load_checkpoint, loss_eval, save_checkpoint,
                             tables_loss, tables_loss_grad)
-from tests.conftest import (isolated_atom_dataset, labeled_dataset, labeled_tables_case,
-                            random_cluster, random_model, random_rotation)
+from tests.conftest import (differing_cases, isolated_atom_dataset, labeled_dataset,
+                            labeled_tables_case, random_cluster, random_model, random_rotation)
 
 
 class TestPartition:
@@ -298,6 +298,16 @@ class TestWorkspace:
                 assert tracemalloc.get_traced_memory()[1] - before < pair_array / 2
         finally:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("trainable,hidden", [(trainable, hidden) for trainable in (False, True)
+                                              for hidden in ((), (16, 16), (5, 4, 3))])
+def test_layout_bytes_pinned(corpus, trainable, hidden):
+    """create fills, and tables_loss_grad writes, the vector through unpack's views: the
+    bytes of labeled_tables_case(trainable, hidden, n_frames=6), as given when create and
+    the gradient each wrote out the parameter layout themselves."""
+    name = f"layout/{'trainable' if trainable else 'fixed'}/{'-'.join(map(str, hidden)) or 'none'}"
+    assert differing_cases(corpus, f"{name}/create", f"{name}/loss_grad") == []
 
 
 def mixed_dataset():

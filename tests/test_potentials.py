@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from potscape.geometry import NonFiniteGeometryError, SingularGeometryError, pair_table
 from potscape.potentials import LennardJones, Morse, build_cluster, potential_class
-from tests.conftest import pin_frames, random_cluster, random_model, random_rotation
+from tests.conftest import (differing_cases, pin_frames, random_cluster, random_model,
+                            random_rotation)
 
 
 def dimer(r):
@@ -220,6 +221,13 @@ def test_pair_bytes_pinned(kind, n_frames, periodic):
     assert ((r > pot.switch_start) & (r < pot.cutoff)).any() and (r > pot.cutoff).any()
     assert np.array_equal(forces[:, 5], np.zeros((n_frames, 3)))
     assert not np.signbit(forces[:, 5]).any()   # +0.0: no pair reached the isolated atom
+
+
+@pytest.mark.parametrize("kind", ["lj", "morse"])
+def test_dense_pair_bytes_pinned(corpus, kind):
+    """Two frames of 12 atoms with 49 and 46 pairs in range: numpy sums 8 or more terms
+    pairwise, so their energy bytes also fix each frame's summation order."""
+    assert differing_cases(corpus, f"pair/{kind}/B2-12-atoms") == []
 
 
 @pytest.mark.parametrize("pot", [LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0), Morse()])

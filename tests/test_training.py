@@ -5,7 +5,7 @@ from potscape.model import loss_eval
 from potscape.training import (Adam, EMA, PlateauScheduler, TrainConfig,
                                TrainingDiverged, apply_weight_schedule, train,
                                write_history_csv)
-from tests.conftest import labeled_dataset, random_model
+from tests.conftest import differing_cases, labeled_dataset, random_model
 
 
 class TestWeightSchedule:
@@ -113,6 +113,13 @@ class TestTrain:
         np.testing.assert_array_equal(r1.ema_params, r2.ema_params)
         np.testing.assert_array_equal(r1.swa_params, r2.swa_params)
         assert r1.history == r2.history
+
+    @pytest.mark.parametrize("trainable_basis", [False, True])
+    def test_best_params_bytes_pinned(self, corpus, trainable_basis):
+        # best_params after a 20-epoch minibatch run of setup 3, as recorded when the pair
+        # gathers were fancy indexing and the scatter one flat bincount
+        kind = "trainable" if trainable_basis else "fixed"
+        assert differing_cases(corpus, f"train/{kind}/best_params") == []
 
     def test_ema_equals_recomputed_average(self):
         m, ds = self.setup_problem(5)
