@@ -168,6 +168,40 @@ def cases():
                         text=json.dumps(result.metadata, sort_keys=True))
 
     yield from fixture_cases(ref)
+    yield from small_and_mixed_cases(ref)
+
+
+def small_and_mixed_cases(ref):
+    """Frames of 1 and 2 atoms, and batches whose frames have every pair inside the
+    cutoff, some of them, or all: the pair tables' and pair sums' shortcuts."""
+    from potscape.data import generate_reference_dataset, write_extxyz
+    from potscape.potentials import LennardJones
+    from tests.conftest import random_cluster, random_model
+
+    rng = np.random.default_rng(20261019)
+    lj = LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0)
+    one = rng.uniform(-3.0, 3.0, (3, 1, 3))
+    two = np.zeros((4, 2, 3))   # inside, in the switching window, inside, beyond
+    two[:, 1] = [[2.4, 0.3, -0.2], [5.8, 0.0, 0.1], [3.1, -1.0, 0.5], [9.0, 0.0, 0.0]]
+    full = np.stack([random_cluster(6, rng, box=1.7) for _ in range(6)])   # all within 6 A
+    mixed = full.copy()
+    mixed[[1, 4], 5] += [12.0, 0.0, 0.0]
+    periodic = full.copy()
+    periodic[:, :3] += [15.0, 0.0, 0.0]   # one cell over: their pairs cross the wall
+    periodic[[1, 4], 5] += [0.0, 8.0, 0.0]
+    cell, pbc = CELL, np.array([True, True, True])
+    for name, pot in (("lj", lj), ("morse", ref)):
+        for label, pos in (("N1-B3", one), ("N2-B4", two), ("full-B6", full),
+                           ("mixed-B6", mixed)):
+            yield f"pair/{name}/{label}", digest(*pot.energy_forces_batch(pos))
+        yield f"pair/{name}/mixed-B6-periodic", digest(
+            *pot.energy_forces_batch(periodic, cell=cell, pbc=pbc))
+    m = random_model(12, hidden=(16, 16))
+    for label, pos in (("N1-B3", one), ("N2-B4", two), ("full-B6", full), ("mixed-B6", mixed)):
+        yield f"nn/small/{label}", digest(*m.energy_forces_batch(pos))
+    ds = generate_reference_dataset(ref, 2, (300.0, 600.0), frames_per_T=4, seed=3,
+                                    species="Cu", stride=50, burn_in_steps=100)
+    yield "gen-data/morse-cu/N2-T2", digest(text=write_extxyz(ds))
 
 
 def fixture_cases(ref):

@@ -2,6 +2,7 @@
 and the scatter that sums per-pair values onto atoms."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,28 +39,33 @@ class PairTable:
         return len(self.r)
 
 
-def _displacements(positions, cutoff, cell=None, pbc=None):
-    d = positions[..., None, :, :] - positions[..., :, None, :]
-    if cell is not None and pbc is not None and np.any(pbc):
-        # Nearest periodic image: the only one in range if the cell is at least
-        # twice the cutoff wide across each periodic axis.  An axis's width is the
-        # cell volume over the area of the face that the other two axes span.
-        cell = np.asarray(cell, dtype=float)
-        faces = np.cross(cell[[1, 2, 0]], cell[[2, 0, 1]])
-        with np.errstate(divide="ignore", invalid="ignore"):   # a flat cell: 0 or nan wide
-            widths = abs(np.linalg.det(cell)) / np.linalg.norm(faces, axis=1)
-        narrow = np.asarray(pbc, dtype=bool) & ~(widths >= 2.0 * cutoff)
-        if narrow.any():
-            k = int(np.argmax(narrow))
-            raise ValueError(f"periodic cell is {widths[k]:g} A wide across axis {k}, less than "
-                             f"twice the cutoff ({2.0 * cutoff:g} A): one image per pair "
-                             "would miss others in range")
-        inv = np.linalg.inv(cell)
-        frac = d @ inv
-        shift = np.round(frac)
-        shift[..., ~np.asarray(pbc, dtype=bool)] = 0.0
-        d = d - shift @ cell
-    return d
+def _minimum_image(d, cutoff, cell, pbc):
+    """Displacements ``d`` (..., 3) taken to their nearest periodic image: the only
+    one in range if the cell is at least twice the cutoff wide across each periodic
+    axis.  An axis's width is the cell volume over the area of the face that the
+    other two axes span."""
+    cell = np.asarray(cell, dtype=float)
+    faces = np.cross(cell[[1, 2, 0]], cell[[2, 0, 1]])
+    with np.errstate(divide="ignore", invalid="ignore"):   # a flat cell: 0 or nan wide
+        widths = abs(np.linalg.det(cell)) / np.linalg.norm(faces, axis=1)
+    narrow = np.asarray(pbc, dtype=bool) & ~(widths >= 2.0 * cutoff)
+    if narrow.any():
+        k = int(np.argmax(narrow))
+        raise ValueError(f"periodic cell is {widths[k]:g} A wide across axis {k}, less than "
+                         f"twice the cutoff ({2.0 * cutoff:g} A): one image per pair "
+                         "would miss others in range")
+    shift = np.round(d @ np.linalg.inv(cell))
+    shift[..., ~np.asarray(pbc, dtype=bool)] = 0.0
+    return d - shift @ cell
+
+
+@lru_cache(maxsize=64)
+def _pair_index(n: int):
+    """Atoms i and j of the n*(n-1) ordered pairs i != j of n atoms, row-major in
+    (i, j); shared by every call with n atoms, so read-only."""
+    i, j = np.divmod(np.flatnonzero(~np.eye(n, dtype=bool)), n)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
@@ -68,30 +74,39 @@ def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
 
     A frame's pairs come in the order of its own one-frame table (row-major in
     i, j), so per-atom sums over a batch equal the frames' own sums bit for bit.
-    A non-finite position raises NonFiniteGeometryError, and two atoms closer than
-    ``R_MIN`` raise SingularGeometryError naming the first such pair; for B frames
-    its message names that pair's frame and its ``frames`` every frame at fault.
-    A cell narrower than twice the pair ``cutoff`` across a periodic axis raises
-    ValueError, since the minimum image is then not the only image in range.
+    When every pair is in range the table is the whole pair index of N atoms,
+    whose arrays are shared between calls; a one-frame table's ``i`` and ``j``
+    may be read-only.  A non-finite position raises NonFiniteGeometryError, and
+    two atoms closer than ``R_MIN`` raise SingularGeometryError naming the first
+    such pair; for B frames its message names that pair's frame and its
+    ``frames`` every frame at fault.  A cell narrower than twice the pair
+    ``cutoff`` across a periodic axis raises ValueError, since the minimum image
+    is then not the only image in range.
     """
     positions = np.asarray(positions, dtype=float)
     if not np.isfinite(positions).all():
         raise NonFiniteGeometryError("non-finite atom position")
-    n = positions.shape[-2]
-    d = _displacements(positions, cutoff, cell, pbc)
-    r = np.linalg.norm(d, axis=-1)
-    r.reshape(r.shape[:-2] + (n * n,))[..., ::n + 1] = np.inf
-    if (r < R_MIN).any():
-        close = np.argwhere(r < R_MIN)
-        *frame, i, j = close[0]
-        where = f" in frame {frame[0]}" if frame else ""
-        raise SingularGeometryError(f"atoms {i} and {j} are coincident (r < {R_MIN} A){where}",
-                                    np.unique(close[:, 0]).tolist() if frame else ())
-    pairs = np.flatnonzero(r < cutoff)   # row-major: frame, then i, then j
-    rr = r.ravel()[pairs]
-    unit = d.reshape(-1, 3)[pairs] / rr[:, None]
-    ii, j = np.divmod(pairs, n)   # ii = b*N + i
-    return PairTable(ii, ii - ii % n + j, rr, unit)
+    n, batch = positions.shape[-2], positions.ndim > 2
+    i, j = _pair_index(n)
+    if batch and len(positions) != 1:   # frame b's atoms are b*N + i
+        first = n * np.arange(len(positions))[:, None]
+        i, j = (first + i).ravel(), (first + j).ravel()
+    atoms = positions.reshape(-1, 3)
+    d = atoms.take(j, axis=0) - atoms.take(i, axis=0)
+    if cell is not None and pbc is not None and np.any(pbc):
+        d = _minimum_image(d, cutoff, cell, pbc)
+    r = np.sqrt(np.add.reduce(d * d, axis=-1))   # np.linalg.norm's own operations
+    if np.minimum.reduce(r, initial=np.inf) < R_MIN:
+        close = np.flatnonzero(r < R_MIN)
+        frames = i[close] // n
+        where = f" in frame {frames[0]}" if batch else ""
+        raise SingularGeometryError(f"atoms {i[close[0]] % n} and {j[close[0]] % n} are "
+                                    f"coincident (r < {R_MIN} A){where}",
+                                    np.unique(frames).tolist() if batch else ())
+    if not np.maximum.reduce(r, initial=-np.inf) < cutoff:   # some pairs out of range
+        pairs = np.flatnonzero(r < cutoff)
+        i, j, r, d = i[pairs], j[pairs], r[pairs], d[pairs]
+    return PairTable(i, j, r, d / r[:, None])
 
 
 def scatter_add(index, values, n: int, out=None) -> np.ndarray:

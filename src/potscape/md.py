@@ -75,7 +75,7 @@ class MDConfig:
 def kinetic_energy(velocities, masses):
     """Kinetic energy (eV) of one (N, 3) velocity array, or of each of B (B, N, 3)."""
     mv2 = (masses[:, None] * velocities**2).reshape(velocities.shape[:-2] + (3 * len(masses),))
-    return 0.5 * mv2.sum(axis=-1) * EV_PER_AMU_A2_FS2
+    return 0.5 * np.add.reduce(mv2, axis=-1) * EV_PER_AMU_A2_FS2
 
 
 def instantaneous_temperature(velocities, masses):
@@ -135,23 +135,23 @@ def md_step(model, state, masses, cfg: MDConfig):
     """
     members, targets, pos, vel, forces, _ = state
     dt, m = cfg.timestep_fs, masses[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow is caught below
+    failed = {}
+    with np.errstate(over="ignore", invalid="ignore"):   # non-finite values are caught below
         vel = vel + 0.5 * dt * (forces / m / EV_PER_AMU_A2_FS2)   # half kick, then drift
         pos = pos + dt * vel
-        screen = pos.sum()   # finite when every position is; else the rows are checked
-    failed = {}
-    if not math.isfinite(screen):
-        rows = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
-        failed = {int(members[row]): ("numeric", None) for row in rows}
-        members, targets, pos, vel = _drop(rows, (members, targets, pos, vel))
-    energy, forces, lost = _evaluate(model, pos)
-    if lost:
-        failed.update((int(members[row]), cause) for row, cause in lost.items())
-        members, targets, pos, vel = _drop(lost, (members, targets, pos, vel))
-    vel = vel + 0.5 * dt * forces / m / EV_PER_AMU_A2_FS2   # second half kick
-    if math.isfinite(cfg.tau_fs):
-        lam = berendsen_lambda(dt, cfg.tau_fs, targets, instantaneous_temperature(vel, masses))
-        vel = vel * lam[:, None, None]
+        # the sum is finite when every position is; else the rows are checked
+        if not math.isfinite(np.add.reduce(pos, axis=None)):
+            rows = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
+            failed = {int(members[row]): ("numeric", None) for row in rows}
+            members, targets, pos, vel = _drop(rows, (members, targets, pos, vel))
+        energy, forces, lost = _evaluate(model, pos)
+        if lost:
+            failed.update((int(members[row]), cause) for row, cause in lost.items())
+            members, targets, pos, vel = _drop(lost, (members, targets, pos, vel))
+        vel = vel + 0.5 * dt * forces / m / EV_PER_AMU_A2_FS2   # second half kick
+        if math.isfinite(cfg.tau_fs):
+            lam = berendsen_lambda(dt, cfg.tau_fs, targets, instantaneous_temperature(vel, masses))
+            vel = vel * lam[:, None, None]
     return (members, targets, pos, vel, forces, energy), failed
 
 
@@ -227,10 +227,11 @@ def _evaluate(model, positions):
     again, until a call succeeds or no row is left; an exception naming no
     frame propagates.  A batch's frames equal their own evaluations bit for
     bit, so the dropped rows do not change the others.  A row with a
-    non-finite energy or force is "numeric" too.
+    non-finite energy or force is "numeric" too.  Its screens are sums, which
+    may overflow: it runs under ``md_step``'s errstate.
     """
-    rows, batch, failed = np.arange(len(positions)), positions, {}
-    while len(rows):
+    rows, batch, failed = None, positions, {}   # rows: the batch's rows, once one is dropped
+    while len(batch):
         try:
             energy, forces = model.energy_forces_batch(batch)[:2]
             break
@@ -238,14 +239,16 @@ def _evaluate(model, positions):
             if not exc.frames:
                 raise
             cause = "collapse" if isinstance(exc, SingularGeometryError) else "numeric"
+            rows = np.arange(len(positions)) if rows is None else rows
             failed.update((int(rows[f]), (cause, None)) for f in exc.frames)
             rows = np.delete(rows, exc.frames)
             batch = positions[rows]
     else:
-        energy, forces = np.zeros(0), positions[:0]
-    if not (np.isfinite(forces).all() and np.isfinite(energy).all()):
+        return np.zeros(0), positions[:0], failed
+    if not math.isfinite(np.add.reduce(forces, axis=None) + np.add.reduce(energy)):
         bad = ~(np.isfinite(forces).all(axis=(1, 2)) & np.isfinite(energy))
-        failed.update((int(row), ("numeric", None)) for row in rows[bad])
+        failed.update((int(row), ("numeric", None))
+                      for row in (np.flatnonzero(bad) if rows is None else rows[bad]))
         energy, forces = energy[~bad], forces[~bad]
     return energy, forces, failed
 
@@ -269,7 +272,9 @@ def _integrate(model, start: Configuration, cfg: MDConfig, seeds, targets, bonds
                 for i in pair):
             raise ValueError(f"bond_list entry {pair!r} is not a pair of distinct atom "
                              f"indices in 0..{n_atoms - 1}")
-    bonds, threshold = np.array(bonds), cfg.failure_bond_length
+    bonds, threshold = np.array(bonds, dtype=int).reshape(-1, 2), cfg.failure_bond_length
+    lo, hi = bonds.T
+    limit = (threshold * (1.0 - 1e-9)) ** 2   # squared lengths below it pass unmeasured
     n_steps = int(round(cfg.total_time_ps * 1000.0 / cfg.timestep_fs))
     masses = masses_for(start.species)
     vel = np.stack([init_velocities(start, t, seed=s) for s, t in zip(seeds, targets)])
@@ -292,8 +297,8 @@ def _integrate(model, start: Configuration, cfg: MDConfig, seeds, targets, bonds
             finish(k, step, *hit)
         members, _, pos, vel, forces, energy = state
         if step % cfg.trace_interval == 0:
-            for k, t in zip(members, instantaneous_temperature(vel, masses)):
-                traces[k].append(float(t))
+            for k, t in zip(members.tolist(), instantaneous_temperature(vel, masses).tolist()):
+                traces[k].append(t)
         if frames and step > frames[0] and (step - frames[0]) % frames[1] == 0:
             for row, k in enumerate(members):
                 kept[k].append(Configuration(pos[row].copy(), list(start.species),
@@ -301,15 +306,16 @@ def _integrate(model, start: Configuration, cfg: MDConfig, seeds, targets, bonds
                                              forces=forces[row].copy()))
         if len(bonds):
             # squared lengths screen every member; _check_bonds gives the exact verdict
-            d = pos[:, bonds[:, 1]] - pos[:, bonds[:, 0]]
-            near = ~(np.einsum("bij,bij->bi", d, d) <= (threshold * (1.0 - 1e-9)) ** 2)
-            hits = ((row, _check_bonds(pos[row], bonds, threshold))
-                    for row in np.flatnonzero(near.any(axis=1)))
-            failed = {row: hit[0] for row, hit in hits if hit is not None}
-            for row, pair in failed.items():
-                finish(members[row], step, "bond", pair)
-            if failed:
-                state = _drop(failed, state)
+            d = pos[:, hi] - pos[:, lo]
+            sq = np.einsum("bij,bij->bi", d, d)
+            if not np.maximum.reduce(sq, axis=None, initial=0.0) <= limit:   # some bond is near
+                hits = ((row, _check_bonds(pos[row], bonds, threshold))
+                        for row in np.flatnonzero(~(sq <= limit).all(axis=1)))
+                failed = {row: hit[0] for row, hit in hits if hit is not None}
+                for row, pair in failed.items():
+                    finish(members[row], step, "bond", pair)
+                if failed:
+                    state = _drop(failed, state)
         if not len(state[0]):
             break
     for k in state[0]:

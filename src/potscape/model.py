@@ -10,6 +10,7 @@ and widths form their own blocks) used for landscape direction normalization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import NamedTuple
@@ -217,7 +218,9 @@ class NeuralPotential:
         with np.errstate(over="ignore", invalid="ignore"):   # reported as NumericEvalError
             out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n,
                            n, new_array)
-        if not np.all(np.isfinite(out.y)):
+            # the sum is finite when every site energy is; else they are checked
+            finite = math.isfinite(np.add.reduce(out.y)) or np.isfinite(out.y).all()
+        if not finite:
             bad = np.flatnonzero(~np.isfinite(out.y))
             frame, atom = divmod(int(bad[0]), n)
             raise NumericEvalError(f"non-finite site energy at atom {atom} of frame {frame}",

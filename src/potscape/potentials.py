@@ -22,9 +22,8 @@ def _switched(v, dv, r, r_on, cutoff):
 
     Only the distances beyond r_on are touched; ``v`` and ``dv`` are updated in place.
     """
-    inside = r <= r_on
-    if not inside.all():
-        out = ~inside   # switched or cut off
+    if np.maximum.reduce(r, initial=-np.inf) > r_on:   # some pairs switched or cut off
+        out = r > r_on
         ro = r[out]
         s, ds = quintic_switch(np.clip((ro - r_on) / (cutoff - r_on), 0.0, 1.0))
         ds = ds / (cutoff - r_on)
@@ -41,8 +40,7 @@ class _PairPotential:
     def pair_energy_deriv(self, r):
         """Switched pair energies and their derivatives at an array of distances."""
         r = np.asarray(r, dtype=float)
-        v, dv = self._raw(r)
-        return _switched(v, dv, r, self.switch_start, self.cutoff)
+        return _switched(*self._raw(r), r, self.switch_start, self.cutoff)
 
     def energy_forces(self, positions, species=None, cell=None, pbc=None):
         """Total switched pair energy and analytic forces (eV, eV/A) of one frame."""
@@ -53,20 +51,32 @@ class _PairPotential:
     def energy_forces_batch(self, positions, cell=None, pbc=None):
         """Energies (B,) and forces (B, N, 3) of B frames from their pair table.
 
-        Each frame's energy sums its pairs i < j and its forces go through
-        ``scatter_add``, so each frame's results equal those of the frame alone
-        bit for bit.  A periodic cell narrower than twice the cutoff raises
-        ValueError.
+        Each frame's energy sums its pairs i < j in pair order, and each atom's
+        force sums its pairs' terms in pair order from 0.0, as ``scatter_add``
+        does; so each frame's results equal those of the frame alone bit for
+        bit.  When every frame keeps all its pairs, the sums are the rows of one
+        reduction (an atom's N-1 pairs are consecutive); otherwise the forces go
+        through ``scatter_add``, and only the frames that lose pairs at the
+        cutoff are summed one by one.  A periodic cell narrower than twice the
+        cutoff raises ValueError.
         """
         b, n = np.shape(positions)[:2]
         pt = pair_table(positions, self.cutoff, cell, pbc)
-        v, dv = self.pair_energy_deriv(pt.r)
+        v, dv = _switched(*self._raw(pt.r), pt.r, self.switch_start, self.cutoff)
+        terms = dv[:, None] * pt.unit
         upper = pt.i < pt.j
-        v, first = v[upper], pt.i[upper]
-        ends = first.searchsorted(n * np.arange(1, b + 1)).tolist()   # where each frame's pairs end
-        energy = np.array([v[start:end].sum() for start, end in zip([0] + ends, ends)])
-        forces = scatter_add(pt.i, dv[:, None] * pt.unit, b * n).reshape(b, n, 3)
-        return energy, forces
+        v, m = v[upper], n * (n - 1) // 2
+        if len(v) == b * m:
+            return (np.add.reduce(v.reshape(b, m), axis=1),
+                    np.add.reduce(terms.reshape(b, n, n - 1, 3), axis=2, initial=0.0))
+        bounds = pt.i[upper].searchsorted(n * np.arange(b + 1))   # frame f: bounds[f:f+2]
+        starts, ends = bounds[:-1], bounds[1:]
+        whole = ends - starts == m
+        energy = np.empty(b)
+        energy[whole] = np.add.reduce(v[starts[whole, None] + np.arange(m)], axis=1)
+        for f in np.flatnonzero(~whole).tolist():
+            energy[f] = v[starts[f]:ends[f]].sum()
+        return energy, scatter_add(pt.i, terms, b * n).reshape(b, n, 3)
 
 
 @dataclass
