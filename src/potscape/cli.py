@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -187,9 +188,17 @@ def _splitter(config, seed, required=False):
 
 
 def _landscape_grid(config, t_min=-1.0):
-    return np.linspace(_get(config, "landscape.t_min", t_min, float),
-                       _get(config, "landscape.t_max", 1.0, float),
-                       _get(config, "landscape.points", 21, int))
+    """``landscape.points`` values from ``landscape.t_min`` to ``landscape.t_max``; no
+    point, a bound that is not finite, or bounds that do not increase exit 2."""
+    t_min = _get(config, "landscape.t_min", t_min, float)
+    t_max = _get(config, "landscape.t_max", 1.0, float)
+    points = _get(config, "landscape.points", 21, int)
+    if points < 1:
+        raise ConfigError(f"landscape.points must be >= 1, got {points}")
+    if not (math.isfinite(t_min) and math.isfinite(t_max)) or (points > 1 and not t_min < t_max):
+        raise ConfigError(f"landscape.t_min must be finite and less than landscape.t_max, "
+                          f"got {t_min:g} and {t_max:g}")
+    return np.linspace(t_min, t_max, points)
 
 
 def _frozen(config):

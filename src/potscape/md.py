@@ -132,6 +132,9 @@ def md_step(model, state, masses, cfg: MDConfig):
     half kick adds ``0.5*dt * (F/m/c)`` and the second ``(0.5*dt*F)/m/c``, and
     a member's kinetic energy sums ``m*v**2`` over its 3N components in atom
     order.  So a member's trajectory keeps its bits whatever batch it is in.
+    The step runs under one errstate that ignores overflow and invalid
+    operations, so its finiteness screens are sums and it warns of nothing
+    that it drops.
     """
     members, targets, pos, vel, forces, _ = state
     dt, m = cfg.timestep_fs, masses[:, None]

@@ -47,15 +47,18 @@ class TrainConfig:
         if not 0.0 < self.plateau_factor < 1.0:
             raise ValueError("plateau_factor must be in (0, 1)")
         try:
-            rows = [(int(e), float(w_e), float(w_f)) for e, w_e, w_f in self.weight_schedule]
+            rows = [(float(e), float(w_e), float(w_f)) for e, w_e, w_f in self.weight_schedule]
         except (TypeError, ValueError):
             raise ValueError("weight_schedule entries must be (epoch, w_E, w_F) triples, "
                              f"got {self.weight_schedule!r}") from None
         if not rows:
             raise ValueError("weight_schedule must be nonempty")
         epochs = [e for e, _, _ in rows]
+        fractional = [e for e in epochs if not e.is_integer()]   # nan and inf too
+        if fractional:
+            raise ValueError(f"weight_schedule epochs must be whole numbers, not {fractional[0]:g}")
         if epochs[0] > 0:
-            raise ValueError(f"weight_schedule must start at epoch 0, not {epochs[0]}")
+            raise ValueError(f"weight_schedule must start at epoch 0, not {epochs[0]:g}")
         if sorted(epochs) != epochs or len(set(epochs)) != len(epochs):
             raise ValueError("weight_schedule epochs must be strictly increasing")
         if not all(0.0 <= w < np.inf for _, *weights in rows for w in weights):

@@ -254,7 +254,8 @@ class TestErrors:
         ("[[3,1.0,10.0]]", "weight_schedule must start at epoch 0, not 3"),
         ("[[0,1.0]]", "weight_schedule entries must be (epoch, w_E, w_F) triples"),
         ("[[0,-1.0,10.0]]", "weight_schedule weights must be finite and >= 0"),
-    ], ids=["late-start", "pair", "negative"])
+        ("[[0,1,25],[2.0,1,1],[2.5,1,1]]", "weight_schedule epochs must be whole numbers, not 2.5"),
+    ], ids=["late-start", "pair", "negative", "fractional-epoch"])
     def test_bad_weight_schedule_fails_before_any_work(self, gen_dir, tmp_path, monkeypatch,
                                                        schedule, message):
         # these once failed after the data were read, failed without naming the key,
@@ -328,12 +329,18 @@ class TestKeyTable:
         assert run_command(command, config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, key)
 
-    @pytest.mark.parametrize("command,key,value", [("train", "model.name", ["x"]),
-                                                   ("landscape2d", "landscape.w_e", "abc")],
-                             ids=["train-model.name", "landscape2d-landscape.w_e"])
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "model.name", ["x"]),
+        ("landscape2d", "landscape.w_e", "abc"),
+        ("interp", "landscape.points", 0),
+        ("interp", "landscape.t_max", 0.0),
+        ("landscape1d", "landscape.t_min", 2.0),
+    ], ids=["train-model.name", "landscape2d-landscape.w_e", "interp-no-points",
+            "interp-empty-range", "landscape1d-decreasing"])
     def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, tmp_path, monkeypatch,
                                              command, key, value):
-        # these values were once cast only after training or after the whole surface
+        # these values were once cast or checked only after training or after the whole
+        # scan; an interp grid of no points died with an IndexError (exit 1, no manifest)
         def work(*args, **kwargs):
             raise AssertionError("the run worked before casting its values")
         for module, name in ((cli, "train"), (landscape, "landscape_2d"),

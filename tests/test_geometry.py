@@ -49,6 +49,29 @@ class TestScatterAdd:
         assert_exact(index, values, 7)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_atoms=st.integers(1, 8), n_frames=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+       periodic=st.booleans())
+def test_batch_table_equals_frames(n_atoms, n_frames, seed, periodic):
+    """A batch's table holds each frame's own table (i, j, r, unit) bit for bit, in
+    order, with atoms numbered b*N + i: frames with every pair in range (the whole
+    pair index) and frames with pairs beyond the cutoff or nearer through the cell."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-4.0, 4.0, (n_frames, n_atoms, 3))
+    cell, pbc = (np.diag([12.0, 13.0, 14.0]), [True, False, True]) if periodic else (None, None)
+    tables = [pair_table(p, 5.0, cell, pbc) for p in pos]
+    batch = pair_table(pos, 5.0, cell, pbc)
+    frame = batch.i // n_atoms
+    assert np.array_equal(frame, batch.j // n_atoms) and np.all(np.diff(frame) >= 0)
+    for b, pt in enumerate(tables):
+        rows = frame == b
+        assert np.array_equal(batch.i[rows] - b * n_atoms, pt.i)
+        assert np.array_equal(batch.j[rows] - b * n_atoms, pt.j)
+        assert batch.r[rows].tobytes() == pt.r.tobytes()
+        assert batch.unit[rows].tobytes() == pt.unit.tobytes()
+        assert len(pt) <= n_atoms * (n_atoms - 1) and np.all(pt.r < 5.0)
+
+
 def test_distance_matrix_names_every_collapsed_frame():
     pos = np.stack([random_cluster(4, seed) for seed in range(5)])
     pos[1, 2] = pos[1, 0]

@@ -141,6 +141,26 @@ class TestBatchEvaluation:
             assert E[b] == e and np.array_equal(F[b], f)
         assert np.array_equal(F[0, -1], np.zeros(3))
 
+    @pytest.mark.parametrize("pot", [LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0), Morse()])
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(1, 9), seed=st.integers(0, 2**31 - 1),
+           far=st.lists(st.booleans(), min_size=1, max_size=5))
+    def test_full_and_partial_frames(self, pot, n_atoms, seed, far):
+        """Frames with every pair inside the cutoff take the row sums; a batch where
+        some or all frames lose a pair takes the per-frame sums.  Each frame evaluates
+        exactly (==) as it does alone, and as in a batch of its own kind."""
+        rng = np.random.default_rng(seed)
+        pos = np.stack([random_cluster(n_atoms, rng, box=1.7, min_dist=1.0) for _ in far])
+        pos[far, -1] += [pot.cutoff + 4.0, 0.0, 0.0]   # beyond the cutoff of the others
+        E, F = pot.energy_forces_batch(pos)
+        for b in range(len(far)):
+            e, f = pot.energy_forces(pos[b])
+            assert E[b] == e and np.array_equal(F[b], f)
+        whole = ~np.array(far) if n_atoms > 1 else np.ones(len(far), dtype=bool)
+        if whole.any():
+            E1, F1 = pot.energy_forces_batch(pos[whole])
+            assert np.array_equal(E1, E[whole]) and np.array_equal(F1, F[whole])
+
 
 class TestPeriodic:
     def test_minimum_image_matches_shifted_copy(self):

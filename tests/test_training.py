@@ -29,6 +29,17 @@ class TestWeightSchedule:
         with pytest.raises(ValueError):
             TrainConfig(weight_schedule=((10, 1.0, 1.0), (5, 1.0, 1.0)))
 
+    def test_integral_float_epochs_accepted(self):
+        # int(e) once turned 2.5 into 2: [2.0, 2.5] read as not increasing, 2.5 alone as 2
+        sched = ((0, 1.0, 25.0), (2.0, 1.0, 1.0))
+        TrainConfig(weight_schedule=sched)
+        assert [apply_weight_schedule(sched, e) for e in (1, 2)] == [(1.0, 25.0), (1.0, 1.0)]
+
+    @pytest.mark.parametrize("epoch", [2.5, float("nan"), float("inf")])
+    def test_fractional_epoch_named(self, epoch):
+        with pytest.raises(ValueError, match=f"whole numbers, not {epoch:g}$"):
+            TrainConfig(weight_schedule=((0, 1.0, 25.0), (epoch, 1.0, 1.0)))
+
 
 class TestAdam:
     def quadratic(self, x, target, curv):
