@@ -250,8 +250,8 @@ def _evaluate(model, positions):
         return np.zeros(0), positions[:0], failed
     if not math.isfinite(np.add.reduce(forces, axis=None) + np.add.reduce(energy)):
         bad = ~(np.isfinite(forces).all(axis=(1, 2)) & np.isfinite(energy))
-        failed.update((int(row), ("numeric", None))
-                      for row in (np.flatnonzero(bad) if rows is None else rows[bad]))
+        rows = np.arange(len(positions)) if rows is None else rows
+        failed.update((int(row), ("numeric", None)) for row in rows[bad])
         energy, forces = energy[~bad], forces[~bad]
     return energy, forces, failed
 
