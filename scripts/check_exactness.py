@@ -9,10 +9,11 @@ the python and numpy versions, the SIMD extensions numpy found, and the
 OpenBLAS config, which together decide the rounding) and then
 ``<case> <sha256>`` lines.  The cases cover the pair potentials and the neural
 model (fixed and trainable basis, three layer shapes) on batches with pairs at
-the cutoff, in the switching window and through a periodic cell; loss tables,
-their sub-tables and gradients; 1D and 2D landscapes; reference datasets; MD
-ensembles and their dump files; training; and models scored against their own
-one-frame labels.  ``--compare`` lists the cases whose digests differ between
+the cutoff, in the switching window and through a periodic cell, on frames of
+one and two atoms, and on batches whose frames keep all their pairs or lose
+some; loss tables, their sub-tables and gradients; 1D and 2D landscapes;
+reference datasets; MD ensembles and their dump files; training; and models
+scored against their own one-frame labels.  ``--compare`` lists the cases whose digests differ between
 two outputs, or that only one has, and exits 1 if there are any.  The
 landscapes split their points over the CPUs of the affinity mask, so a run
 under ``taskset -c 0`` against one with several CPUs compares the forked path
