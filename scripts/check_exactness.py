@@ -13,13 +13,13 @@ the cutoff, in the switching window and through a periodic cell, on frames of
 one and two atoms, and on batches whose frames keep all their pairs or lose
 some; loss tables, their sub-tables and gradients; 1D and 2D landscapes;
 reference datasets; MD ensembles and their dump files; training; and models
-scored against their own one-frame labels.  ``--compare`` lists the cases whose digests differ between
-two outputs, or that only one has, and exits 1 if there are any.  The
-landscapes split their points over the CPUs of the affinity mask, so a run
-under ``taskset -c 0`` against one with several CPUs compares the forked path
-with the one-process path.  The output on each known fingerprint is committed
-as ``tests/digests/<sha256 of the # lines>.txt``, which
-``tests/test_exactness.py`` checks.
+scored against their own one-frame labels.  ``--compare`` lists the cases
+whose digests differ between two outputs, or that only one has, and exits 1
+if there are any.  The landscapes split their points over the CPUs of the
+affinity mask, so a run under ``taskset -c 0`` against one with several CPUs
+compares the forked path with the one-process path.  The output on each
+known fingerprint is committed as ``tests/digests/<sha256 of the # lines>.txt``,
+which ``tests/test_exactness.py`` checks.
 """
 
 from __future__ import annotations

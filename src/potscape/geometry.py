@@ -59,10 +59,12 @@ def _minimum_image(d, cutoff, cell, pbc):
     return d - shift @ cell
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def _pair_index(n: int):
     """Atoms i and j of the n*(n-1) ordered pairs i != j of n atoms, row-major in
-    (i, j); shared by every call with n atoms, so read-only."""
+    (i, j); shared by every call with n atoms, so read-only.  An integration or
+    a data set's tables use one atom count at a time, so two counts are kept,
+    16*n*(n-1) bytes each."""
     i, j = np.divmod(np.flatnonzero(~np.eye(n, dtype=bool)), n)
     i.flags.writeable = j.flags.writeable = False
     return i, j

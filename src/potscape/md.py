@@ -132,29 +132,29 @@ def md_step(model, state, masses, cfg: MDConfig):
     half kick adds ``0.5*dt * (F/m/c)`` and the second ``(0.5*dt*F)/m/c``, and
     a member's kinetic energy sums ``m*v**2`` over its 3N components in atom
     order.  So a member's trajectory keeps its bits whatever batch it is in.
-    The step runs under one errstate that ignores overflow and invalid
-    operations, so its finiteness screens are sums and it warns of nothing
-    that it drops.
+    Only the first half kick, the drift and the position screen ignore
+    overflow and invalid operations; the model, the second half kick and the
+    thermostat run under the caller's errstate.
     """
     members, targets, pos, vel, forces, _ = state
     dt, m = cfg.timestep_fs, masses[:, None]
-    failed = {}
-    with np.errstate(over="ignore", invalid="ignore"):   # non-finite values are caught below
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is caught below
         vel = vel + 0.5 * dt * (forces / m / EV_PER_AMU_A2_FS2)   # half kick, then drift
         pos = pos + dt * vel
-        # the sum is finite when every position is; else the rows are checked
-        if not math.isfinite(np.add.reduce(pos, axis=None)):
-            rows = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
-            failed = {int(members[row]): ("numeric", None) for row in rows}
-            members, targets, pos, vel = _drop(rows, (members, targets, pos, vel))
-        energy, forces, lost = _evaluate(model, pos)
-        if lost:
-            failed.update((int(members[row]), cause) for row, cause in lost.items())
-            members, targets, pos, vel = _drop(lost, (members, targets, pos, vel))
-        vel = vel + 0.5 * dt * forces / m / EV_PER_AMU_A2_FS2   # second half kick
-        if math.isfinite(cfg.tau_fs):
-            lam = berendsen_lambda(dt, cfg.tau_fs, targets, instantaneous_temperature(vel, masses))
-            vel = vel * lam[:, None, None]
+        screen = np.add.reduce(pos, axis=None)   # finite when every position is; else by row
+    failed = {}
+    if not math.isfinite(screen):
+        rows = np.flatnonzero(~np.isfinite(pos).all(axis=(1, 2)))
+        failed = {int(members[row]): ("numeric", None) for row in rows}
+        members, targets, pos, vel = _drop(rows, (members, targets, pos, vel))
+    energy, forces, lost = _evaluate(model, pos)
+    if lost:
+        failed.update((int(members[row]), cause) for row, cause in lost.items())
+        members, targets, pos, vel = _drop(lost, (members, targets, pos, vel))
+    vel = vel + 0.5 * dt * forces / m / EV_PER_AMU_A2_FS2   # second half kick
+    if math.isfinite(cfg.tau_fs):
+        lam = berendsen_lambda(dt, cfg.tau_fs, targets, instantaneous_temperature(vel, masses))
+        vel = vel * lam[:, None, None]
     return (members, targets, pos, vel, forces, energy), failed
 
 
@@ -230,8 +230,7 @@ def _evaluate(model, positions):
     again, until a call succeeds or no row is left; an exception naming no
     frame propagates.  A batch's frames equal their own evaluations bit for
     bit, so the dropped rows do not change the others.  A row with a
-    non-finite energy or force is "numeric" too.  Its screens are sums, which
-    may overflow: it runs under ``md_step``'s errstate.
+    non-finite energy or force is "numeric" too.
     """
     rows, batch, failed = None, positions, {}   # rows: the batch's rows, once one is dropped
     while len(batch):
@@ -248,7 +247,9 @@ def _evaluate(model, positions):
             batch = positions[rows]
     else:
         return np.zeros(0), positions[:0], failed
-    if not math.isfinite(np.add.reduce(forces, axis=None) + np.add.reduce(energy)):
+    # one reduction of isfinite per array: a sum could overflow and warn
+    if not (np.logical_and.reduce(np.isfinite(forces), axis=None)
+            and np.logical_and.reduce(np.isfinite(energy))):
         bad = ~(np.isfinite(forces).all(axis=(1, 2)) & np.isfinite(energy))
         rows = np.arange(len(positions)) if rows is None else rows
         failed.update((int(row), ("numeric", None)) for row in rows[bad])

@@ -40,7 +40,8 @@ class _PairPotential:
     def pair_energy_deriv(self, r):
         """Switched pair energies and their derivatives at an array of distances."""
         r = np.asarray(r, dtype=float)
-        return _switched(*self._raw(r), r, self.switch_start, self.cutoff)
+        v, dv = self._raw(r)
+        return _switched(v, dv, r, self.switch_start, self.cutoff)
 
     def energy_forces(self, positions, species=None, cell=None, pbc=None):
         """Total switched pair energy and analytic forces (eV, eV/A) of one frame."""
@@ -55,27 +56,21 @@ class _PairPotential:
         force sums its pairs' terms in pair order from 0.0, as ``scatter_add``
         does; so each frame's results equal those of the frame alone bit for
         bit.  When every frame keeps all its pairs, the sums are the rows of one
-        reduction (an atom's N-1 pairs are consecutive); otherwise the forces go
-        through ``scatter_add``, and only the frames that lose pairs at the
-        cutoff are summed one by one.  A periodic cell narrower than twice the
-        cutoff raises ValueError.
+        reduction (an atom's N-1 pairs are consecutive); otherwise each frame's
+        energy is summed alone and the forces go through ``scatter_add``.  A
+        periodic cell narrower than twice the cutoff raises ValueError.
         """
         b, n = np.shape(positions)[:2]
         pt = pair_table(positions, self.cutoff, cell, pbc)
-        v, dv = _switched(*self._raw(pt.r), pt.r, self.switch_start, self.cutoff)
+        v, dv = self.pair_energy_deriv(pt.r)
         terms = dv[:, None] * pt.unit
         upper = pt.i < pt.j
         v, m = v[upper], n * (n - 1) // 2
-        if len(v) == b * m:
+        if len(v) == b * m:   # no frame loses a pair at the cutoff
             return (np.add.reduce(v.reshape(b, m), axis=1),
                     np.add.reduce(terms.reshape(b, n, n - 1, 3), axis=2, initial=0.0))
-        bounds = pt.i[upper].searchsorted(n * np.arange(b + 1))   # frame f: bounds[f:f+2]
-        starts, ends = bounds[:-1], bounds[1:]
-        whole = ends - starts == m
-        energy = np.empty(b)
-        energy[whole] = np.add.reduce(v[starts[whole, None] + np.arange(m)], axis=1)
-        for f in np.flatnonzero(~whole).tolist():
-            energy[f] = v[starts[f]:ends[f]].sum()
+        ends = pt.i[upper].searchsorted(n * np.arange(1, b + 1)).tolist()   # each frame's end
+        energy = np.array([v[start:end].sum() for start, end in zip([0] + ends, ends)])
         return energy, scatter_add(pt.i, terms, b * n).reshape(b, n, 3)
 
 

@@ -181,6 +181,23 @@ class TestIntegration:
         assert [(r.cause, r.time_to_failure) for r in records] == [("numeric", 0.1)] * 2
         assert all(model.finite_inputs)
 
+    def test_model_warnings_reach_the_caller(self):
+        # md_step ignores overflow only in its kick and drift: a model's overflow
+        # warns a direct caller, or raises under the caller's errstate
+        class OverflowModel:
+            def energy_forces_batch(self, positions):
+                return np.full(len(positions), 1e308) * 10.0, np.zeros_like(positions)
+
+        mo = Morse()
+        pos = build_cluster(mo, 4, seed=1)
+        state = md_state(pos, np.zeros((1, 4, 3)), [300.0], *mo.energy_forces(pos))
+        masses, cfg = masses_for(["Cu"] * 4), MDConfig(temperature=300.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _, failed = md_step(OverflowModel(), state, masses, cfg)
+        assert failed == {0: ("numeric", None)}
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            md_step(OverflowModel(), state, masses, cfg)
+
 
 def check_bonds(positions, cfg):
     return _check_bonds(positions, np.array(cfg.bond_list), cfg.failure_bond_length)
