@@ -12,12 +12,13 @@ model (fixed and trainable basis, three layer shapes) on batches with pairs at
 the cutoff, in the switching window and through a periodic cell, on frames of
 one and two atoms, and on batches whose frames keep all their pairs or lose
 some; loss tables, their sub-tables and gradients; 1D and 2D landscapes;
-reference datasets; MD ensembles and their dump files; training; and models
-scored against their own one-frame labels.  ``--compare`` lists the cases
-whose digests differ between two outputs, or that only one has, and exits 1
-if there are any.  The landscapes split their points over the CPUs of the
-affinity mask, so a run under ``taskset -c 0`` against one with several CPUs
-compares the forked path with the one-process path.  The output on each
+reference datasets; MD ensembles and their dump files; training, also long
+enough to fork its epoch-end worker; and models scored against their own
+one-frame labels.  ``--compare`` lists the cases whose digests differ between
+two outputs, or that only one has, and exits 1 if there are any.  The
+landscapes split their points over the CPUs of the affinity mask and training
+forks a worker when it has two, so a run under ``taskset -c 0`` against one
+with several CPUs compares the forked paths with the one-process paths.  The output on each
 known fingerprint is committed as ``tests/digests/<sha256 of the # lines>.txt``,
 which ``tests/test_exactness.py`` checks.
 """
@@ -170,6 +171,29 @@ def cases():
 
     yield from fixture_cases(ref)
     yield from small_and_mixed_cases(ref)
+    yield from overlap_cases(ref)
+
+
+def overlap_cases(ref):
+    """Training long enough on enough pairs that, with two CPUs or more, a forked
+    worker evaluates each epoch's end: 120 training frames and 40 validation
+    frames of about 28 pairs each, over 160 epochs, is above training.OVERLAP_FLOOR.
+    Patience 3 and the schedule's change make the plateau decay the rate."""
+    from potscape.data import Configuration, Dataset
+    from potscape.training import HISTORY_COLUMNS, TrainConfig, train
+    from tests.conftest import random_model
+
+    rng = np.random.default_rng(20261020)
+    frames = [Configuration(p, ["Cu"] * 6, *ref.energy_forces(p)) for p in clusters(rng, 160)]
+    d_train, d_val = Dataset(frames[:120]), Dataset(frames[120:])
+    cfg = TrainConfig(max_epochs=160, batch_size=40, lr0=0.02, amsgrad=True, plateau_patience=3,
+                      weight_schedule=((0, 1.0, 25.0), (80, 25.0, 1.0)))
+    for trainable in (False, True):
+        report = train(random_model(23, hidden=(16, 16), trainable_basis=trainable), d_train,
+                       cfg, d_val=d_val)
+        history = [[row[k] for k in HISTORY_COLUMNS] for row in report.history]
+        yield (f"train/{'trainable' if trainable else 'fixed'}/overlap",
+               digest(report.best_params, report.final_params, [report.best_epoch], history))
 
 
 def small_and_mixed_cases(ref):

@@ -9,15 +9,13 @@ evaluated on a fixed dataset; grid points are independent pure evaluations.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forked
 from .artifacts import write_csv, write_json
 from .data import Dataset
 from .model import DatasetTables, NeuralPotential, ParameterVector, tables_loss
@@ -141,46 +139,15 @@ def _directions(m: NeuralPotential, frozen, seed: int, n: int):
                   for k in range(n)]
 
 
-def _fork(evaluate, vals, cpu: int, lo: int, hi: int):
-    """(pid, read end) of a child, pinned to `cpu`, that evaluates points lo..hi-1 and
-    writes their (2, hi - lo) losses to a pipe.  The child never returns: it ends in
-    ``os._exit``, after an exception or an interrupt too, so it runs none of the
-    parent's exit code."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            os.sched_setaffinity(0, (cpu,))
-            evaluate(lo, hi)
-            with open(w, "wb") as fh:
-                fh.write(vals[:, lo:hi].tobytes())
-            code = 0
-        except Exception:
-            sys.excepthook(*sys.exc_info())   # the traceback, on stderr
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
 def _scan(m: NeuralPotential, d: Dataset, points, arrange, **meta):
     """(loss_E, loss_F, metadata) at each flat-parameter point.
 
     The points are split into contiguous slices, one per CPU of the process's
     affinity mask (at most one per point).  The parent evaluates the first point,
     which builds a fixed basis's G, then forks one child per other slice and
-    evaluates the first slice itself.  Each process is pinned to its own CPU of
-    the mask while the children run (the parent's mask is restored after), since
-    a scheduler may otherwise keep a child on its parent's CPU.  A fork, not a
-    fresh interpreter, gives each child the built table at no cost.  Each point
+    evaluates the first slice itself (``forked.Children``: each process is
+    pinned to its own CPU of the mask while the children run, and a fork gives
+    each child the built table at no cost).  Each point
     is the same computation on the same table in whichever process runs it, so
     the result does not depend on the split; with one CPU no child is made.  A
     child that fails or sends short data makes the parent raise
@@ -199,38 +166,25 @@ def _scan(m: NeuralPotential, d: Dataset, points, arrange, **meta):
             lv = tables_loss(m, tables, points[idx], 1.0, 1.0)
             vals[:, idx] = lv.loss_E, lv.loss_F
 
-    # a platform without affinity masks runs the scan in one process
-    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    n_procs = max(1, min(len(mask), len(points)))
-    bounds = [k * len(points) // n_procs for k in range(n_procs + 1)]
-    head = min(1, len(points))
-    evaluate(0, head)
-    children = []   # (pid, read end, lo, hi) of each child not yet reaped
-    try:
-        if n_procs > 1:
-            os.sched_setaffinity(0, mask[:1])
-        for cpu, lo, hi in zip(mask[1:], bounds[1:-1], bounds[2:]):
-            children.append((*_fork(evaluate, vals, cpu, lo, hi), lo, hi))
+    def evaluate_and_send(lo, hi):
+        def run(out):
+            evaluate(lo, hi)
+            out.write(vals[:, lo:hi].tobytes())
+        return run
+
+    with forked.Children() as children:
+        n_procs = max(1, min(len(children.mask), len(points)))
+        bounds = [k * len(points) // n_procs for k in range(n_procs + 1)]
+        head = min(1, len(points))
+        evaluate(0, head)
+        slices = [(children.fork(cpu, evaluate_and_send(lo, hi)), lo, hi)
+                  for cpu, lo, hi in zip(children.mask[1:], bounds[1:-1], bounds[2:])]
         evaluate(head, bounds[1])
-        while children:
-            pid, fh, lo, hi = children[0]
-            with fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0 or len(data) != vals[:, lo:hi].nbytes:
-                raise ChildProcessError(f"landscape worker for points {lo}..{hi - 1} exited "
-                                        f"{code} after sending {len(data)} bytes")
+        for child, lo, hi in slices:
+            data = children.join(child, vals[:, lo:hi].nbytes,
+                                 f"landscape worker for points {lo}..{hi - 1}")
             vals[:, lo:hi] = np.frombuffer(data).reshape(2, hi - lo)
             tables.eval_count += hi - lo
-    finally:
-        for pid, fh, _, _ in children:   # only after a fault or an interrupt
-            fh.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, 9)   # SIGKILL, without importing signal for this path
-                os.waitpid(pid, 0)
-        if n_procs > 1:
-            os.sched_setaffinity(0, mask)
     vals[~np.isfinite(vals)] = np.inf
     loss_E, loss_F = arrange(vals)
     meta.update(dataset=d.name, n_evaluations=int(tables.eval_count),

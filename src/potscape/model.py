@@ -149,6 +149,8 @@ class NeuralPotential:
     params: ParameterVector
     rescale: Rescale = field(default_factory=Rescale)
     name: str = "model"
+    # (params.values, its unpack()) once an evaluation has built the views
+    _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, descriptor: DescriptorSpec, hidden=(16, 16), activation: str = "tanh",
@@ -210,7 +212,9 @@ class NeuralPotential:
         """
         positions = np.asarray(positions, dtype=float)
         B, n = positions.shape[:2]
-        centers, widths, Ws, bs = self.unpack()
+        if self._views is None or self._views[0] is not self.params.values:
+            self._views = (self.params.values, self.unpack())
+        centers, widths, Ws, bs = self._views[1]
         pt = pair_table(positions, self.descriptor.cutoff, cell=cell, pbc=pbc)
         # the pair count changes with every call, so nothing is worth keeping
         e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff, ws=new_array)

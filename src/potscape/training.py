@@ -3,7 +3,8 @@
 Optimizer is Adam (beta1=0.9, beta2=0.999, eps=1e-8) with an optional
 AMSGrad max-of-second-moment, an optional exponential moving average of the
 weights, plateau-based learning-rate decay, scheduled energy/force loss
-weights, and optional uniform tail averaging of weights.
+weights, and optional uniform tail averaging of weights.  With two CPUs or
+more, a forked worker evaluates each epoch's end while the next epoch runs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import forked
 from .artifacts import write_csv
 from .data import Dataset
 from .model import DatasetTables, NeuralPotential, tables_loss, tables_loss_grad
@@ -147,13 +149,45 @@ class TrainReport:
     swa_params: np.ndarray | None = None
 
 
+# pair-epochs from which training forks its epoch-end worker (see ``train``)
+OVERLAP_FLOOR = 400_000
+
+
 def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
-          d_val: Dataset | None = None, step_callback=None) -> TrainReport:
+          d_val: Dataset | None = None) -> TrainReport:
     """Optimize a copy of the model's parameters; the input model is untouched.
 
     Best-epoch selection uses the held-out split when provided, otherwise the
     training loss.  Deterministic given (seed, config, dataset): batches are
     contiguous frame ranges in fixed order.
+
+    Each epoch ends with the loss over the full training table, and over the
+    validation table if there is one.  The next epoch's minibatches depend on
+    them only through the learning rate, which the plateau schedule can change
+    only if ``bad_epochs + 1 >= patience`` before its update.  So when the
+    affinity mask has two CPUs or more and the run reaches ``OVERLAP_FLOOR``,
+    one worker forked after the tables are built (``forked.Children``: pinned
+    to the second CPU, the parent to the first) evaluates each epoch's end
+    while the parent runs the next epoch's minibatches.  The parent commits the
+    epochs in order, one behind: history row, schedule update,
+    ``TrainingDiverged``, best parameters.  It waits for the worker only at the
+    last epoch and when the pending epoch could decay the rate.  A minibatch
+    that raises while an epoch is pending commits that epoch first, so a
+    divergence is named at the epoch where it happened.  Below the floor, and
+    with one CPU (``taskset -c 0``), training runs in one process and commits
+    each epoch as it ends.  The worker runs the same computation on the same
+    tables, so the report has the same bits either way.  A worker that fails
+    raises ``ChildProcessError``; on a fault or an interrupt it is killed and
+    reaped.
+
+    The floor counts the epochs that can overlap (all but the last) times the
+    pairs of both tables.  It weighs the fork against the time saved, measured
+    on 2 vCPUs (Python 3.11, numpy 2.4): a fork, pin and reap of the worker
+    took 2.6-4.4 ms next to a 38 MB parent, and an epoch-end loss about 77 ns
+    per pair (624 us for 270 frames of 6 atoms), so at the floor the overlap
+    saves about 30 ms, ten times the fork.  Sending the parameters and reading
+    the losses back took 15 us per epoch, less than the fixed cost of even a
+    small table's loss (69 us for 110 pairs).
     """
     if len(d_train) == 0:
         raise ValueError("empty training dataset")
@@ -173,35 +207,72 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
     swa_sum = np.zeros_like(values)
     swa_count = 0
 
+    def epoch_end(values, w_e, w_f) -> np.ndarray:
+        """The full table's loss_E, loss_F and combined, and the epoch's score."""
+        full = tables_loss(model, tables, values, w_e, w_f)
+        score = full.combined
+        if val_tables is not None and np.isfinite(full.combined):
+            score = tables_loss(model, val_tables, values, w_e, w_f).combined
+        return np.array([full.loss_E, full.loss_F, full.combined, score])
+
     history = []
     best = np.inf
     best_params = values.copy()
     best_epoch = 0
-    for epoch in range(cfg.max_epochs):
-        w_e, w_f = apply_weight_schedule(cfg.weight_schedule, epoch)
-        for bt in batch_tables:
-            _, grad = tables_loss_grad(model, bt, values, w_e, w_f)
-            values = opt.step(values, grad, sched.lr)
-            if ema is not None:
-                ema.update(values)
-            if step_callback is not None:
-                step_callback(values)
-        full = tables_loss(model, tables, values, w_e, w_f)
-        if not np.isfinite(full.combined):
+
+    def commit(epoch, values, w_e, w_f, result):
+        nonlocal best, best_params, best_epoch
+        loss_E, loss_F, combined, score = result.tolist()
+        if not np.isfinite(combined):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         lr_now = sched.lr
-        sched.update(full.combined)
-        history.append({"epoch": epoch, "loss_E": full.loss_E, "loss_F": full.loss_F,
-                        "combined": full.combined, "lr": lr_now, "w_E": w_e, "w_F": w_f})
-        if cfg.swa_tail is not None and epoch >= cfg.swa_tail:
-            swa_sum += values
-            swa_count += 1
-        score = full.combined if val_tables is None else \
-            tables_loss(model, val_tables, values, w_e, w_f).combined
+        sched.update(combined)
+        history.append({"epoch": epoch, "loss_E": loss_E, "loss_F": loss_F,
+                        "combined": combined, "lr": lr_now, "w_E": w_e, "w_F": w_f})
         if score < best:
             best = score
             best_params = values.copy()
             best_epoch = epoch
+
+    n_pairs = len(tables.r) + (0 if val_tables is None else len(val_tables.r))
+    with forked.Children() as children:
+        worker = None
+        if len(children.mask) > 1 and (cfg.max_epochs - 1) * n_pairs >= OVERLAP_FLOOR:
+            worker = children.fork(children.mask[1], _serve(epoch_end, len(values)), reads=True)
+        pending = []   # the epoch sent to the worker and not yet committed
+
+        def settle():
+            epoch, *sent = pending.pop()
+            result = children.receive(worker, 32, f"training worker at epoch {epoch}")
+            commit(epoch, *sent, np.frombuffer(result))
+
+        for epoch in range(cfg.max_epochs):
+            w_e, w_f = apply_weight_schedule(cfg.weight_schedule, epoch)
+            try:
+                for bt in batch_tables:
+                    _, grad = tables_loss_grad(model, bt, values, w_e, w_f)
+                    values = opt.step(values, grad, sched.lr)
+                    if ema is not None:
+                        ema.update(values)
+            except Exception:
+                if pending:   # a divergence of the pending epoch is the cause
+                    settle()
+                raise
+            if cfg.swa_tail is not None and epoch >= cfg.swa_tail:
+                swa_sum += values
+                swa_count += 1
+            if worker is None:
+                commit(epoch, values, w_e, w_f, epoch_end(values, w_e, w_f))
+                continue
+            children.send(worker, np.append(values, (w_e, w_f)).tobytes(),
+                          f"training worker at epoch {epoch}")
+            if pending:
+                settle()
+            pending.append((epoch, values, w_e, w_f))
+            if epoch == cfg.max_epochs - 1 or sched.bad_epochs + 1 >= sched.patience:
+                settle()   # the last epoch, or one whose loss could decay the rate
+        if worker is not None:
+            children.join(worker, 0, "training worker")
     return TrainReport(
         history=history,
         final_params=values,
@@ -210,6 +281,17 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
         ema_params=None if ema is None else ema.values,
         swa_params=None if swa_count == 0 else swa_sum / swa_count,
     )
+
+
+def _serve(epoch_end, n_values):
+    """The worker: for each (values, w_E, w_F) that the parent sends, until it
+    closes the pipe, the four floats of ``epoch_end``."""
+    def run(out, inp):
+        while message := inp.read(8 * (n_values + 2)):
+            sent = np.frombuffer(message)
+            out.write(epoch_end(sent[:-2].copy(), *sent[-2:].tolist()).tobytes())
+            out.flush()
+    return run
 
 
 HISTORY_COLUMNS = ("epoch", "loss_E", "loss_F", "combined", "lr", "w_E", "w_F")

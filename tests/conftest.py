@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,20 @@ def pin_frames(n_frames, periodic):
     if periodic:
         return frames % 16.0, np.diag([16.0, 16.0, 16.0]), [True] * 3
     return frames, None, None
+
+
+def cpus(monkeypatch, n):
+    """Make forked.Children see n CPUs in the affinity mask; returns the list of the
+    CPU sets that the parent pins itself to (a child pins itself in its own copy)."""
+    pinned = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pinned.append(sorted(mask)))
+    return pinned
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from potscape import landscape
+from potscape import forked, landscape
 from potscape.descriptors import DescriptorSpec
 from potscape.landscape import (DegenerateDirectionError, Direction, LandscapeProfile,
                                 filter_normalize, interpolate_models, landscape_1d,
@@ -17,7 +17,8 @@ from potscape.landscape import (DegenerateDirectionError, Direction, LandscapePr
 from potscape.model import (FilterBlock, FilterPartition, NeuralPotential,
                             ParameterVector, Rescale, loss_eval)
 from potscape.seeding import substream
-from tests.conftest import differing_cases, labeled_dataset, random_model
+from tests.conftest import (assert_no_child_left, cpus, differing_cases, labeled_dataset,
+                            random_model)
 
 
 def two_block_vector(values, frozen=(False, False)):
@@ -314,20 +315,6 @@ class TestInterpolation:
             interpolate_models(mA, mB, ds)
 
 
-def cpus(monkeypatch, n):
-    """Make the scan see n CPUs in the affinity mask; returns the list of the CPU
-    sets that the parent pins itself to (a child pins itself in its own copy)."""
-    pinned = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pinned.append(sorted(mask)))
-    return pinned
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestSplitOverCPUs:
     """The scan splits the points over the CPUs of the affinity mask, one process
     each; the split never shows in a result."""
@@ -400,7 +387,7 @@ class TestSplitOverCPUs:
 
         def no_send(file, mode="r"):   # a child's losses go nowhere; it still exits 0
             return real_open(os.devnull if os.getpid() != parent else file, mode)
-        monkeypatch.setattr(landscape, "open", no_send, raising=False)
+        monkeypatch.setattr(forked, "open", no_send, raising=False)
         cpus(monkeypatch, 2)
         m = random_model(6)
         with pytest.raises(ChildProcessError, match="exited 0 after sending 0 bytes"):

@@ -129,6 +129,23 @@ class TestBatchEvaluation:
             assert np.array_equal(F[b], f) and np.array_equal(per_atom[b], p)
         assert np.array_equal(F[0, -1], np.zeros(3))
 
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_views_follow_the_parameter_array(self, trainable):
+        """The parameter views that evaluations keep are rebuilt for a new array and
+        see in-place writes to the array they view."""
+        m = random_model(2, trainable_basis=trainable)
+        pos = np.random.default_rng(3).uniform(-2.5, 2.5, (2, 5, 3))
+        base = m.params.values.copy()
+        before = m.energy_forces_batch(pos)
+        m.params.values = 1.01 * base
+        after = m.energy_forces_batch(pos)
+        fresh = m.with_values(1.01 * base).energy_forces_batch(pos)
+        m.params.values[:] = base
+        again = m.energy_forces_batch(pos)
+        assert not np.array_equal(before[0], after[0])
+        for a, b in zip(after + again, fresh + before):
+            assert np.array_equal(a, b)
+
     def test_numeric_error_names_every_frame(self):
         # no hidden layer and a weight of 1e308 on a narrow basis function at 1 A:
         # two neighbours at 1 A overflow the site energy, atoms 2 A or more apart

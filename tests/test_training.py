@@ -1,11 +1,16 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
+from potscape import training
 from potscape.model import loss_eval
 from potscape.training import (Adam, EMA, PlateauScheduler, TrainConfig,
                                TrainingDiverged, apply_weight_schedule, train,
                                write_history_csv)
-from tests.conftest import differing_cases, labeled_dataset, random_model
+from tests.conftest import (assert_no_child_left, cpus, differing_cases, labeled_dataset,
+                            random_model)
 
 
 class TestWeightSchedule:
@@ -92,6 +97,18 @@ class TestPlateau:
         assert TrainConfig(batch_size=0).batch_size == 0   # full batch
 
 
+def adam_iterates(monkeypatch):
+    """The list that every later ``Adam.step`` appends a copy of its result to."""
+    iterates, step = [], Adam.step
+
+    def recorded(self, values, grad, lr):
+        out = step(self, values, grad, lr)
+        iterates.append(out.copy())
+        return out
+    monkeypatch.setattr(Adam, "step", recorded)
+    return iterates
+
+
 class TestTrain:
     def setup_problem(self, seed=0, **kwargs):
         m = random_model(seed, **kwargs)
@@ -132,35 +149,35 @@ class TestTrain:
         kind = "trainable" if trainable_basis else "fixed"
         assert differing_cases(corpus, f"train/{kind}/best_params") == []
 
-    def test_ema_equals_recomputed_average(self):
+    def test_ema_equals_recomputed_average(self, monkeypatch):
         m, ds = self.setup_problem(5)
         decay = 0.99
-        iterates = []
+        iterates = adam_iterates(monkeypatch)
         cfg = TrainConfig(max_epochs=15, batch_size=3, lr0=0.01, ema_decay=decay,
                           weight_schedule=((0, 1.0, 10.0),))
-        report = train(m, ds, cfg, step_callback=lambda v: iterates.append(v.copy()))
+        report = train(m, ds, cfg)
         expect = m.params.values.copy()
         for it in iterates:
             expect = decay * expect + (1.0 - decay) * it
         np.testing.assert_allclose(report.ema_params, expect, rtol=0, atol=0)
 
-    def test_ema_within_visited_bounds(self):
+    def test_ema_within_visited_bounds(self, monkeypatch):
         m, ds = self.setup_problem(7)
-        iterates = []
+        iterates = adam_iterates(monkeypatch)
         cfg = TrainConfig(max_epochs=25, lr0=0.02, ema_decay=0.9,
                           weight_schedule=((0, 1.0, 10.0),))
-        report = train(m, ds, cfg, step_callback=lambda v: iterates.append(v.copy()))
+        report = train(m, ds, cfg)
         visited = np.vstack([m.params.values] + iterates)
         assert np.all(report.ema_params >= visited.min(axis=0) - 1e-15)
         assert np.all(report.ema_params <= visited.max(axis=0) + 1e-15)
 
-    def test_swa_is_tail_mean(self):
+    def test_swa_is_tail_mean(self, monkeypatch):
         m, ds = self.setup_problem(9)
-        epoch_ends = []
+        epoch_ends = adam_iterates(monkeypatch)
         cfg = TrainConfig(max_epochs=12, lr0=0.01, swa_tail=8,
                           weight_schedule=((0, 1.0, 10.0),))
-        # full-batch: one step per epoch, so callback sees epoch-end params
-        report = train(m, ds, cfg, step_callback=lambda v: epoch_ends.append(v.copy()))
+        # full-batch: one step per epoch, so the steps give the epoch-end params
+        report = train(m, ds, cfg)
         expect = np.mean(epoch_ends[8:], axis=0)
         np.testing.assert_allclose(report.swa_params, expect, atol=1e-15)
 
@@ -175,11 +192,20 @@ class TestTrain:
         assert loss_eval(best_model, val, 1.0, 10.0).combined <= \
             loss_eval(final_model, val, 1.0, 10.0).combined + 1e-15
 
-    def test_divergence_aborts_with_epoch(self):
+    def test_divergence_aborts_with_epoch(self, monkeypatch):
         m, ds = self.setup_problem(13)
         cfg = TrainConfig(max_epochs=10, lr0=1e200, weight_schedule=((0, 1.0, 10.0),))
-        with pytest.raises(TrainingDiverged, match="epoch"):
+        with pytest.raises(TrainingDiverged, match="epoch") as in_process:
             train(m, ds, cfg)
+        # with the worker, epoch 1's minibatch overflows (an error under tier-1's
+        # warning filter) while epoch 0 is pending; epoch 0 is still the one named
+        monkeypatch.setattr(training, "OVERLAP_FLOOR", 1)
+        pinned = cpus(monkeypatch, 2)
+        with pytest.raises(TrainingDiverged, match="epoch") as forked:
+            train(m, ds, cfg)
+        assert str(forked.value) == str(in_process.value) == "non-finite loss at epoch 0"
+        assert pinned == [[0], [0, 1]]
+        assert_no_child_left()
 
     def test_weight_cycling_recorded_in_history(self):
         m, ds = self.setup_problem(15)
@@ -198,6 +224,113 @@ class TestTrain:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,loss_E,loss_F,combined,lr,w_E,w_F"
         assert len(lines) == 4
+
+
+class TestEpochEndWorker:
+    """Above the floor and with two CPUs or more, a forked worker evaluates each
+    epoch's end while the parent runs the next epoch; it never shows in a result."""
+
+    @staticmethod
+    def problem():
+        m = random_model(21, trainable_basis=True)
+        offsets = dict(energy_offset=0.05, force_offset=np.array([0.05, -0.02, 0.01]))
+        ds = labeled_dataset(m, 6, seed=121, **offsets)
+        val = labeled_dataset(m, 3, seed=621, **offsets)
+        # the schedule's change and patience 2 make the plateau decay the rate, and
+        # make the parent wait for the worker before the epochs that might decay it
+        cfg = TrainConfig(max_epochs=30, batch_size=2, lr0=0.05, amsgrad=True,
+                          ema_decay=0.9, swa_tail=20, plateau_patience=2,
+                          weight_schedule=((0, 1.0, 10.0), (12, 10.0, 1.0)))
+        return m, ds, val, cfg
+
+    @staticmethod
+    def report_bytes(report):
+        return ([getattr(report, name).tobytes() for name in
+                 ("final_params", "best_params", "ema_params", "swa_params")],
+                report.best_epoch,
+                np.array([[row[k] for k in training.HISTORY_COLUMNS]
+                          for row in report.history]).tobytes())
+
+    def test_report_does_not_depend_on_the_cpus(self, monkeypatch):
+        m, ds, val, cfg = self.problem()
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(training, "OVERLAP_FLOOR", 1)
+        report = train(m, ds, cfg, d_val=val)
+        results = {"this host": self.report_bytes(report)}
+        assert len({row["lr"] for row in report.history}) > 2   # the rate decayed twice
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child_left()
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for n in (1, 2, 3):
+            pinned = cpus(monkeypatch, n)
+            results[n] = self.report_bytes(train(m, ds, cfg, d_val=val))
+            assert len(forks) == min(n - 1, 1)   # one worker, on the second CPU
+            assert pinned == ([[0], list(range(n))] if n > 1 else [])
+            forks.clear()
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+        assert results["this host"] == results[1]
+        assert_no_child_left()
+
+    def test_below_the_floor_nothing_forks(self, monkeypatch):
+        m, ds, val, cfg = self.problem()
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        pinned = cpus(monkeypatch, 3)
+        pairs = sum(len(training.DatasetTables(m, d).r) for d in (ds, val))
+        at_floor = (cfg.max_epochs - 1) * pairs
+        assert at_floor < training.OVERLAP_FLOOR
+        train(m, ds, cfg, d_val=val)
+        assert forks == [] and pinned == []
+        monkeypatch.setattr(training, "OVERLAP_FLOOR", at_floor + 1)
+        train(m, ds, cfg, d_val=val)
+        assert forks == [] and pinned == []
+        monkeypatch.setattr(training, "OVERLAP_FLOOR", at_floor)
+        train(m, ds, cfg, d_val=val)
+        assert forks == [1] and pinned == [[0], [0, 1, 2]]
+        assert_no_child_left()
+
+    def test_failed_worker_raises_and_is_reaped(self, monkeypatch):
+        m, ds, val, cfg = self.problem()
+        parent, loss = os.getpid(), training.tables_loss
+
+        def worker_fails(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a fault in the worker only")
+            return loss(*args)
+        monkeypatch.setattr(training, "tables_loss", worker_fails)
+        monkeypatch.setattr(training, "OVERLAP_FLOOR", 1)
+        pinned = cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=r"training worker at epoch \d+ exited 1"):
+            train(m, ds, cfg, d_val=val)
+        assert_no_child_left()
+        assert pinned == [[0], [0, 1]]   # the parent's mask is restored
+
+    def test_parent_interrupt_kills_the_worker(self, monkeypatch):
+        m, ds, val, cfg = self.problem()
+        parent, loss, grad, calls = os.getpid(), training.tables_loss, training.tables_loss_grad, []
+
+        def worker_hangs(*args):
+            if os.getpid() != parent:
+                time.sleep(60)   # reaped within the test only if the parent kills it
+            return loss(*args)
+
+        def parent_interrupted(*args):
+            calls.append(1)
+            if len(calls) == 4:   # the first minibatch of epoch 1, with epoch 0 pending
+                raise KeyboardInterrupt
+            return grad(*args)
+        monkeypatch.setattr(training, "tables_loss", worker_hangs)
+        monkeypatch.setattr(training, "tables_loss_grad", parent_interrupted)
+        monkeypatch.setattr(training, "OVERLAP_FLOOR", 1)
+        pinned = cpus(monkeypatch, 2)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            train(m, ds, cfg, d_val=val)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+        assert pinned == [[0], [0, 1]]
 
 
 def test_ema_tracker_unit():
