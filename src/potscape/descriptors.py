@@ -26,15 +26,18 @@ class DescriptorSpec:
         self.widths = np.asarray(self.widths, dtype=float)
         if len(self.centers) != self.n_radial or len(self.widths) != self.n_radial:
             raise ValueError("centers/widths length must equal n_radial")
-        if np.any(self.centers <= 0) or np.any(self.centers > self.cutoff):
+        if not 0.0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        if not np.all((0.0 < self.centers) & (self.centers <= self.cutoff)):
             raise ValueError("centers must lie in (0, cutoff]")
-        if np.any(self.widths <= 0):
-            raise ValueError("widths must be positive")
+        if not np.all((0.0 < self.widths) & (self.widths < math.inf)):
+            raise ValueError("widths must be positive and finite")
 
     @classmethod
     def default(cls, cutoff: float = 5.0, n_radial: int = 8,
                 first_center: float = 1.0, trainable_basis: bool = False):
-        centers = np.linspace(first_center, cutoff, n_radial)
+        with np.errstate(invalid="ignore"):   # an infinite cutoff fails in __post_init__
+            centers = np.linspace(first_center, cutoff, n_radial)
         spacing = centers[1] - centers[0] if n_radial > 1 else cutoff
         widths = np.full(n_radial, 1.0 / (2.0 * spacing**2))
         return cls(n_radial, centers, widths, cutoff, trainable_basis)

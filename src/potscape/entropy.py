@@ -48,8 +48,8 @@ def loss_entropy(curve, kT: float) -> float:
     curve = np.asarray(curve, dtype=float)
     if curve.size == 0:
         raise ValueError("empty curve")
-    if kT <= 0:
-        raise ValueError("kT must be positive")
+    if not 0.0 < kT < np.inf:
+        raise ValueError(f"kT must be positive and finite, got {kT}")
     if np.any(np.isnan(curve)):
         raise ValueError("curve contains NaN")
     a = -curve / (K_CONST * kT)          # +inf loss -> -inf exponent -> weight 0
@@ -85,8 +85,10 @@ def temperature_sweep(p: LandscapeProfile, T_E_range=(0.4, 400.0), T_F_range=(4.
     Returns (reports, info); info records the flat-zero reference entropy
     log(grid size) that upper-bounds every S in the sweep.
     """
-    if min(T_E_range) <= 0 or min(T_F_range) <= 0 or n_points < 2:
-        raise ValueError("ranges must be positive and n_points >= 2")
+    if len(T_E_range) != 2 or len(T_F_range) != 2 or n_points < 2 or \
+            not all(0.0 < t < np.inf for t in (*T_E_range, *T_F_range)):
+        raise ValueError(f"ranges must be pairs of positive, finite bounds and n_points >= 2, "
+                         f"got {T_E_range}, {T_F_range} and {n_points}")
     te = np.geomspace(T_E_range[0], T_E_range[1], n_points)
     tf = np.geomspace(T_F_range[0], T_F_range[1], n_points)
     reports = [entropy_from_profile(p, T_E=a, T_F=b, alpha=alpha, profile_ref=profile_ref)

@@ -84,8 +84,8 @@ class LennardJones(_PairPotential):
     switch_start: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.sigma <= 0:
-            raise ValueError("epsilon and sigma must be positive")
+        if not all(0.0 < x < np.inf for x in (self.epsilon, self.sigma)):
+            raise ValueError("epsilon and sigma must be positive and finite")
         if self.switch_start is None:
             self.switch_start = 0.9 * self.cutoff
         if not 0 < self.switch_start < self.cutoff:
@@ -113,8 +113,8 @@ class Morse(_PairPotential):
     switch_start: float | None = None
 
     def __post_init__(self):
-        if self.well_depth <= 0 or self.stiffness <= 0 or self.r0 <= 0:
-            raise ValueError("Morse parameters must be positive")
+        if not all(0.0 < x < np.inf for x in (self.well_depth, self.stiffness, self.r0)):
+            raise ValueError("well_depth, stiffness and r0 must be positive and finite")
         if self.switch_start is None:
             self.switch_start = 0.9 * self.cutoff
         if not 0 < self.switch_start < self.cutoff:

@@ -36,8 +36,8 @@ class TrainConfig:
     swa_tail: int | None = None
 
     def __post_init__(self):
-        if self.lr0 < 0:
-            raise ValueError("lr0 must be >= 0")
+        if not 0.0 <= self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be >= 0 and finite, got {self.lr0}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if self.batch_size < 0:

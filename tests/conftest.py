@@ -14,10 +14,17 @@ from potscape.potentials import Morse
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "digests"
 
-_spec = importlib.util.spec_from_file_location("check_exactness",
-                                               ROOT / "scripts" / "check_exactness.py")
-exactness = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(exactness)
+
+def load_script(name):
+    """``scripts/<name>.py`` as a module (``scripts`` is not a package)."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+exactness = load_script("check_exactness")
+flatness = load_script("run_flatness_vs_stability")
 
 
 def random_cluster(n_atoms, seed, box=2.5, min_dist=1.6):

@@ -6,6 +6,7 @@ data and take a few minutes total.
 """
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -14,20 +15,18 @@ import pytest
 from potscape.analysis import (extrapolation_slope, learning_curve_slope, ols,
                                toy_regression_experiment)
 from potscape.cli import EXIT_OK, run_command
-from potscape.data import (Configuration, NoiseSpec, corrupt_labels,
-                           generate_reference_dataset, split_by_temperature)
+from potscape.data import Configuration, NoiseSpec, corrupt_labels, generate_reference_dataset
 from potscape.descriptors import DescriptorSpec
-from potscape.entropy import entropy_from_profile, loss_entropy, temperature_sweep, weighted_entropy
+from potscape.entropy import loss_entropy, temperature_sweep, weighted_entropy
 from potscape.landscape import (LandscapeProfile, filter_normalize, interpolate_models,
                                 landscape_1d, sample_direction)
-from potscape.md import (MDConfig, _check_bonds, infer_bond_list, init_velocities,
-                         instantaneous_temperature, kinetic_energy, masses_for, md_step,
-                         run_ensemble)
+from potscape.md import (MDConfig, _check_bonds, init_velocities, instantaneous_temperature,
+                         kinetic_energy, masses_for, md_step)
 from potscape.model import (DatasetTables, NeuralPotential, loss_eval,
                             tables_loss, tables_loss_grad, fit_rescale)
 from potscape.potentials import LennardJones, Morse, build_cluster
 from potscape.training import TrainConfig, train
-from tests.conftest import labeled_dataset, md_state, random_cluster, random_model
+from tests.conftest import ROOT, flatness, labeled_dataset, md_state, random_cluster, random_model
 
 
 def criterion(num, desc):
@@ -249,47 +248,30 @@ def test_10_denoising_trend(denoising_run):
 
 @pytest.fixture(scope="module")
 def ordering_run():
-    """Converged+rescaled model vs. undertrained+unrescaled twin, with
-    landscapes, entropies, and 30-trajectory MD ensembles at elevated T."""
-    mo = Morse()
-    ds = generate_reference_dataset(mo, 6, [300.0], 300, seed=0, species="Cu",
-                                    burn_in_steps=1000, stride=20, name="ordering")
-    d_train, _ = split_by_temperature(ds, 300.0, holdout_fraction=0.1, seed=0)
-    spec = DescriptorSpec.default(cutoff=5.0, n_radial=8)
-
-    m_conv = fit_rescale(NeuralPotential.create(spec, hidden=(16, 16), seed=0,
-                                                name="converged"), d_train)
-    cfg = TrainConfig(max_epochs=600, batch_size=50, lr0=0.01, amsgrad=True,
-                      weight_schedule=((0, 1.0, 25.0),))
-    m_conv = m_conv.with_values(train(m_conv, d_train, cfg).best_params)
-
-    m_under = NeuralPotential.create(spec, hidden=(16, 16), seed=0, name="undertrained")
-    cfg_u = TrainConfig(max_epochs=1, batch_size=50, lr0=0.01, amsgrad=True,
-                        weight_schedule=((0, 1.0, 25.0),))
-    m_under = m_under.with_values(train(m_under, d_train, cfg_u).final_params)
-
-    prof_conv = landscape_1d(m_conv, d_train, n_dirs=20, seed=1)
-    prof_under = landscape_1d(m_under, d_train, n_dirs=20, seed=1)
-
-    start = Configuration(build_cluster(mo, 6, seed=1), ["Cu"] * 6)
-    md_cfg = MDConfig(temperature=700.0, timestep_fs=1.0, tau_fs=250.0,
-                      total_time_ps=2.0, n_trajectories=30,
-                      failure_bond_length=1.5 * mo.r0,
-                      bond_list=infer_bond_list(start.positions), seed=11)
-    _, sum_conv = run_ensemble(m_conv, start, md_cfg)
-    _, sum_under = run_ensemble(m_under, start, md_cfg)
-    return prof_conv, prof_under, sum_conv, sum_under
+    """The flatness-vs-stability protocol's (name, profile, report, summary) rows:
+    converged+rescaled model, then its undertrained+unrescaled twin."""
+    return flatness.flatness_vs_stability()
 
 
 @criterion(11, "converged+rescaled model has larger weighted entropy and larger mean "
                "time-to-failure than undertrained twin (30 trajectories)")
 def test_11_entropy_stability_ordering(ordering_run):
-    prof_conv, prof_under, sum_conv, sum_under = ordering_run
-    ent_conv = entropy_from_profile(prof_conv)
-    ent_under = entropy_from_profile(prof_under)
+    (_, _, ent_conv, sum_conv), (_, _, ent_under, sum_under) = ordering_run
     assert ent_conv.S > ent_under.S
     assert sum_conv.n_trajectories == 30 and sum_under.n_trajectories == 30
     assert sum_conv.mean_ttf > sum_under.mean_ttf
+
+
+def test_flatness_script_writes_the_rows(ordering_run, tmp_path, monkeypatch):
+    # main() only writes and prints what flatness_vs_stability() returns
+    monkeypatch.setattr(flatness, "flatness_vs_stability", lambda: ordering_run)
+    monkeypatch.setattr(flatness, "OUT", tmp_path)
+    assert flatness.main() == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len(written) == 7
+    assert written == sorted(p.name for p in (ROOT / "runs" / "flatness").iterdir())
+    for name, _, report, _ in ordering_run:
+        assert json.loads((tmp_path / f"entropy_{name}.json").read_text())["S"] == report.S
 
 
 @criterion(12, "slope fits: m=-2 on inverse-sqrt curve; exact collinear slope; OLS oracle")
@@ -338,11 +320,10 @@ def test_13_determinism(tmp_path):
 @criterion(14, "S(T) nondecreasing for every stored profile; nested ranking stable "
                "across [T/2, 2T]")
 def test_14_temperature_sweep_monotonicity(ordering_run):
-    prof_conv, prof_under, _, _ = ordering_run
     t = np.linspace(-1, 1, 21)
     nested_flat = LandscapeProfile(t, (5.0 * t**2)[None, :], (50.0 * t**2)[None, :], {})
     nested_sharp = LandscapeProfile(t, (20.0 * t**2)[None, :], (200.0 * t**2)[None, :], {})
-    for profile in (prof_conv, prof_under, nested_flat, nested_sharp):
+    for profile in [row[1] for row in ordering_run] + [nested_flat, nested_sharp]:
         reports, _ = temperature_sweep(profile, (0.4, 400.0), (4.0, 4000.0), n_points=15)
         s = [r.S for r in reports]
         assert all(b >= a - 1e-12 for a, b in zip(s, s[1:]))

@@ -208,6 +208,33 @@ class TestErrors:
             assert key.split(".")[1] in read_manifest(tmp_path)["error"]["message"]
             assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
+    @pytest.mark.parametrize("command,key,text,message", [
+        ("train", "model.cutoff", "NaN", "cutoff must be positive and finite"),
+        ("train", "train.lr0", "NaN", "lr0 must be >= 0 and finite"),
+        ("md", "potential.well_depth", "NaN", "well_depth, stiffness and r0 must be positive"),
+        ("md", "potential.epsilon", "NaN", "epsilon and sigma must be positive"),
+        ("md", "md.bond_factor", "NaN", "bond factor must lie in [1, inf)"),
+        ("md", "md.bond_factor", "0.9", "bond factor must lie in [1, inf)"),
+        ("entropy", "entropy.t_e", "NaN", "kT must be positive and finite"),
+        ("sweep-entropy", "sweep.t_e_range", "[400.0, NaN]", "ranges must be pairs of positive"),
+        ("sweep-entropy", "sweep.t_f_range", "[4.0]", "ranges must be pairs of positive"),
+    ])
+    def test_bad_value_is_config_error(self, gen_dir, profile_dir, tmp_path, command, key, text,
+                                       message):
+        # these once exited 0 (training on all-zero descriptors, an empty bond list in
+        # ensemble.json, NaN entropies), 3 (a non-finite atom position or loss) or 1 (an
+        # IndexError from a one-bound range, with no manifest)
+        profile = {"profile.path": str(profile_dir / "profile.csv")}
+        config = {"train": {"data.path": str(gen_dir / "dataset.extxyz"), **FAST_TRAIN},
+                  "md": {"potential.kind": "lj" if key == "potential.epsilon" else "morse",
+                         "data.n_atoms": 4, "md.total_time_ps": 0.01, "md.n_trajectories": 2},
+                  "entropy": profile, "sweep-entropy": profile}[command]
+        args = [arg for k, v in config.items() for arg in ("--set", f"{k}={json.dumps(v)}")]
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)] + args + ["--set", f"{key}={text}"]) == EXIT_CONFIG
+        assert message in read_manifest(out)["error"]["message"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_degenerate_direction_is_numeric(self, gen_dir, model_dir, tmp_path, monkeypatch):
         # a zero random direction is a numeric fault, not a config error
         monkeypatch.setattr(landscape, "sample_direction",

@@ -45,6 +45,26 @@ def test_spec_validation():
     assert spec.centers[-1] == 5.0
 
 
+@pytest.mark.parametrize("cutoff,centers,widths,message", [
+    (np.nan, [1.0, 3.0], [1.0, 1.0], "cutoff"),
+    (np.inf, [1.0, 3.0], [1.0, 1.0], "cutoff"),
+    (5.0, [1.0, np.nan], [1.0, 1.0], "centers"),
+    (5.0, [1.0, 3.0], [np.nan, 1.0], "widths"),
+    (5.0, [1.0, 3.0], [1.0, np.inf], "widths"),
+])
+def test_nonfinite_spec_rejected(cutoff, centers, widths, message):
+    # NaN passed the <= and > checks
+    with pytest.raises(ValueError, match=message):
+        DescriptorSpec(2, centers, widths, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [np.nan, np.inf])
+def test_default_rejects_a_nonfinite_cutoff(cutoff):
+    # NaN once built NaN centers, so training ran on all-zero descriptors
+    with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        DescriptorSpec.default(cutoff=cutoff)
+
+
 def test_isolated_atom_zero_vector():
     spec = DescriptorSpec.default()
     c = Configuration(np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]), ["Ar", "Ar"])

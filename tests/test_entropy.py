@@ -59,6 +59,12 @@ class TestLossEntropy:
         with pytest.raises(ValueError):
             loss_entropy(np.array([np.nan]), 1.0)
 
+    @pytest.mark.parametrize("kT", [math.nan, math.inf])
+    def test_nonfinite_kT_rejected(self, kT):
+        # NaN once gave S = NaN, and inf gave log n for any curve
+        with pytest.raises(ValueError, match="kT must be positive and finite"):
+            loss_entropy(np.array([1.0, 2.0]), kT)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 1e4), min_size=2, max_size=30),
            st.floats(0.1, 100.0))
@@ -161,6 +167,17 @@ class TestSweep:
             temperature_sweep(p, (0.0, 1.0), (1.0, 2.0))
         with pytest.raises(ValueError):
             temperature_sweep(p, (1.0, 2.0), (1.0, 2.0), n_points=1)
+
+    @pytest.mark.parametrize("t_e_range,t_f_range", [
+        ((400.0, np.nan), (4.0, 4000.0)), ((np.nan, 400.0), (4.0, 4000.0)),
+        ((0.4, 400.0), (4.0, np.inf)), ((0.4, 400.0), (np.nan, 4000.0)),
+        ((0.4,), (4.0, 4000.0)),
+    ])
+    def test_bad_range_rejected(self, t_e_range, t_f_range):
+        # min() of a range with a NaN can be finite, so such a sweep once wrote NaN rows,
+        # and a one-bound range raised an IndexError (no manifest, exit 1)
+        with pytest.raises(ValueError, match="ranges must be pairs of positive, finite bounds"):
+            temperature_sweep(make_profile(np.zeros(5)), t_e_range, t_f_range)
 
 
 class TestPersistence:

@@ -273,6 +273,15 @@ class TestFailureDetection:
         with pytest.raises(NonFiniteGeometryError):
             infer_bond_list(pos)
 
+    @pytest.mark.parametrize("factor", [math.nan, 0.99, 0.0, math.inf])
+    def test_infer_bond_list_checks_the_factor(self, factor):
+        # NaN or a factor below 1 once gave no bond at all, and inf bonded every pair
+        pos = build_cluster(Morse(), 4, seed=4)
+        with pytest.raises(ValueError, match=r"bond factor must lie in \[1, inf\)"):
+            infer_bond_list(pos, factor)
+        assert len(infer_bond_list(pos, 1.0)) >= 1   # the nearest pair, at least
+        assert infer_bond_list(pos[:1], 1.0) == ()
+
 
 class TestEnsemble:
     def test_reference_control_zero_failures(self):

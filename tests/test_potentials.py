@@ -30,6 +30,16 @@ class TestLennardJones:
             lj.energy_forces(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("cls,field", [(LennardJones, "epsilon"), (LennardJones, "sigma"),
+                                       (Morse, "well_depth"), (Morse, "stiffness"),
+                                       (Morse, "r0")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_parameter_rejected(cls, field, bad):
+    # NaN passed the <= 0 checks and failed only later, as a non-finite atom position
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        cls(**{field: bad})
+
+
 @pytest.mark.parametrize("pot", [Morse(), random_model(0)], ids=["morse", "neural"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_position_rejected(pot, bad):

@@ -96,6 +96,13 @@ class TestPlateau:
             TrainConfig(batch_size=-50)
         assert TrainConfig(batch_size=0).batch_size == 0   # full batch
 
+    @pytest.mark.parametrize("lr0", [np.nan, np.inf])
+    def test_lr0_must_be_finite(self, lr0):
+        # a NaN lr0 once trained until a non-finite loss at epoch 0 (a numeric fault)
+        with pytest.raises(ValueError, match="lr0 must be >= 0 and finite"):
+            TrainConfig(lr0=lr0)
+        assert TrainConfig(lr0=0.0).lr0 == 0.0
+
 
 def adam_iterates(monkeypatch):
     """The list that every later ``Adam.step`` appends a copy of its result to."""
