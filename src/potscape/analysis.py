@@ -141,8 +141,9 @@ class ToyRegressionResult:
     repeats: int
 
 
-def toy_regression_experiment(n_list, sigma_list, repeats: int = 100,
-                              seed: int = 0) -> ToyRegressionResult:
+def toy_regression_experiment(n_list: tuple[int, ...] = (2, 10, 100, 1000, 10000),
+                              sigma_list: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0),
+                              repeats: int = 100, seed: int = 0) -> ToyRegressionResult:
     """Mean RMSE of least-squares line fits to noise-corrupted linear data.
 
     For each (N, sigma): N equispaced x in [0, 1], targets 2x + 1 plus

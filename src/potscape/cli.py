@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -22,7 +23,6 @@ import sys
 import time
 import types
 import typing
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +34,8 @@ from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_st
                    generate_reference_dataset, read_extxyz_file, split_by_temperature,
                    write_extxyz_file)
 from .descriptors import DescriptorSpec
-from .md import MDConfig, infer_bond_list, run_ensemble, write_ensemble_json, write_summary_csv
+from .md import (MDConfig, check_bond_factor, infer_bond_list, run_ensemble, write_ensemble_json,
+                 write_summary_csv)
 from .model import NeuralPotential, fit_rescale, load_checkpoint, loss_eval, save_checkpoint
 from .potentials import build_cluster, potential_class
 from .seeding import substream
@@ -101,8 +102,19 @@ def _get(config, key, default=None, tp=str, required=False):
     try:
         return _cast(tp, value)
     except (TypeError, ValueError):
+        if typing.get_origin(tp) is tuple:   # a tuple[X, ...] key is written as a JSON list
+            tp = list[typing.get_args(tp)[0]]
         name = tp.__name__ if isinstance(tp, type) else tp
         raise ConfigError(f"{key} must be {name}, got {value!r}") from None
+
+
+def _checked(key, check, value):
+    """``value``, if ``check(value)`` passes; a ValueError it raises exits 2 naming ``key``."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -115,58 +127,53 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 def _potential(config):
-    """The pair potential that ``potential.kind`` names, each field read from
-    ``potential.<field>``, else its default."""
-    return _build(potential_class(_get(config, "potential.kind", required=True)), config,
-                  "potential")
+    """The pair potential that ``potential.kind`` names, its fields read as ``potential.*``."""
+    return _bind(potential_class(_get(config, "potential.kind", required=True)), config,
+                 "potential")()
 
 
 def _cast(tp, value):
-    """``value`` as declared type ``tp``: a string, a number, a bool, ``list[X]``,
-    tuple rows, or ``X | None``.  Only ``X | None`` takes null, only a JSON boolean
-    is a bool (not the string "False"), only a list is a list or tuple, and an int
-    rejects a fraction."""
+    """``value`` as type ``tp``: a str, number, bool, ``list[X]``, ``tuple[X, ...]``, tuple
+    rows, or ``X | None``.  Only ``X | None`` takes null, only a JSON boolean is a bool (not
+    "False"), only a list is a list or tuple, and an int rejects a fraction."""
     if isinstance(tp, types.UnionType):   # X | None; null keeps None
         if value is None:
             return None
         (tp,) = (t for t in tp.__args__ if t is not type(None))
+    seq = typing.get_origin(tp)   # list or tuple for list[X] and tuple[X, ...]
     if value is None or isinstance(value, bool) != (tp is bool) or \
-            isinstance(value, (list, tuple)) != (tp is tuple or typing.get_origin(tp) is list):
+            isinstance(value, (list, tuple)) != (tp is tuple or seq in (list, tuple)):
         raise TypeError
     if tp is tuple:
         return tuple(tuple(row) for row in value)
-    if typing.get_origin(tp) is list:
-        return [_cast(typing.get_args(tp)[0], v) for v in value]
+    if seq in (list, tuple):
+        return seq(_cast(typing.get_args(tp)[0], v) for v in value)
     if tp is int and isinstance(value, float) and not value.is_integer():
         raise ValueError
     return tp(value)
 
 
-def _build(cls, config, prefix, **fixed):
-    """``cls``, each field not in ``fixed`` read from ``<prefix>.<field>``, else its default."""
-    hints = typing.get_type_hints(cls)
-    for f in fields(cls):
-        if f.name not in fixed:
-            fixed[f.name] = _get(config, f"{prefix}.{f.name}", f.default, hints[f.name])
-    return cls(**fixed)
+def _bind(fn, config, prefix, **fixed):
+    """``fn`` (a function or a dataclass) as a partial: each parameter that has a default
+    and is not in ``fixed`` is read from ``<prefix>.<parameter in lower case>``, cast to
+    its annotation, else that default."""
+    for p in inspect.signature(fn, eval_str=True).parameters.values():
+        if p.default is not p.empty and p.name not in fixed:
+            fixed[p.name] = _get(config, f"{prefix}.{p.name.lower()}", p.default, p.annotation)
+    return partial(fn, **fixed)
 
 
 def _trainer(config, seed):
     """``fit(dataset, d_val=None)``: train a fresh model; keep the tail average with
     ``train.swa_tail``, the EMA with ``train.ema_decay``, else the best epoch's weights."""
-    cfg = _build(TrainConfig, config, "train")
+    cfg = _bind(TrainConfig, config, "train")()
     if cfg.ema_decay is not None and cfg.swa_tail is not None:
         raise ConfigError("train.ema_decay and train.swa_tail exclude each other")
     if cfg.swa_tail is not None and not cfg.swa_tail < cfg.max_epochs:
         raise ConfigError(f"train.swa_tail={cfg.swa_tail} leaves no epoch to average")
-    spec = DescriptorSpec.default(
-        cutoff=_get(config, "model.cutoff", 5.0, float),
-        n_radial=_get(config, "model.n_radial", 8, int),
-        first_center=_get(config, "model.first_center", 1.0, float),
-        trainable_basis=_get(config, "model.trainable_basis", False, bool))
-    hidden = tuple(_get(config, "model.hidden", [16, 16], list[int]))
-    fresh = NeuralPotential.create(spec, hidden, _get(config, "model.activation", "tanh"),
-                                   seed=int(substream(seed, "init").integers(2**31)))
+    fresh = _bind(NeuralPotential.create, config, "model",
+                  descriptor=_bind(DescriptorSpec.default, config, "model")(),
+                  seed=int(substream(seed, "init").integers(2**31)), name="model")()
     rescale = _get(config, "model.rescale", True, bool)
 
     def fit(dataset, d_val=None):
@@ -179,12 +186,11 @@ def _trainer(config, seed):
 
 
 def _splitter(config, seed, required=False):
-    """``data.train_t`` and ``dataset -> (train split, test splits)``; ``data.holdout_fraction``
-    is read only with a training temperature."""
+    """``data.train_t`` and, with a training temperature, ``dataset -> (train split, test
+    splits)``, which reads ``data.holdout_fraction``; else None."""
     train_t = _get(config, "data.train_t", None, float if required else float | None, required)
-    fraction = None if train_t is None else _get(config, "data.holdout_fraction", 0.1, float)
-    return train_t, lambda ds: split_by_temperature(ds, train_t, holdout_fraction=fraction,
-                                                    seed=seed)
+    return train_t, None if train_t is None else _bind(split_by_temperature, config, "data",
+                                                       train_T=train_t, seed=seed)
 
 
 def _landscape_grid(config, t_min=-1.0):
@@ -214,16 +220,8 @@ def _frozen(config):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(config, out: Path, seed: int):
-    generate = partial(
-        generate_reference_dataset, _potential(config),
-        n_atoms=_get(config, "data.n_atoms", 6, int),
-        temperatures=_get(config, "data.temperatures", [300.0, 600.0, 1200.0], list[float]),
-        frames_per_T=_get(config, "data.frames_per_t", 100, int), seed=seed,
-        species=_get(config, "data.species", "Ar"),
-        timestep_fs=_get(config, "data.timestep_fs", 1.0, float),
-        tau_fs=_get(config, "data.tau_fs", 250.0, float),
-        stride=_get(config, "data.stride", 50, int),
-        burn_in_steps=_get(config, "data.burn_in_steps", 2000, int))
+    generate = _bind(generate_reference_dataset, config, "data", pot=_potential(config),
+                     seed=seed, name=None)
     config.check()
     ds = generate()
     write_extxyz_file(ds, out / "dataset.extxyz")
@@ -312,12 +310,9 @@ def cmd_interp(config, out: Path, seed: int):
 
 def cmd_entropy(config, out: Path, seed: int):
     path = _get(config, "profile.path", required=True)
-    entropy = partial(
-        entropy_mod.entropy_from_profile,
-        T_E=_get(config, "entropy.t_e", entropy_mod.DEFAULT_T_E, float),
-        T_F=_get(config, "entropy.t_f", entropy_mod.DEFAULT_T_F, float),
-        alpha=_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA, float),
-        profile_ref=path)
+    entropy = _bind(entropy_mod.entropy_from_profile, config, "entropy", profile_ref=path)
+    for name in ("T_E", "T_F"):
+        _checked(f"entropy.{name.lower()}", entropy_mod.check_kT, entropy.keywords[name])
     config.check()
     report = entropy(landscape_mod.read_profile_csv(path))
     entropy_mod.write_report_json(report, out / "entropy.json")
@@ -328,8 +323,10 @@ def cmd_sweep_entropy(config, out: Path, seed: int):
     path = _get(config, "profile.path", required=True)
     sweep = partial(
         entropy_mod.temperature_sweep,
-        T_E_range=tuple(_get(config, "sweep.t_e_range", [0.4, 400.0], list[float])),
-        T_F_range=tuple(_get(config, "sweep.t_f_range", [4.0, 4000.0], list[float])),
+        T_E_range=tuple(_checked("sweep.t_e_range", entropy_mod.check_range,
+                                 _get(config, "sweep.t_e_range", [0.4, 400.0], list[float]))),
+        T_F_range=tuple(_checked("sweep.t_f_range", entropy_mod.check_range,
+                                 _get(config, "sweep.t_f_range", [4.0, 4000.0], list[float]))),
         alpha=_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA, float),
         n_points=_get(config, "sweep.points", 25, int),
         profile_ref=path)
@@ -347,8 +344,9 @@ def cmd_md(config, out: Path, seed: int):
     if path is None:
         n_atoms = _get(config, "data.n_atoms", 6, int)
         species = _get(config, "data.species", "Ar")
-    cfg = _build(MDConfig, config, "md", seed=seed)
-    bond_factor = None if cfg.bond_list else _get(config, "md.bond_factor", 1.2, float)
+    cfg = _bind(MDConfig, config, "md", seed=seed)()
+    bond_factor = None if cfg.bond_list else _checked(
+        "md.bond_factor", check_bond_factor, _get(config, "md.bond_factor", 1.2, float))
     config.check()
     model = pot if ckpt is None else load_checkpoint(ckpt)
     name = "reference" if ckpt is None else model.name
@@ -375,9 +373,8 @@ def cmd_md(config, out: Path, seed: int):
 def cmd_noise_sweep(config, out: Path, seed: int):
     path = _get(config, "data.path", required=True)
     sigmas = _get(config, "noise.sigmas", [0.0, 0.02, 0.05, 0.1], list[float])
-    target = _get(config, "noise.target", "forces")
-    specs = [NoiseSpec(sigma=sigma, target=target,
-                       seed=int(substream(seed, "noise", k).integers(2**31)))
+    noise = _bind(NoiseSpec, config, "noise", seed=None)   # each level's seed is set below
+    specs = [noise(sigma=sigma, seed=int(substream(seed, "noise", k).integers(2**31)))
              for k, sigma in enumerate(sigmas)]
     fit = _trainer(config, seed)
     config.check()
@@ -418,12 +415,7 @@ def cmd_learning_curve(config, out: Path, seed: int):
 
 
 def cmd_toy_regression(config, out: Path, seed: int):
-    experiment = partial(
-        analysis.toy_regression_experiment,
-        _get(config, "toy.n_list", [2, 10, 100, 1000, 10000], list[int]),
-        _get(config, "toy.sigma_list", [0.0, 0.5, 1.0, 2.0], list[float]),
-        repeats=_get(config, "toy.repeats", 100, int),
-        seed=seed)
+    experiment = _bind(analysis.toy_regression_experiment, config, "toy", seed=seed)
     config.check()
     analysis.write_toy_csv(experiment(), out / "toy.csv")
     return ["toy.csv"]

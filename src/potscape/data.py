@@ -362,8 +362,9 @@ def dataset_stats(d: Dataset) -> DatasetStats:
 # synthetic reference data and temperature splits
 # ---------------------------------------------------------------------------
 
-def generate_reference_dataset(pot, n_atoms: int, temperatures, frames_per_T: int,
-                               seed: int = 0, *, species: str = "Ar",
+def generate_reference_dataset(pot, n_atoms: int = 6,
+                               temperatures: tuple[float, ...] = (300.0, 600.0, 1200.0),
+                               frames_per_T: int = 100, seed: int = 0, *, species: str = "Ar",
                                timestep_fs: float = 1.0, tau_fs: float = 250.0,
                                stride: int = 50, burn_in_steps: int = 2000,
                                name: str | None = None) -> Dataset:

@@ -17,9 +17,7 @@ from .landscape import LandscapeProfile
 
 K_CONST = 1.0  # dimensionless
 
-DEFAULT_T_E = 4.0    # meV/atom
-DEFAULT_T_F = 40.0   # meV/A
-DEFAULT_ALPHA = 0.2
+DEFAULT_ALPHA = 0.2   # shared by entropy_from_profile and temperature_sweep
 
 
 @dataclass(frozen=True)
@@ -43,13 +41,24 @@ class EntropyReport:
         }
 
 
+def check_kT(kT: float):
+    """Raise ValueError unless ``kT`` is positive and finite."""
+    if not 0.0 < kT < np.inf:
+        raise ValueError(f"kT must be positive and finite, got {kT}")
+
+
+def check_range(bounds):
+    """Raise ValueError unless ``bounds`` is a pair of positive, finite temperatures."""
+    if len(bounds) != 2 or not all(0.0 < t < np.inf for t in bounds):
+        raise ValueError(f"ranges must be pairs of positive, finite bounds, got {bounds}")
+
+
 def loss_entropy(curve, kT: float) -> float:
     """Stable log-sum-exp of -curve/kT; +inf entries contribute zero weight."""
     curve = np.asarray(curve, dtype=float)
     if curve.size == 0:
         raise ValueError("empty curve")
-    if not 0.0 < kT < np.inf:
-        raise ValueError(f"kT must be positive and finite, got {kT}")
+    check_kT(kT)
     if np.any(np.isnan(curve)):
         raise ValueError("curve contains NaN")
     a = -curve / (K_CONST * kT)          # +inf loss -> -inf exponent -> weight 0
@@ -66,9 +75,8 @@ def weighted_entropy(S_E: float, S_F: float, alpha: float) -> float:
     return alpha * S_E + (1.0 - alpha) * S_F
 
 
-def entropy_from_profile(p: LandscapeProfile, T_E: float = DEFAULT_T_E,
-                         T_F: float = DEFAULT_T_F, alpha: float = DEFAULT_ALPHA,
-                         profile_ref: str = "") -> EntropyReport:
+def entropy_from_profile(p: LandscapeProfile, T_E: float = 4.0, T_F: float = 40.0,
+                         alpha: float = DEFAULT_ALPHA, profile_ref: str = "") -> EntropyReport:
     """Entropies of the direction-averaged energy/force curves of a profile."""
     s_e = loss_entropy(p.mean_E, T_E)
     s_f = loss_entropy(p.mean_F, T_F)
@@ -85,10 +93,10 @@ def temperature_sweep(p: LandscapeProfile, T_E_range=(0.4, 400.0), T_F_range=(4.
     Returns (reports, info); info records the flat-zero reference entropy
     log(grid size) that upper-bounds every S in the sweep.
     """
-    if len(T_E_range) != 2 or len(T_F_range) != 2 or n_points < 2 or \
-            not all(0.0 < t < np.inf for t in (*T_E_range, *T_F_range)):
-        raise ValueError(f"ranges must be pairs of positive, finite bounds and n_points >= 2, "
-                         f"got {T_E_range}, {T_F_range} and {n_points}")
+    check_range(T_E_range)
+    check_range(T_F_range)
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
     te = np.geomspace(T_E_range[0], T_E_range[1], n_points)
     tf = np.geomspace(T_F_range[0], T_F_range[1], n_points)
     reports = [entropy_from_profile(p, T_E=a, T_F=b, alpha=alpha, profile_ref=profile_ref)

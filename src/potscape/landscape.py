@@ -184,10 +184,9 @@ def _scan(m: NeuralPotential, d: Dataset, points, arrange, **meta):
             data = children.join(child, vals[:, lo:hi].nbytes,
                                  f"landscape worker for points {lo}..{hi - 1}")
             vals[:, lo:hi] = np.frombuffer(data).reshape(2, hi - lo)
-            tables.eval_count += hi - lo
     vals[~np.isfinite(vals)] = np.inf
     loss_E, loss_F = arrange(vals)
-    meta.update(dataset=d.name, n_evaluations=int(tables.eval_count),
+    meta.update(dataset=d.name, n_evaluations=len(points),
                 nonfinite_points=np.argwhere(np.isinf(loss_E) | np.isinf(loss_F)).tolist())
     return loss_E, loss_F, meta
 

@@ -158,12 +158,17 @@ def md_step(model, state, masses, cfg: MDConfig):
     return (members, targets, pos, vel, forces, energy), failed
 
 
+def check_bond_factor(factor: float):
+    """Raise ValueError unless ``factor`` lies in [1, inf): a smaller one leaves no bond."""
+    if not 1.0 <= factor < math.inf:
+        raise ValueError(f"bond factor must lie in [1, inf), got {factor}")
+
+
 def infer_bond_list(positions, factor: float = 1.2) -> tuple:
     """Pairs within ``factor`` times the nearest-neighbor distance of the geometry;
     coincident atoms and non-finite positions raise, as in ``pair_table``, and so
-    does a factor outside [1, inf), which would leave no bond."""
-    if not 1.0 <= factor < math.inf:
-        raise ValueError(f"bond factor must lie in [1, inf), got {factor}")
+    does a factor that ``check_bond_factor`` rejects."""
+    check_bond_factor(factor)
     pt = pair_table(positions, np.inf)
     bonded = (pt.i < pt.j) & (pt.r <= factor * pt.r.min(initial=np.inf))
     return tuple(zip(pt.i[bonded].tolist(), pt.j[bonded].tolist()))

@@ -149,12 +149,10 @@ class NeuralPotential:
     params: ParameterVector
     rescale: Rescale = field(default_factory=Rescale)
     name: str = "model"
-    # (params.values, its unpack()) once an evaluation has built the views
-    _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def create(cls, descriptor: DescriptorSpec, hidden=(16, 16), activation: str = "tanh",
-               seed: int = 0, name: str = "model") -> "NeuralPotential":
+    def create(cls, descriptor: DescriptorSpec, hidden: tuple[int, ...] = (16, 16),
+               activation: str = "tanh", seed: int = 0, name: str = "model") -> "NeuralPotential":
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         partition = build_partition(descriptor, hidden)
@@ -212,9 +210,7 @@ class NeuralPotential:
         """
         positions = np.asarray(positions, dtype=float)
         B, n = positions.shape[:2]
-        if self._views is None or self._views[0] is not self.params.values:
-            self._views = (self.params.values, self.unpack())
-        centers, widths, Ws, bs = self._views[1]
+        centers, widths, Ws, bs = self.unpack()
         pt = pair_table(positions, self.descriptor.cutoff, cell=cell, pbc=pbc)
         # the pair count changes with every call, so nothing is worth keeping
         e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff, ws=new_array)
@@ -375,7 +371,6 @@ class DatasetTables:
         self.cutoff, self.ws = cutoff, ws
         self._kept = Workspace()   # G and the basis derivatives of the cache key
         self._cache_key = self._cache = None
-        self.eval_count = 0
 
     def basis(self, centers, widths, with_param_grads=False):
         """(G, de, param_grads): descriptor matrix and basis_values' derivatives.
@@ -436,7 +431,6 @@ def _residuals(tables, fw: _Forward, w_E, w_F):
 
 def tables_loss(model: NeuralPotential, tables: DatasetTables, values, w_E, w_F) -> LossValues:
     """Loss of the model with the given flat parameters over the tables."""
-    tables.eval_count += 1
     centers, widths, Ws, bs = model.unpack(values)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         G, de, _ = tables.basis(np.asarray(centers), np.asarray(widths))
@@ -453,7 +447,6 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     forward pass, it writes its per-pair and per-atom arrays into the table's
     workspace, keeping the products' forms and the operands' layouts.
     """
-    tables.eval_count += 1
     centers, widths, Ws, bs = model.unpack(values)
     scale = model.rescale.effective()[0]
     trainable = model.descriptor.trainable_basis

@@ -362,25 +362,74 @@ class TestKeyTable:
         ("interp", "landscape.points", 0),
         ("interp", "landscape.t_max", 0.0),
         ("landscape1d", "landscape.t_min", 2.0),
+        ("md", "md.bond_factor", 0.9),
+        ("md", "md.bond_factor", math.nan),
+        ("entropy", "entropy.t_e", -1.0),
+        ("entropy", "entropy.t_f", math.inf),
+        ("sweep-entropy", "sweep.t_e_range", [400.0, math.nan]),
+        ("sweep-entropy", "sweep.t_f_range", [4.0]),
     ], ids=["train-model.name", "landscape2d-landscape.w_e", "interp-no-points",
-            "interp-empty-range", "landscape1d-decreasing"])
-    def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, tmp_path, monkeypatch,
-                                             command, key, value):
+            "interp-empty-range", "landscape1d-decreasing", "md-bond-factor-below-1",
+            "md-bond-factor-nan", "entropy-negative-t_e", "entropy-infinite-t_f",
+            "sweep-nan-bound", "sweep-one-bound"])
+    def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, profile_dir, tmp_path,
+                                             monkeypatch, command, key, value):
         # these values were once cast or checked only after training or after the whole
-        # scan; an interp grid of no points died with an IndexError (exit 1, no manifest)
+        # scan; an interp grid of no points died with an IndexError (exit 1, no manifest);
+        # a bad bond factor was checked after the start cluster was built, and a bad
+        # entropy temperature or sweep bound after the profile was read
         def work(*args, **kwargs):
             raise AssertionError("the run worked before casting its values")
         for module, name in ((cli, "train"), (landscape, "landscape_2d"),
-                             (cli, "read_extxyz_file"), (cli, "load_checkpoint")):
+                             (cli, "read_extxyz_file"), (cli, "load_checkpoint"),
+                             (cli, "build_cluster"), (landscape, "read_profile_csv")):
             monkeypatch.setattr(module, name, work)
-        config = {**self.base(command, gen_dir, model_dir), key: value}
+        config = {**self.base(command, gen_dir, model_dir, profile_dir), key: value}
         assert run_command(command, config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, key)
 
-    def test_message_lists_the_keys_read(self, tmp_path):
-        assert run_command("toy-regression", {"toy.repeat": 1}, tmp_path) == EXIT_CONFIG
-        reads = read_manifest(tmp_path)["error"]["message"].split(";")[1]
-        assert reads == " it reads seed, out, toy.n_list, toy.sigma_list, toy.repeats"
+    def test_message_lists_the_keys_read(self, gen_dir, model_dir, profile_dir, tmp_path):
+        # each command's keys in the order it reads them, so a key that reading a
+        # signature adds (data.name, model.seed, entropy.profile_ref) or drops shows
+        potential = ("potential.kind, potential.well_depth, potential.stiffness, potential.r0, "
+                     "potential.cutoff, potential.switch_start")
+        fit = ("train.max_epochs, train.batch_size, train.lr0, train.amsgrad, train.ema_decay, "
+               "train.plateau_patience, train.plateau_factor, train.weight_schedule, "
+               "train.swa_tail, model.cutoff, model.n_radial, model.first_center, "
+               "model.trainable_basis, model.hidden, model.activation, model.rescale")
+        grid = "landscape.t_min, landscape.t_max, landscape.points"
+        frozen = "landscape.frozen_blocks, landscape.freeze_basis"
+        reads = {
+            "gen-data": f"{potential}, data.n_atoms, data.temperatures, data.frames_per_t, "
+                        "data.species, data.timestep_fs, data.tau_fs, data.stride, "
+                        "data.burn_in_steps",
+            "train": f"data.path, data.train_t, {fit}, model.name",
+            "eval": "model.checkpoint, data.path, data.train_t",
+            "landscape1d": f"model.checkpoint, data.path, landscape.n_directions, {grid}, "
+                           f"{frozen}",
+            "landscape2d": f"model.checkpoint, data.path, {grid}, {frozen}, landscape.w_e, "
+                           "landscape.w_f",
+            "interp": f"model.checkpoint_a, model.checkpoint_b, data.path, {grid}",
+            "entropy": "profile.path, entropy.t_e, entropy.t_f, entropy.alpha",
+            "sweep-entropy": "profile.path, sweep.t_e_range, sweep.t_f_range, entropy.alpha, "
+                             "sweep.points",
+            "md": f"model.checkpoint, data.path, {potential}, data.n_atoms, data.species, "
+                  "md.temperature, md.timestep_fs, md.tau_fs, md.total_time_ps, "
+                  "md.n_trajectories, md.failure_bond_length, md.bond_list, md.trace_interval, "
+                  "md.dump_interval, md.bond_factor",
+            "noise-sweep": f"data.path, noise.sigmas, noise.target, {fit}",
+            "learning-curve": f"data.path, data.train_t, data.holdout_fraction, curve.sizes, "
+                              f"{fit}",
+            "toy-regression": "toy.n_list, toy.sigma_list, toy.repeats",
+            "fit-slopes": "slopes.input, slopes.mode",
+        }
+        assert set(reads) == set(COMMANDS)
+        for command, keys in reads.items():
+            out = tmp_path / command
+            config = {**self.base(command, gen_dir, model_dir, profile_dir), "x.unread": 1}
+            assert run_command(command, config, out) == EXIT_CONFIG
+            message = read_manifest(out)["error"]["message"]
+            assert (command, message.split("; ")[1]) == (command, f"it reads seed, out, {keys}")
 
     def test_plateau_keys_reach_the_scheduler(self, gen_dir, model_dir, tmp_path):
         config = {**self.base("train", gen_dir, model_dir), "train.lr0": 0.1,
@@ -481,6 +530,18 @@ class TestKeyTable:
         config = {**self.base(command, gen_dir, model_dir), key: value}
         assert run_command(command, config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, key)
+
+    @pytest.mark.parametrize("command,key,value,tp", [
+        ("gen-data", "data.temperatures", 300, "list[float]"),
+        ("train", "model.hidden", [16.5], "list[int]"),
+        ("toy-regression", "toy.n_list", "2", "list[int]"),
+        ("toy-regression", "toy.sigma_list", [True], "list[float]"),
+    ])
+    def test_list_keys_name_a_list(self, gen_dir, model_dir, tmp_path, command, key, value, tp):
+        # these keys are read from tuple[X, ...] parameters; a value is written as a list
+        config = {**self.base(command, gen_dir, model_dir), key: value}
+        assert run_command(command, config, tmp_path) == EXIT_CONFIG
+        assert read_manifest(tmp_path)["error"]["message"] == f"{key} must be {tp}, got {value!r}"
 
     def test_numeric_path_is_a_file_name(self, gen_dir, model_dir, tmp_path, monkeypatch):
         # a JSON number once reached open() as a file descriptor

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potscape.entropy import (DEFAULT_ALPHA, DEFAULT_T_E, DEFAULT_T_F, EntropyReport,
-                              entropy_from_profile, loss_entropy, temperature_sweep,
-                              weighted_entropy, write_report_json, write_sweep_csv)
+from potscape.entropy import (DEFAULT_ALPHA, EntropyReport, entropy_from_profile, loss_entropy,
+                              temperature_sweep, weighted_entropy, write_report_json,
+                              write_sweep_csv)
 from potscape.landscape import LandscapeProfile
 
 
@@ -114,7 +114,7 @@ class TestProfileEntropy:
         r = entropy_from_profile(p)
         assert (r.T_E, r.T_F, r.alpha, r.k) == (4.0, 40.0, 0.2, 1.0)
         assert r.grid_points == 11
-        assert (DEFAULT_T_E, DEFAULT_T_F, DEFAULT_ALPHA) == (4.0, 40.0, 0.2)
+        assert DEFAULT_ALPHA == 0.2
 
     def test_flatter_profile_has_larger_entropy(self):
         # same minimum, pointwise-dominating sharper curve
@@ -148,9 +148,8 @@ class TestSweep:
 
     def test_consistent_with_single_report(self):
         p = make_profile(np.linspace(0, 8, 21))
-        reports, _ = temperature_sweep(p, (DEFAULT_T_E, DEFAULT_T_E * 4),
-                                       (DEFAULT_T_F, DEFAULT_T_F * 4), n_points=3)
-        single = entropy_from_profile(p, T_E=DEFAULT_T_E, T_F=DEFAULT_T_F)
+        reports, _ = temperature_sweep(p, (4.0, 16.0), (40.0, 160.0), n_points=3)
+        single = entropy_from_profile(p, T_E=4.0, T_F=40.0)
         assert reports[0].S == pytest.approx(single.S, abs=1e-14)
 
     def test_nested_profiles_keep_ranking_across_sweep(self):

@@ -131,8 +131,8 @@ class TestBatchEvaluation:
 
     @pytest.mark.parametrize("trainable", [False, True])
     def test_views_follow_the_parameter_array(self, trainable):
-        """The parameter views that evaluations keep are rebuilt for a new array and
-        see in-place writes to the array they view."""
+        """An evaluation reads the model's parameter array as it is now: after a new
+        array is assigned, and after in-place writes to it."""
         m = random_model(2, trainable_basis=trainable)
         pos = np.random.default_rng(3).uniform(-2.5, 2.5, (2, 5, 3))
         base = m.params.values.copy()
