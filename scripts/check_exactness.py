@@ -13,8 +13,9 @@ the cutoff, in the switching window and through a periodic cell, on frames of
 one and two atoms, and on batches whose frames keep all their pairs or lose
 some; loss tables, their sub-tables and gradients; 1D and 2D landscapes;
 reference datasets; MD ensembles and their dump files; training, also long
-enough to fork its epoch-end worker; and models scored against their own
-one-frame labels.  ``--compare`` lists the cases whose digests differ between
+enough to fork its epoch-end worker; models scored against their own
+one-frame labels; and each artifact of one run of each CLI command on tiny
+inputs, with the optional keys that pick a library default left unset.  ``--compare`` lists the cases whose digests differ between
 two outputs, or that only one has, and exits 1 if there are any.  The
 landscapes split their points over the CPUs of the affinity mask and training
 forks a worker when it has two, so a run under ``taskset -c 0`` against one
@@ -26,6 +27,7 @@ which ``tests/test_exactness.py`` checks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -172,6 +174,59 @@ def cases():
     yield from fixture_cases(ref)
     yield from small_and_mixed_cases(ref)
     yield from overlap_cases(ref)
+    yield from cli_cases()
+
+
+def cli_cases():
+    """Every CLI command on tiny inputs, run in a temporary directory with relative
+    paths so that no directory name enters an artifact.  The landscapes, entropies,
+    sweep and the reference MD leave their optional keys unset, so these digests pin
+    the library defaults that the CLI reads."""
+    from potscape.cli import EXIT_OK, run_command
+
+    train = {"train.max_epochs": 5, "train.batch_size": 4, "model.n_radial": 4,
+             "model.hidden": [4]}
+    runs = [
+        ("gen-data", "gen", {"potential.kind": "morse", "data.temperatures": [300.0, 600.0],
+                             "data.frames_per_t": 4, "data.burn_in_steps": 60,
+                             "data.stride": 10, "seed": 2}),
+        ("train", "train-a", {"data.path": "gen/dataset.extxyz", "data.train_t": 300.0,
+                              "seed": 1, **train}),
+        ("train", "train-b", {"data.path": "gen/dataset.extxyz", "data.train_t": 300.0,
+                              "seed": 1, **train, "train.max_epochs": 10, "train.lr0": 0.02}),
+        ("eval", "eval", {"model.checkpoint": "train-a/model.json",
+                          "data.path": "gen/dataset.extxyz"}),
+        ("landscape1d", "landscape1d", {"model.checkpoint": "train-a/model.json",
+                                        "data.path": "gen/dataset.extxyz"}),
+        ("landscape2d", "landscape2d", {"model.checkpoint": "train-a/model.json",
+                                        "data.path": "gen/dataset.extxyz",
+                                        "landscape.w_f": 10.0, "landscape.frozen_blocks": [0]}),
+        ("interp", "interp", {"model.checkpoint_a": "train-a/model.json",
+                              "model.checkpoint_b": "train-b/model.json",
+                              "data.path": "gen/dataset.extxyz"}),
+        ("entropy", "entropy", {"profile.path": "landscape1d/profile.csv"}),
+        ("sweep-entropy", "sweep-entropy", {"profile.path": "landscape1d/profile.csv"}),
+        ("md", "md", {"potential.kind": "morse", "md.total_time_ps": 0.1,
+                      "md.n_trajectories": 3, "md.temperature": 900.0, "seed": 4}),
+        ("noise-sweep", "noise-sweep", {"data.path": "gen/dataset.extxyz",
+                                        "noise.sigmas": [0.0, 0.1], **train}),
+        ("learning-curve", "learning-curve", {"data.path": "gen/dataset.extxyz",
+                                              "data.train_t": 300.0, "curve.sizes": [2, 3],
+                                              **train}),
+        ("toy-regression", "toy-regression", {"toy.n_list": [2, 4], "toy.sigma_list": [0.0, 0.1],
+                                              "toy.repeats": 2}),
+        ("fit-slopes", "fit-slopes", {"slopes.input": "learning-curve/learning_curve.csv",
+                                      "slopes.mode": "learning-curve"}),
+    ]
+    found = []   # yielded after the working directory is restored
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for command, out, config in runs:
+            if run_command(command, config, out) != EXIT_OK:
+                raise RuntimeError(f"{command} failed: {Path(out, 'manifest.json').read_text()}")
+            for name in json.loads(Path(out, "manifest.json").read_text())["artifacts"]:
+                found.append((f"cli/{out}/{name}",
+                              digest(text=Path(out, name).read_bytes().decode())))
+    yield from found
 
 
 def overlap_cases(ref):

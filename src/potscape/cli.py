@@ -34,8 +34,7 @@ from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_st
                    generate_reference_dataset, read_extxyz_file, split_by_temperature,
                    write_extxyz_file)
 from .descriptors import DescriptorSpec
-from .md import (MDConfig, check_bond_factor, infer_bond_list, run_ensemble, write_ensemble_json,
-                 write_summary_csv)
+from .md import MDConfig, infer_bond_list, run_ensemble, write_ensemble_json, write_summary_csv
 from .model import NeuralPotential, fit_rescale, load_checkpoint, loss_eval, save_checkpoint
 from .potentials import build_cluster, potential_class
 from .seeding import substream
@@ -93,19 +92,24 @@ class _Config(dict):
 
 
 def _get(config, key, default=None, tp=str, required=False):
-    """``config[key]``, else ``default``, cast to type ``tp`` (see ``_cast``); records ``key``
-    as read, and a value that does not fit exits 2 naming the key."""
+    """``config[key]``, else ``default``, cast to type ``tp`` (see ``_cast``) and passed to
+    each check that ``Annotated[tp, check, ...]`` carries, unless it is None; records
+    ``key`` as read, and a value that does not fit or fails a check exits 2 naming the key."""
     config.read.setdefault(key)
     if required and key not in config:
         raise ConfigError(f"missing required config key {key!r}")
     value = config.get(key, default)
+    tp, *checks = typing.get_args(tp) if typing.get_origin(tp) is typing.Annotated else (tp,)
     try:
-        return _cast(tp, value)
+        value = _cast(tp, value)
     except (TypeError, ValueError):
         if typing.get_origin(tp) is tuple:   # a tuple[X, ...] key is written as a JSON list
             tp = list[typing.get_args(tp)[0]]
         name = tp.__name__ if isinstance(tp, type) else tp
         raise ConfigError(f"{key} must be {name}, got {value!r}") from None
+    for check in checks if value is not None else ():
+        _checked(key, check, value)
+    return value
 
 
 def _checked(key, check, value):
@@ -153,13 +157,14 @@ def _cast(tp, value):
     return tp(value)
 
 
-def _bind(fn, config, prefix, **fixed):
-    """``fn`` (a function or a dataclass) as a partial: each parameter that has a default
-    and is not in ``fixed`` is read from ``<prefix>.<parameter in lower case>``, cast to
-    its annotation, else that default."""
+def _bind(fn, config, prefix=None, keys=None, **fixed):
+    """``fn`` (a function or a dataclass) as a partial: each parameter that has a default and
+    is not in ``fixed`` is read with ``_get`` as annotated, else that default, from the key
+    ``keys`` maps its name to, or else (given a ``prefix``) ``<prefix>.<name in lower case>``."""
     for p in inspect.signature(fn, eval_str=True).parameters.values():
-        if p.default is not p.empty and p.name not in fixed:
-            fixed[p.name] = _get(config, f"{prefix}.{p.name.lower()}", p.default, p.annotation)
+        key = (keys or {}).get(p.name) or prefix and f"{prefix}.{p.name.lower()}"
+        if key and p.default is not p.empty and p.name not in fixed:
+            fixed[p.name] = _get(config, key, p.default, p.annotation)
     return partial(fn, **fixed)
 
 
@@ -193,12 +198,12 @@ def _splitter(config, seed, required=False):
                                                        train_T=train_t, seed=seed)
 
 
-def _landscape_grid(config, t_min=-1.0):
-    """``landscape.points`` values from ``landscape.t_min`` to ``landscape.t_max``; no
-    point, a bound that is not finite, or bounds that do not increase exit 2."""
-    t_min = _get(config, "landscape.t_min", t_min, float)
-    t_max = _get(config, "landscape.t_max", 1.0, float)
-    points = _get(config, "landscape.points", 21, int)
+def _landscape_grid(config, default=landscape_mod.DEFAULT_T_GRID):
+    """``landscape.points`` values from ``landscape.t_min`` to ``landscape.t_max``, unset as in
+    ``default``; no point, a bound that is not finite, or bounds that do not increase exit 2."""
+    t_min = _get(config, "landscape.t_min", default[0], float)
+    t_max = _get(config, "landscape.t_max", default[-1], float)
+    points = _get(config, "landscape.points", len(default), int)
     if points < 1:
         raise ConfigError(f"landscape.points must be >= 1, got {points}")
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or (points > 1 and not t_min < t_max):
@@ -208,10 +213,11 @@ def _landscape_grid(config, t_min=-1.0):
 
 
 def _frozen(config):
-    """``model -> sorted frozen block indices``."""
+    """``model -> sorted frozen block indices``; an index that names no block exits 2."""
     blocks = _get(config, "landscape.frozen_blocks", [], list[int])
     basis = _get(config, "landscape.freeze_basis", False, bool)
-    return lambda model: sorted(set(blocks).union(
+    return lambda model: sorted(set(_checked(
+        "landscape.frozen_blocks", model.params.partition.with_frozen, blocks)).union(
         model.params.partition.blocks_in_layer(0) if basis else ()))
 
 
@@ -268,12 +274,12 @@ def cmd_eval(config, out: Path, seed: int):
 def cmd_landscape1d(config, out: Path, seed: int):
     ckpt = _get(config, "model.checkpoint", required=True)
     path = _get(config, "data.path", required=True)
-    n_dirs = _get(config, "landscape.n_directions", 20, int)
+    landscape = _bind(landscape_mod.landscape_1d, config, keys={"n_dirs": "landscape.n_directions"},
+                      seed=seed)
     grid, frozen = _landscape_grid(config), _frozen(config)
     config.check()
     model, ds = load_checkpoint(ckpt), read_extxyz_file(path)
-    profile = landscape_mod.landscape_1d(model, ds, n_dirs=n_dirs, t_grid=grid,
-                                         frozen=frozen(model), seed=seed)
+    profile = landscape(model, ds, t_grid=grid, frozen=frozen(model))
     landscape_mod.write_profile_csv(profile, out / "profile.csv")
     return ["profile.csv", "profile.csv.meta.json"]
 
@@ -282,8 +288,8 @@ def cmd_landscape2d(config, out: Path, seed: int):
     ckpt = _get(config, "model.checkpoint", required=True)
     path = _get(config, "data.path", required=True)
     grid, frozen = _landscape_grid(config), _frozen(config)
-    w_e = _get(config, "landscape.w_e", None, float | None)
-    w_f = _get(config, "landscape.w_f", None, float | None)
+    weight = typing.Annotated[float | None, landscape_mod.check_weight]
+    w_e, w_f = (_get(config, f"landscape.{w}", None, weight) for w in ("w_e", "w_f"))
     config.check()
     model, ds = load_checkpoint(ckpt), read_extxyz_file(path)
     surface = landscape_mod.landscape_2d(model, ds, t1_grid=grid, t2_grid=grid, seed=seed,
@@ -300,7 +306,7 @@ def cmd_interp(config, out: Path, seed: int):
     ckpt_a = _get(config, "model.checkpoint_a", required=True)
     ckpt_b = _get(config, "model.checkpoint_b", required=True)
     path = _get(config, "data.path", required=True)
-    grid = _landscape_grid(config, t_min=0.0)
+    grid = _landscape_grid(config, landscape_mod.DEFAULT_INTERP_GRID)
     config.check()
     profile = landscape_mod.interpolate_models(load_checkpoint(ckpt_a), load_checkpoint(ckpt_b),
                                                read_extxyz_file(path), grid)
@@ -311,8 +317,6 @@ def cmd_interp(config, out: Path, seed: int):
 def cmd_entropy(config, out: Path, seed: int):
     path = _get(config, "profile.path", required=True)
     entropy = _bind(entropy_mod.entropy_from_profile, config, "entropy", profile_ref=path)
-    for name in ("T_E", "T_F"):
-        _checked(f"entropy.{name.lower()}", entropy_mod.check_kT, entropy.keywords[name])
     config.check()
     report = entropy(landscape_mod.read_profile_csv(path))
     entropy_mod.write_report_json(report, out / "entropy.json")
@@ -321,15 +325,8 @@ def cmd_entropy(config, out: Path, seed: int):
 
 def cmd_sweep_entropy(config, out: Path, seed: int):
     path = _get(config, "profile.path", required=True)
-    sweep = partial(
-        entropy_mod.temperature_sweep,
-        T_E_range=tuple(_checked("sweep.t_e_range", entropy_mod.check_range,
-                                 _get(config, "sweep.t_e_range", [0.4, 400.0], list[float]))),
-        T_F_range=tuple(_checked("sweep.t_f_range", entropy_mod.check_range,
-                                 _get(config, "sweep.t_f_range", [4.0, 4000.0], list[float]))),
-        alpha=_get(config, "entropy.alpha", entropy_mod.DEFAULT_ALPHA, float),
-        n_points=_get(config, "sweep.points", 25, int),
-        profile_ref=path)
+    sweep = _bind(entropy_mod.temperature_sweep, config, "sweep",
+                  keys={"alpha": "entropy.alpha"}, profile_ref=path)
     config.check()
     reports, info = sweep(landscape_mod.read_profile_csv(path))
     entropy_mod.write_sweep_csv(reports, out / "sweep.csv", info=info)
@@ -341,12 +338,11 @@ def cmd_md(config, out: Path, seed: int):
     ckpt = _get(config, "model.checkpoint", None, str | None)
     path = _get(config, "data.path", None, str | None)
     pot = _potential(config) if ckpt is None or path is None else None
-    if path is None:
-        n_atoms = _get(config, "data.n_atoms", 6, int)
-        species = _get(config, "data.species", "Ar")
+    if path is None:   # the cluster's size and species default as generated data's do
+        n_atoms, species = _bind(generate_reference_dataset, config, keys={
+            "n_atoms": "data.n_atoms", "species": "data.species"}).keywords.values()
     cfg = _bind(MDConfig, config, "md", seed=seed)()
-    bond_factor = None if cfg.bond_list else _checked(
-        "md.bond_factor", check_bond_factor, _get(config, "md.bond_factor", 1.2, float))
+    infer = None if cfg.bond_list else _bind(infer_bond_list, config, "md")
     config.check()
     model = pot if ckpt is None else load_checkpoint(ckpt)
     name = "reference" if ckpt is None else model.name
@@ -358,8 +354,8 @@ def cmd_md(config, out: Path, seed: int):
     else:
         positions = build_cluster(pot, n_atoms, seed=substream(seed, "cluster").integers(2**31))
         start = Configuration(positions, [species] * n_atoms)
-    if not cfg.bond_list:
-        cfg.bond_list = infer_bond_list(start.positions, factor=bond_factor)
+    if infer is not None:
+        cfg.bond_list = infer(start.positions)
     dump = cfg.dump_interval is not None
     records, summary = run_ensemble(model, start, cfg, dump_dir=out if dump else None)
     write_ensemble_json(records, summary, cfg, out / "ensemble.json", model_name=name)

@@ -9,6 +9,7 @@ are combined as alpha * S_E + (1 - alpha) * S_F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -53,6 +54,18 @@ def check_range(bounds):
         raise ValueError(f"ranges must be pairs of positive, finite bounds, got {bounds}")
 
 
+def check_alpha(alpha: float):
+    """Raise ValueError unless ``alpha`` lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def check_points(points: int):
+    """Raise ValueError unless a sweep has at least two ``points``."""
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+
+
 def loss_entropy(curve, kT: float) -> float:
     """Stable log-sum-exp of -curve/kT; +inf entries contribute zero weight."""
     curve = np.asarray(curve, dtype=float)
@@ -70,13 +83,14 @@ def loss_entropy(curve, kT: float) -> float:
 
 def weighted_entropy(S_E: float, S_F: float, alpha: float) -> float:
     """alpha * S_E + (1 - alpha) * S_F, alpha in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    check_alpha(alpha)
     return alpha * S_E + (1.0 - alpha) * S_F
 
 
-def entropy_from_profile(p: LandscapeProfile, T_E: float = 4.0, T_F: float = 40.0,
-                         alpha: float = DEFAULT_ALPHA, profile_ref: str = "") -> EntropyReport:
+def entropy_from_profile(p: LandscapeProfile, T_E: Annotated[float, check_kT] = 4.0,
+                         T_F: Annotated[float, check_kT] = 40.0,
+                         alpha: Annotated[float, check_alpha] = DEFAULT_ALPHA,
+                         profile_ref: str = "") -> EntropyReport:
     """Entropies of the direction-averaged energy/force curves of a profile."""
     s_e = loss_entropy(p.mean_E, T_E)
     s_f = loss_entropy(p.mean_F, T_F)
@@ -85,9 +99,11 @@ def entropy_from_profile(p: LandscapeProfile, T_E: float = 4.0, T_F: float = 40.
                          grid_points=len(p.t_grid), profile_ref=profile_ref)
 
 
-def temperature_sweep(p: LandscapeProfile, T_E_range=(0.4, 400.0), T_F_range=(4.0, 4000.0),
-                      alpha: float = DEFAULT_ALPHA, n_points: int = 25,
-                      profile_ref: str = ""):
+def temperature_sweep(p: LandscapeProfile,
+                      T_E_range: Annotated[tuple[float, ...], check_range] = (0.4, 400.0),
+                      T_F_range: Annotated[tuple[float, ...], check_range] = (4.0, 4000.0),
+                      alpha: Annotated[float, check_alpha] = DEFAULT_ALPHA,
+                      points: Annotated[int, check_points] = 25, profile_ref: str = ""):
     """Entropies over log-spaced (T_E, T_F) pairs spanning the given ranges.
 
     Returns (reports, info); info records the flat-zero reference entropy
@@ -95,14 +111,14 @@ def temperature_sweep(p: LandscapeProfile, T_E_range=(0.4, 400.0), T_F_range=(4.
     """
     check_range(T_E_range)
     check_range(T_F_range)
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    te = np.geomspace(T_E_range[0], T_E_range[1], n_points)
-    tf = np.geomspace(T_F_range[0], T_F_range[1], n_points)
+    check_alpha(alpha)
+    check_points(points)
+    te = np.geomspace(T_E_range[0], T_E_range[1], points)
+    tf = np.geomspace(T_F_range[0], T_F_range[1], points)
     reports = [entropy_from_profile(p, T_E=a, T_F=b, alpha=alpha, profile_ref=profile_ref)
                for a, b in zip(te, tf)]
     info = {"flat_zero_entropy": float(np.log(len(p.t_grid))),
-            "alpha": alpha, "n_points": n_points}
+            "alpha": alpha, "n_points": points}
     return reports, info
 
 

@@ -129,6 +129,7 @@ class Surface2D:
 
 
 DEFAULT_T_GRID = np.linspace(-1.0, 1.0, 21)
+DEFAULT_INTERP_GRID = np.linspace(0.0, 1.0, 21)
 DEFAULT_N_DIRECTIONS = 20
 
 
@@ -252,7 +253,7 @@ def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
 
     if evaluation(mA) != evaluation(mB):
         raise ValueError("models must share architecture, descriptor and rescale")
-    t_grid = np.linspace(0.0, 1.0, 21) if t_grid is None else np.asarray(t_grid, dtype=float)
+    t_grid = DEFAULT_INTERP_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     a, b = mA.params.values, mB.params.values
     return LandscapeProfile(t_grid, *_scan(
         mA, d, [(1.0 - t) * a + t * b for t in t_grid], lambda v: v.reshape(2, 1, -1),
@@ -260,10 +261,16 @@ def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
         frozen_blocks=[], grid=_grid(t_grid)))
 
 
+def check_weight(w: float):
+    """Raise ValueError unless the loss weight ``w`` is finite and >= 0."""
+    if not 0.0 <= w < np.inf:
+        raise ValueError(f"weights must be finite and >= 0, got {w}")
+
+
 def reweight_surface(s: Surface2D, w_E: float, w_F: float) -> np.ndarray:
     """Pointwise w_E * loss_E + w_F * loss_F; no model re-evaluation."""
-    if w_E < 0 or w_F < 0:
-        raise ValueError("weights must be nonnegative")
+    check_weight(w_E)
+    check_weight(w_F)
     return w_E * s.loss_E + w_F * s.loss_F
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -164,13 +165,13 @@ def check_bond_factor(factor: float):
         raise ValueError(f"bond factor must lie in [1, inf), got {factor}")
 
 
-def infer_bond_list(positions, factor: float = 1.2) -> tuple:
-    """Pairs within ``factor`` times the nearest-neighbor distance of the geometry;
+def infer_bond_list(positions, bond_factor: Annotated[float, check_bond_factor] = 1.2) -> tuple:
+    """Pairs within ``bond_factor`` times the nearest-neighbor distance of the geometry;
     coincident atoms and non-finite positions raise, as in ``pair_table``, and so
     does a factor that ``check_bond_factor`` rejects."""
-    check_bond_factor(factor)
+    check_bond_factor(bond_factor)
     pt = pair_table(positions, np.inf)
-    bonded = (pt.i < pt.j) & (pt.r <= factor * pt.r.min(initial=np.inf))
+    bonded = (pt.i < pt.j) & (pt.r <= bond_factor * pt.r.min(initial=np.inf))
     return tuple(zip(pt.i[bonded].tolist(), pt.j[bonded].tolist()))
 
 

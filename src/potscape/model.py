@@ -88,8 +88,10 @@ class FilterPartition:
         return mask
 
     def with_frozen(self, indices) -> "FilterPartition":
-        """Copy with the given block indices marked frozen."""
+        """Copy with the given block indices marked frozen; ValueError if one is no block."""
         idx = set(int(i) for i in indices)
+        if stray := sorted(i for i in idx if not 0 <= i < len(self.blocks)):
+            raise ValueError(f"block index {stray[0]} is not in 0..{len(self.blocks) - 1}")
         blocks = [replace(b, frozen=(k in idx) or b.frozen) for k, b in enumerate(self.blocks)]
         return FilterPartition(blocks, self.total)
 

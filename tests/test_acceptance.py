@@ -324,9 +324,9 @@ def test_14_temperature_sweep_monotonicity(ordering_run):
     nested_flat = LandscapeProfile(t, (5.0 * t**2)[None, :], (50.0 * t**2)[None, :], {})
     nested_sharp = LandscapeProfile(t, (20.0 * t**2)[None, :], (200.0 * t**2)[None, :], {})
     for profile in [row[1] for row in ordering_run] + [nested_flat, nested_sharp]:
-        reports, _ = temperature_sweep(profile, (0.4, 400.0), (4.0, 4000.0), n_points=15)
+        reports, _ = temperature_sweep(profile, (0.4, 400.0), (4.0, 4000.0), points=15)
         s = [r.S for r in reports]
         assert all(b >= a - 1e-12 for a, b in zip(s, s[1:]))
-    r_flat, _ = temperature_sweep(nested_flat, (2.0, 8.0), (20.0, 80.0), n_points=9)
-    r_sharp, _ = temperature_sweep(nested_sharp, (2.0, 8.0), (20.0, 80.0), n_points=9)
+    r_flat, _ = temperature_sweep(nested_flat, (2.0, 8.0), (20.0, 80.0), points=9)
+    r_sharp, _ = temperature_sweep(nested_sharp, (2.0, 8.0), (20.0, 80.0), points=9)
     assert all(a.S > b.S for a, b in zip(r_flat, r_sharp))

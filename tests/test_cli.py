@@ -368,16 +368,27 @@ class TestKeyTable:
         ("entropy", "entropy.t_f", math.inf),
         ("sweep-entropy", "sweep.t_e_range", [400.0, math.nan]),
         ("sweep-entropy", "sweep.t_f_range", [4.0]),
+        ("landscape2d", "landscape.w_e", -1.0),
+        ("landscape2d", "landscape.w_e", math.nan),
+        ("landscape2d", "landscape.w_f", math.inf),
+        ("entropy", "entropy.alpha", 2.0),
+        ("entropy", "entropy.alpha", math.nan),
+        ("sweep-entropy", "entropy.alpha", -0.5),
+        ("sweep-entropy", "sweep.points", 1),
     ], ids=["train-model.name", "landscape2d-landscape.w_e", "interp-no-points",
             "interp-empty-range", "landscape1d-decreasing", "md-bond-factor-below-1",
             "md-bond-factor-nan", "entropy-negative-t_e", "entropy-infinite-t_f",
-            "sweep-nan-bound", "sweep-one-bound"])
+            "sweep-nan-bound", "sweep-one-bound", "landscape2d-negative-w_e",
+            "landscape2d-nan-w_e", "landscape2d-infinite-w_f", "entropy-alpha-above-1",
+            "entropy-alpha-nan", "sweep-negative-alpha", "sweep-one-point"])
     def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, profile_dir, tmp_path,
                                              monkeypatch, command, key, value):
         # these values were once cast or checked only after training or after the whole
         # scan; an interp grid of no points died with an IndexError (exit 1, no manifest);
         # a bad bond factor was checked after the start cluster was built, and a bad
-        # entropy temperature or sweep bound after the profile was read
+        # entropy temperature, sweep bound, alpha or sweep point count after the profile
+        # was read (a patched read_profile_csv fails on any call); a negative surface
+        # weight was rejected after the scan, and NaN or inf was written
         def work(*args, **kwargs):
             raise AssertionError("the run worked before casting its values")
         for module, name in ((cli, "train"), (landscape, "landscape_2d"),
@@ -387,6 +398,16 @@ class TestKeyTable:
         config = {**self.base(command, gen_dir, model_dir, profile_dir), key: value}
         assert run_command(command, config, tmp_path) == EXIT_CONFIG
         self.assert_rejected(tmp_path, key)
+
+    @pytest.mark.parametrize("command", ["landscape1d", "landscape2d"])
+    @pytest.mark.parametrize("blocks", [[999], [-1], [0, 999]], ids=["999", "minus-1", "0-and-999"])
+    def test_stray_frozen_block_rejected(self, gen_dir, model_dir, tmp_path, command, blocks):
+        # such an index once froze nothing, while the metadata listed it as frozen
+        config = {**self.base(command, gen_dir, model_dir), "landscape.frozen_blocks": blocks}
+        assert run_command(command, config, tmp_path) == EXIT_CONFIG
+        message = read_manifest(tmp_path)["error"]["message"]
+        assert message.startswith(f"landscape.frozen_blocks: block index {blocks[-1]} is not ")
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     def test_message_lists_the_keys_read(self, gen_dir, model_dir, profile_dir, tmp_path):
         # each command's keys in the order it reads them, so a key that reading a

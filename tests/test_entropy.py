@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from potscape import entropy as entropy_mod
 from potscape.entropy import (DEFAULT_ALPHA, EntropyReport, entropy_from_profile, loss_entropy,
                               temperature_sweep, weighted_entropy, write_report_json,
                               write_sweep_csv)
@@ -141,14 +142,14 @@ class TestProfileEntropy:
 class TestSweep:
     def test_monotone_in_temperature(self):
         p = make_profile(np.abs(np.linspace(-1, 1, 21)) * 30.0)
-        reports, info = temperature_sweep(p, (0.4, 400.0), (4.0, 4000.0), n_points=20)
+        reports, info = temperature_sweep(p, (0.4, 400.0), (4.0, 4000.0), points=20)
         s = [r.S for r in reports]
         assert all(b >= a - 1e-12 for a, b in zip(s, s[1:]))
         assert info["flat_zero_entropy"] == pytest.approx(math.log(21))
 
     def test_consistent_with_single_report(self):
         p = make_profile(np.linspace(0, 8, 21))
-        reports, _ = temperature_sweep(p, (4.0, 16.0), (40.0, 160.0), n_points=3)
+        reports, _ = temperature_sweep(p, (4.0, 16.0), (40.0, 160.0), points=3)
         single = entropy_from_profile(p, T_E=4.0, T_F=40.0)
         assert reports[0].S == pytest.approx(single.S, abs=1e-14)
 
@@ -156,8 +157,8 @@ class TestSweep:
         t = np.linspace(-1, 1, 21)
         p_flat = make_profile(3.0 * t**2, 30.0 * t**2)
         p_sharp = make_profile(12.0 * t**2, 120.0 * t**2)
-        r_flat, _ = temperature_sweep(p_flat, (2.0, 8.0), (20.0, 80.0), n_points=9)
-        r_sharp, _ = temperature_sweep(p_sharp, (2.0, 8.0), (20.0, 80.0), n_points=9)
+        r_flat, _ = temperature_sweep(p_flat, (2.0, 8.0), (20.0, 80.0), points=9)
+        r_sharp, _ = temperature_sweep(p_sharp, (2.0, 8.0), (20.0, 80.0), points=9)
         assert all(a.S > b.S for a, b in zip(r_flat, r_sharp))
 
     def test_invalid_ranges(self):
@@ -165,7 +166,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             temperature_sweep(p, (0.0, 1.0), (1.0, 2.0))
         with pytest.raises(ValueError):
-            temperature_sweep(p, (1.0, 2.0), (1.0, 2.0), n_points=1)
+            temperature_sweep(p, (1.0, 2.0), (1.0, 2.0), points=1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"alpha": 1.5}, "alpha must lie in [0, 1], got 1.5"),
+        ({"alpha": np.nan}, "alpha must lie in [0, 1], got nan"),
+        ({"points": 1}, "points must be >= 2, got 1"),
+    ])
+    def test_alpha_and_points_checked_first(self, monkeypatch, kwargs, message):
+        # the sweep once computed its first report's entropies before rejecting alpha
+        monkeypatch.setattr(entropy_mod, "loss_entropy", None)
+        with pytest.raises(ValueError) as err:
+            temperature_sweep(make_profile(np.zeros(5)), **kwargs)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("t_e_range,t_f_range", [
         ((400.0, np.nan), (4.0, 4000.0)), ((np.nan, 400.0), (4.0, 4000.0)),
@@ -192,7 +205,7 @@ class TestPersistence:
 
     def test_sweep_csv_header(self, tmp_path):
         p = make_profile(np.zeros(5))
-        reports, info = temperature_sweep(p, (1.0, 2.0), (1.0, 2.0), n_points=4)
+        reports, info = temperature_sweep(p, (1.0, 2.0), (1.0, 2.0), points=4)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(reports, path, info=info)
         lines = path.read_text().strip().splitlines()

@@ -252,8 +252,10 @@ class TestLandscape2D:
         np.testing.assert_allclose(reweight_surface(s, 1.0, 2.0),
                                    reweight_surface(s, 1.0, 0.0)
                                    + 2.0 * reweight_surface(s, 0.0, 1.0), rtol=1e-15)
-        with pytest.raises(ValueError):
-            reweight_surface(s, -1.0, 1.0)
+        for w_e, w_f in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.inf)):
+            # NaN and inf once wrote a NaN or infinite combined surface
+            with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+                reweight_surface(s, w_e, w_f)
 
 
 class TestInterpolation:

@@ -51,6 +51,14 @@ class TestPartition:
         mask = frozen.frozen_mask()
         assert mask[:8].all() and not mask[8:].any()
 
+    @pytest.mark.parametrize("index", [-1, 8, 999])
+    def test_with_frozen_rejects_a_stray_index(self, index):
+        # such an index once froze nothing, while landscape metadata listed it as frozen
+        part = build_partition(DescriptorSpec.default(n_radial=4, trainable_basis=True), (5,))
+        assert len(part.blocks) == 8
+        with pytest.raises(ValueError, match=f"block index {index} is not in 0..7"):
+            part.with_frozen([0, index])
+
 
 class TestEvaluation:
     def test_all_weights_zero_constant_energy(self):
