@@ -11,7 +11,7 @@ OpenBLAS config, which together decide the rounding) and then
 model (fixed and trainable basis, three layer shapes) on batches with pairs at
 the cutoff, in the switching window and through a periodic cell, on frames of
 one and two atoms, and on batches whose frames keep all their pairs or lose
-some; loss tables, their sub-tables and gradients; 1D and 2D landscapes;
+some; loss tables, minibatch tables and gradients; 1D and 2D landscapes;
 reference datasets; MD ensembles and their dump files; training, also long
 enough to fork its epoch-end worker; models scored against their own
 one-frame labels; and each artifact of one run of each CLI command on tiny
@@ -155,9 +155,9 @@ def cases():
                 yield f"{name}/{label}", digest(*m.energy_forces_batch(p, cell=cell, pbc=pbc))
             v = m.params.values + 0.05 * rng.standard_normal(len(m.params.values))
             tables = DatasetTables(m, dataset)
-            for label, table in (("table", tables), ("sub0-10", tables.frame_range(0, 10)),
-                                 ("sub10-27", tables.frame_range(10, 27)),
-                                 ("sub27-30", tables.frame_range(27, 30))):
+            subs = [(f"sub{lo}-{hi}", DatasetTables(m, dataset[lo:hi], tables.ws))
+                    for lo, hi in ((0, 10), (10, 27), (27, 30))]   # minibatch tables
+            for label, table in [("table", tables)] + subs:
                 loss, grad = tables_loss_grad(m, table, v, 1.0, 25.0)
                 yield f"{name}/{label}/loss_grad", digest(astuple(loss), grad)
                 yield f"{name}/{label}/loss", digest(astuple(tables_loss(m, table, v, 1.0, 25.0)))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .artifacts import write_csv, write_json
+from .data import check_sigmas
 from .model import NeuralPotential, NumericEvalError, loss_eval
 from .seeding import substream
 
@@ -142,7 +144,8 @@ class ToyRegressionResult:
 
 
 def toy_regression_experiment(n_list: tuple[int, ...] = (2, 10, 100, 1000, 10000),
-                              sigma_list: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0),
+                              sigma_list: Annotated[tuple[float, ...], check_sigmas] = (
+                                  0.0, 0.5, 1.0, 2.0),
                               repeats: int = 100, seed: int = 0) -> ToyRegressionResult:
     """Mean RMSE of least-squares line fits to noise-corrupted linear data.
 
@@ -152,6 +155,7 @@ def toy_regression_experiment(n_list: tuple[int, ...] = (2, 10, 100, 1000, 10000
     """
     n_list = [int(n) for n in n_list]
     sigma_list = [float(s) for s in sigma_list]
+    check_sigmas(sigma_list)
     if any(n < 2 for n in n_list):
         raise ValueError("need at least 2 points to fit a line")
     if repeats < 1:

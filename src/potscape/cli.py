@@ -30,9 +30,9 @@ import numpy as np
 
 from . import analysis, entropy as entropy_mod, landscape as landscape_mod
 from .artifacts import write_csv, write_json
-from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_stats,
-                   generate_reference_dataset, read_extxyz_file, split_by_temperature,
-                   write_extxyz_file)
+from .data import (Configuration, Dataset, NoiseSpec, check_sigmas, corrupt_labels,
+                   dataset_stats, generate_reference_dataset, read_extxyz_file,
+                   split_by_temperature, write_extxyz_file)
 from .descriptors import DescriptorSpec
 from .md import MDConfig, infer_bond_list, run_ensemble, write_ensemble_json, write_summary_csv
 from .model import NeuralPotential, fit_rescale, load_checkpoint, loss_eval, save_checkpoint
@@ -368,7 +368,8 @@ def cmd_md(config, out: Path, seed: int):
 
 def cmd_noise_sweep(config, out: Path, seed: int):
     path = _get(config, "data.path", required=True)
-    sigmas = _get(config, "noise.sigmas", [0.0, 0.02, 0.05, 0.1], list[float])
+    sigmas = _get(config, "noise.sigmas", [0.0, 0.02, 0.05, 0.1],
+                  typing.Annotated[list[float], check_sigmas])
     noise = _bind(NoiseSpec, config, "noise", seed=None)   # each level's seed is set below
     specs = [noise(sigma=sigma, seed=int(substream(seed, "noise", k).integers(2**31)))
              for k, sigma in enumerate(sigmas)]

@@ -38,6 +38,8 @@ class Configuration:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must be (N, 3)")
+        if not np.all(np.isfinite(self.positions)):
+            raise ValueError("non-finite position component")
         n = len(self.positions)
         if len(self.species) != n:
             raise ValueError("species count does not match positions")
@@ -113,6 +115,12 @@ class Dataset:
         return self.configurations[i]
 
 
+def check_sigmas(sigmas):
+    """Raise ValueError unless each noise level in ``sigmas`` is finite and >= 0."""
+    if bad := [s for s in sigmas if not 0.0 <= s < np.inf]:
+        raise ValueError(f"noise levels must be finite and >= 0, got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Dimensionless noise scale applied on top of the dataset's label spread."""
@@ -122,8 +130,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        check_sigmas([self.sigma])
         if self.target not in ("energies", "forces", "both"):
             raise ValueError(f"unknown noise target {self.target!r}")
 

@@ -20,8 +20,8 @@ from typing import BinaryIO
 @dataclass
 class Child:
     pid: int
-    reader: BinaryIO            # what the child writes
-    writer: BinaryIO | None     # what the child reads, if it reads
+    reader: BinaryIO   # what the child writes
+    writer: BinaryIO   # what the child reads
 
 
 class Children:
@@ -52,14 +52,14 @@ class Children:
         if self.pinned:
             os.sched_setaffinity(0, self.mask)
 
-    def fork(self, cpu: int, run, reads: bool = False) -> Child:
-        """A child pinned to ``cpu`` that calls ``run(out)``, or ``run(out, inp)``
-        if it ``reads``, with the binary files of its pipes; it exits 0 if
-        ``run`` returns and 1 (after printing the traceback) if it raises."""
+    def fork(self, cpu: int, run) -> Child:
+        """A child pinned to ``cpu`` that calls ``run(out, inp)`` with the binary
+        files of its pipes; it exits 0 if ``run`` returns and 1 (after printing
+        the traceback) if it raises."""
         if not self.pinned:
             os.sched_setaffinity(0, self.mask[:1])
             self.pinned = True
-        fds = os.pipe() + (os.pipe() if reads else ())   # (r, w) up, then (r, w) down
+        fds = os.pipe() + os.pipe()   # (r, w) up, then (r, w) down
         try:
             pid = os.fork()
         except OSError:
@@ -72,12 +72,8 @@ class Children:
                 for fd in fds[0::3]:   # the parent's ends
                     os.close(fd)
                 os.sched_setaffinity(0, (cpu,))
-                with open(fds[1], "wb") as out:
-                    if reads:
-                        with open(fds[2], "rb") as inp:
-                            run(out, inp)
-                    else:
-                        run(out)
+                with open(fds[1], "wb") as out, open(fds[2], "rb") as inp:
+                    run(out, inp)
                 code = 0
             except Exception:
                 sys.excepthook(*sys.exc_info())   # the traceback, on stderr
@@ -86,7 +82,7 @@ class Children:
                 os._exit(code)
         for fd in fds[1:3]:   # the child's ends
             os.close(fd)
-        child = Child(pid, open(fds[0], "rb"), open(fds[3], "wb") if reads else None)
+        child = Child(pid, open(fds[0], "rb"), open(fds[3], "wb"))
         self.live.append(child)
         return child
 
@@ -130,6 +126,5 @@ class Children:
 def _close(child, reader=True):
     if reader:
         child.reader.close()
-    if child.writer is not None:
-        with contextlib.suppress(BrokenPipeError):   # input that a dead child left unread
-            child.writer.close()
+    with contextlib.suppress(BrokenPipeError):   # input that a dead child left unread
+        child.writer.close()

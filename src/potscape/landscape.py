@@ -168,7 +168,7 @@ def _scan(m: NeuralPotential, d: Dataset, points, arrange, **meta):
             vals[:, idx] = lv.loss_E, lv.loss_F
 
     def evaluate_and_send(lo, hi):
-        def run(out):
+        def run(out, inp):   # reads nothing
             evaluate(lo, hi)
             out.write(vals[:, lo:hi].tobytes())
         return run

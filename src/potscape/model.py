@@ -175,10 +175,10 @@ class NeuralPotential:
     # -- parameter layout -------------------------------------------------
 
     def unpack(self, values: np.ndarray | None = None):
-        """(centers, widths, [W_l], [b_l]) views into the flat vector, the one home of
-        its layout: a trainable basis's centers and widths, then each layer's rows
-        of weights plus bias.  With a fixed basis, centers and widths are the
-        spec's own arrays, not views: never write through them."""
+        """(centers, widths, [W_l], [b_l]) views into the flat vector, in the layout
+        that ``build_partition`` tiles: a trainable basis's centers and widths, then
+        each layer's rows of weights plus bias.  With a fixed basis, centers and
+        widths are the spec's own arrays, not views: never write through them."""
         v = self.params.values if values is None else np.asarray(values, dtype=float)
         k = self.descriptor.n_radial
         if self.descriptor.trainable_basis:
@@ -317,29 +317,31 @@ def _geometry_kind(c) -> tuple:
 class DatasetTables:
     """Precomputed geometry, labels, and basis values for fast re-evaluation.
 
-    ``__init__`` makes one batched ``pair_table`` call per run of frames with
-    one atom count, cell and periodicity (of at most ``PAIR_BATCH_ENTRIES``),
-    whose pairs equal the frames' own, bit for bit.  Both it and ``frame_range``
-    build the table from arrays with ``_set``.
+    The table of ``frames`` (a Dataset or a list of configurations, such as a
+    minibatch's slice of one).  It makes one batched ``pair_table`` call per
+    run of frames with one atom count, cell and periodicity (of at most
+    ``PAIR_BATCH_ENTRIES``), whose pairs equal the frames' own, bit for bit; so
+    the table of a slice of frames equals that slice of the whole table.
 
     Geometry (pair distances/unit vectors) and the basis envelope never change.
     The descriptor matrix G and the basis derivatives are kept per table and
     rebuilt only when the basis parameters change (a trainable basis under
     perturbation), so the arrays that ``basis`` returns are overwritten by the
     next evaluation with other basis parameters.  Every other array of an
-    evaluation is written into the table's Workspace ``ws``, which the
-    ``frame_range`` sub-tables share: a loss point allocates no per-pair or
-    per-atom array.  So ``tables_loss`` and ``tables_loss_grad`` on tables that
-    share a workspace must not run concurrently.
+    evaluation is written into the Workspace ``ws``, a new one unless it is
+    given, so that a minibatch's table can share its dataset's: a loss point
+    allocates no per-pair or per-atom array.  So ``tables_loss`` and
+    ``tables_loss_grad`` on tables that share a workspace must not run
+    concurrently.
     """
 
-    def __init__(self, model: NeuralPotential, dataset: Dataset):
-        frames = list(dataset)
+    def __init__(self, model: NeuralPotential, frames, ws: Workspace | None = None):
+        frames = list(frames)
         if any(c.energy is None or c.forces is None for c in frames):
             raise ValueError("loss evaluation requires energy and force labels")
-        cutoff = model.descriptor.cutoff
-        natoms = np.array([c.n_atoms for c in frames])
-        atom_start = np.cumsum(natoms) - natoms
+        self.cutoff = cutoff = model.descriptor.cutoff
+        self.natoms = natoms = np.array([c.n_atoms for c in frames])
+        self.atom_start = atom_start = np.cumsum(natoms) - natoms
         pts = []
         for _, run in groupby(range(len(frames)), key=lambda m: _geometry_kind(frames[m])):
             run = list(run)
@@ -354,23 +356,17 @@ class DatasetTables:
                     raise SingularGeometryError(
                         f"coincident atoms (r < {R_MIN} A) in dataset frames {bad}", bad) from exc
                 pts.append((pt, atom_start[first]))
-        r = np.concatenate([pt.r for pt, _ in pts])
-        self._set(np.concatenate([pt.i + a0 for pt, a0 in pts]),
-                  np.concatenate([pt.j + a0 for pt, a0 in pts]), r,
-                  np.concatenate([pt.unit for pt, _ in pts]), envelope(r, cutoff),
-                  np.array([c.energy for c in frames]), natoms,
-                  np.vstack([c.forces for c in frames]), cutoff, Workspace())
-
-    def _set(self, gi, gj, r, unit, env, e_ref, natoms, f_ref, cutoff, ws):
-        """The table from its pairs (atoms numbered over all frames), their basis
-        envelope, the labels and a workspace; the rest derives from these."""
-        self.n_frames, self.n_atoms = len(natoms), len(f_ref)
-        self.gi, self.gj, self.r, self.unit, self.envelope = gi, gj, r, unit, env
-        self.e_ref, self.natoms, self.f_ref = e_ref, natoms, f_ref
+        # pairs with atoms numbered over all frames, and their basis envelope
+        self.gi = np.concatenate([pt.i + a0 for pt, a0 in pts])
+        self.gj = np.concatenate([pt.j + a0 for pt, a0 in pts])
+        self.r = np.concatenate([pt.r for pt, _ in pts])
+        self.unit = np.concatenate([pt.unit for pt, _ in pts])
+        self.envelope = envelope(self.r, cutoff)
+        self.e_ref = np.array([c.energy for c in frames])
+        self.f_ref = np.vstack([c.forces for c in frames])
+        self.n_frames, self.n_atoms = len(frames), len(self.f_ref)
         self.atom_frame = np.repeat(np.arange(self.n_frames), natoms)
-        self.atom_start = np.cumsum(natoms) - natoms
-        self.pair_frame = self.atom_frame[gi]
-        self.cutoff, self.ws = cutoff, ws
+        self.ws = Workspace() if ws is None else ws
         self._kept = Workspace()   # G and the basis derivatives of the cache key
         self._cache_key = self._cache = None
 
@@ -396,18 +392,6 @@ class DatasetTables:
             self._cache = (G, de, extra)
             self._cache_key = key
         return self._cache
-
-    def frame_range(self, lo: int, hi: int):
-        """The table of frames lo..hi-1, a deterministic minibatch that shares
-        this table's workspace; built from its arrays, not by ``__init__``."""
-        a0 = self.atom_start[lo]
-        a1 = self.atom_start[hi] if hi < self.n_frames else self.n_atoms
-        pmask = (self.pair_frame >= lo) & (self.pair_frame < hi)
-        sub = DatasetTables.__new__(DatasetTables)
-        sub._set(self.gi[pmask] - a0, self.gj[pmask] - a0, self.r[pmask], self.unit[pmask],
-                 tuple(v[pmask] for v in self.envelope), self.e_ref[lo:hi],
-                 self.natoms[lo:hi], self.f_ref[a0:a1], self.cutoff, self.ws)
-        return sub
 
 
 def _table_forward(model, tables, Ws, bs, G, de) -> _Forward:

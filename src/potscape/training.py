@@ -109,7 +109,7 @@ class Adam:
 class PlateauScheduler:
     """Multiply lr by `factor` after `patience` epochs without improvement."""
 
-    def __init__(self, lr0: float, patience: int = 50, factor: float = 0.5):
+    def __init__(self, lr0: float, patience: int, factor: float):
         self.lr = lr0
         self.patience = patience
         self.factor = factor
@@ -159,26 +159,27 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
 
     Best-epoch selection uses the held-out split when provided, otherwise the
     training loss.  Deterministic given (seed, config, dataset): batches are
-    contiguous frame ranges in fixed order.
+    contiguous frame ranges in fixed order, each with its own table of those
+    frames, which shares the full table's workspace.
 
     Each epoch ends with the loss over the full training table, and over the
     validation table if there is one.  The next epoch's minibatches depend on
     them only through the learning rate, which the plateau schedule can change
-    only if ``bad_epochs + 1 >= patience`` before its update.  So when the
-    affinity mask has two CPUs or more and the run reaches ``OVERLAP_FLOOR``,
-    one worker forked after the tables are built (``forked.Children``: pinned
-    to the second CPU, the parent to the first) evaluates each epoch's end
-    while the parent runs the next epoch's minibatches.  The parent commits the
-    epochs in order, one behind: history row, schedule update,
-    ``TrainingDiverged``, best parameters.  It waits for the worker only at the
-    last epoch and when the pending epoch could decay the rate.  A minibatch
-    that raises while an epoch is pending commits that epoch first, so a
-    divergence is named at the epoch where it happened.  Below the floor, and
-    with one CPU (``taskset -c 0``), training runs in one process and commits
-    each epoch as it ends.  The worker runs the same computation on the same
-    tables, so the report has the same bits either way.  A worker that fails
-    raises ``ChildProcessError``; on a fault or an interrupt it is killed and
-    reaped.
+    only if ``bad_epochs + 1 >= patience`` before its update.  So the epochs
+    are committed in order, one behind: after the next epoch's minibatches,
+    the pending epoch's end gives its history row, schedule update,
+    ``TrainingDiverged`` and best parameters.  The last epoch, and one whose
+    loss could decay the rate, are committed at once.  A minibatch that raises
+    while an epoch is pending commits that epoch first, so a divergence is
+    named at the epoch where it happened.  When the affinity mask has two CPUs
+    or more and the run reaches ``OVERLAP_FLOOR``, one worker forked after the
+    tables are built (``forked.Children``: pinned to the second CPU, the parent
+    to the first) evaluates each epoch's end while the parent runs the next
+    epoch's minibatches; else (and with one CPU, ``taskset -c 0``) the parent
+    evaluates it when it commits the epoch.  Either way the same computation
+    runs on the same tables in the same order, so the report has the same
+    bits.  A worker that fails raises ``ChildProcessError``; on a fault or an
+    interrupt it is killed and reaped.
 
     The floor counts the epochs that can overlap (all but the last) times the
     pairs of both tables.  It weighs the fork against the time saved, measured
@@ -193,12 +194,9 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
         raise ValueError("empty training dataset")
     tables = DatasetTables(model, d_train)
     val_tables = DatasetTables(model, d_val) if d_val is not None else None
-
-    n = len(d_train)
-    bs = cfg.batch_size or n
-    batches = [(lo, min(lo + bs, n)) for lo in range(0, n, bs)]
-    batch_tables = [tables.frame_range(lo, hi) for lo, hi in batches] \
-        if len(batches) > 1 else [tables]
+    n, bs = len(d_train), cfg.batch_size or len(d_train)
+    batch_tables = [DatasetTables(model, d_train[lo:lo + bs], tables.ws)
+                    for lo in range(0, n, bs)] if bs < n else [tables]
 
     values = model.params.values.copy()
     opt = Adam(len(values), amsgrad=cfg.amsgrad)
@@ -238,13 +236,13 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
     with forked.Children() as children:
         worker = None
         if len(children.mask) > 1 and (cfg.max_epochs - 1) * n_pairs >= OVERLAP_FLOOR:
-            worker = children.fork(children.mask[1], _serve(epoch_end, len(values)), reads=True)
-        pending = []   # the epoch sent to the worker and not yet committed
+            worker = children.fork(children.mask[1], _serve(epoch_end, len(values)))
+        pending = []   # the epoch that ended and is not yet committed
 
         def settle():
             epoch, *sent = pending.pop()
-            result = children.receive(worker, 32, f"training worker at epoch {epoch}")
-            commit(epoch, *sent, np.frombuffer(result))
+            commit(epoch, *sent, epoch_end(*sent) if worker is None else np.frombuffer(
+                children.receive(worker, 32, f"training worker at epoch {epoch}")))
 
         for epoch in range(cfg.max_epochs):
             w_e, w_f = apply_weight_schedule(cfg.weight_schedule, epoch)
@@ -261,11 +259,9 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
             if cfg.swa_tail is not None and epoch >= cfg.swa_tail:
                 swa_sum += values
                 swa_count += 1
-            if worker is None:
-                commit(epoch, values, w_e, w_f, epoch_end(values, w_e, w_f))
-                continue
-            children.send(worker, np.append(values, (w_e, w_f)).tobytes(),
-                          f"training worker at epoch {epoch}")
+            if worker is not None:
+                children.send(worker, np.append(values, (w_e, w_f)).tobytes(),
+                              f"training worker at epoch {epoch}")
             if pending:
                 settle()
             pending.append((epoch, values, w_e, w_f))

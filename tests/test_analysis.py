@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -175,6 +177,9 @@ class TestToyRegression:
             toy_regression_experiment([1], [0.1], repeats=2)
         with pytest.raises(ValueError):
             toy_regression_experiment([4], [0.1], repeats=0)
+        for bad in (math.nan, math.inf, -1.0):   # NaN once wrote NaN rows; -1 was accepted
+            with pytest.raises(ValueError, match="noise levels must be finite and >= 0"):
+                toy_regression_experiment([4], [0.0, bad], repeats=2)
 
     def test_reproducible(self):
         a = toy_regression_experiment([5, 10], [0.3, 0.6], repeats=5, seed=3)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from potscape import cli, landscape
+from potscape import analysis, cli, landscape
 from potscape.cli import (COMMANDS, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config_file,
                           main, run_command)
 from potscape.data import read_extxyz_file, split_by_temperature
@@ -147,6 +147,25 @@ class TestErrors:
         assert run_command("eval", config, tmp_path / "out") == EXIT_NUMERIC
         error = read_manifest(tmp_path / "out")["error"]
         assert error["type"] == "SingularGeometryError" and "coincident" in error["message"]
+
+    @pytest.mark.parametrize("atom_line,message", [
+        ("Cu 1.5 nan 0 0 0 0", "frame 1: non-finite position component"),
+        ("Cu 1.5 0 0 0 inf 0", "frame 1: non-finite force component"),
+    ], ids=["nan-position", "infinite-force"])
+    def test_nonfinite_data_is_config_error(self, tmp_path, monkeypatch, atom_line, message):
+        # a NaN position once passed the reader, and training exited 3 with
+        # "non-finite atom position" and no frame number
+        def work(*args, **kwargs):
+            raise AssertionError("the run trained on a non-finite frame")
+        monkeypatch.setattr(cli, "train", work)
+        header = "2\nProperties=species:S:1:pos:R:3:forces:R:3 energy=-1.0\nCu 0 0 0 0 0 0\n"
+        (tmp_path / "bad.extxyz").write_text(f"{header}Cu 1.5 0 0 0 0 0\n{header}{atom_line}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), "--set",
+                     f"data.path={tmp_path / 'bad.extxyz'}"]) == EXIT_CONFIG
+        error = read_manifest(out)["error"]
+        assert error == {"type": "ExtxyzError", "message": message}
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_narrow_periodic_cell_is_config_error(self, model_dir, tmp_path):
         # 8 A across x: less than twice the model's 5 A cutoff
@@ -375,12 +394,18 @@ class TestKeyTable:
         ("entropy", "entropy.alpha", math.nan),
         ("sweep-entropy", "entropy.alpha", -0.5),
         ("sweep-entropy", "sweep.points", 1),
+        ("noise-sweep", "noise.sigmas", [0.0, math.nan]),
+        ("noise-sweep", "noise.sigmas", [-0.1]),
+        ("toy-regression", "toy.sigma_list", [math.nan]),
+        ("toy-regression", "toy.sigma_list", [-1.0]),
+        ("toy-regression", "toy.sigma_list", [0.0, math.inf]),
     ], ids=["train-model.name", "landscape2d-landscape.w_e", "interp-no-points",
             "interp-empty-range", "landscape1d-decreasing", "md-bond-factor-below-1",
             "md-bond-factor-nan", "entropy-negative-t_e", "entropy-infinite-t_f",
             "sweep-nan-bound", "sweep-one-bound", "landscape2d-negative-w_e",
             "landscape2d-nan-w_e", "landscape2d-infinite-w_f", "entropy-alpha-above-1",
-            "entropy-alpha-nan", "sweep-negative-alpha", "sweep-one-point"])
+            "entropy-alpha-nan", "sweep-negative-alpha", "sweep-one-point", "noise-sigma-nan",
+            "noise-sigma-negative", "toy-sigma-nan", "toy-sigma-negative", "toy-sigma-inf"])
     def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, profile_dir, tmp_path,
                                              monkeypatch, command, key, value):
         # these values were once cast or checked only after training or after the whole
@@ -388,12 +413,14 @@ class TestKeyTable:
         # a bad bond factor was checked after the start cluster was built, and a bad
         # entropy temperature, sweep bound, alpha or sweep point count after the profile
         # was read (a patched read_profile_csv fails on any call); a negative surface
-        # weight was rejected after the scan, and NaN or inf was written
+        # weight was rejected after the scan, and NaN or inf was written; a NaN noise
+        # level wrote a NaN row, and a negative toy noise level was accepted
         def work(*args, **kwargs):
             raise AssertionError("the run worked before casting its values")
         for module, name in ((cli, "train"), (landscape, "landscape_2d"),
                              (cli, "read_extxyz_file"), (cli, "load_checkpoint"),
-                             (cli, "build_cluster"), (landscape, "read_profile_csv")):
+                             (cli, "build_cluster"), (landscape, "read_profile_csv"),
+                             (analysis, "ols")):
             monkeypatch.setattr(module, name, work)
         config = {**self.base(command, gen_dir, model_dir, profile_dir), key: value}
         assert run_command(command, config, tmp_path) == EXIT_CONFIG

@@ -143,6 +143,10 @@ class TestParse:
                      id="tabs"),
         pytest.param("2\nenergy=0\nH 0 x 0\nH 1 0", "frame 0: non-numeric pos on atom line 0",
                      id="first-fault-in-atom-order"),
+        pytest.param("1\nenergy=0\nH 0 nan 0", "frame 0: non-finite position component",
+                     id="nan-position"),
+        pytest.param("1\n\nH 0 0 0\n2\n\nH 0 0 0\nH -inf 0 0",
+                     "frame 1: non-finite position component", id="infinite-position-in-frame-1"),
         pytest.param("1\n\nH 0 0 0\n1\n\nH 0 0 0\n1\nProperties=species:S:1:pos:R:x\nH 0 0 0",
                      "frame 2: bad column count in Properties", id="fault-in-frame-2"),
     ])
@@ -224,6 +228,12 @@ class TestCorrupt:
                                 forces=rng.normal(0, 0.8, (n_atoms, 3)))
                   for _ in range(n_frames)]
         return Dataset(frames)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.5])
+    def test_bad_sigma_rejected(self, sigma):
+        # NaN once passed, and corrupt_labels added no noise
+        with pytest.raises(ValueError, match="noise levels must be finite and >= 0"):
+            NoiseSpec(sigma=sigma)
 
     def test_zero_sigma_bitwise_equal(self):
         ds = self.field_dataset()

@@ -256,7 +256,7 @@ class TestParameterGradient:
 
 
 class TestWorkspace:
-    """A table evaluates its points in a kept workspace, shared with its sub-tables;
+    """A table evaluates its points in a kept workspace, shared with its minibatches' tables;
     no point may see what another point left there."""
 
     @pytest.mark.parametrize("trainable", [False, True])
@@ -276,11 +276,11 @@ class TestWorkspace:
     def test_interleaved_tables_equal_fresh_tables(self, trainable):
         m, ds, v = labeled_tables_case(trainable)
         tables = DatasetTables(m, ds)
-        sub = tables.frame_range(3, 9)   # shares the workspace of `tables`
+        sub = DatasetTables(m, ds[3:9], tables.ws)   # frames 3-8, in the workspace of `tables`
         for table, fresh in ((tables, lambda: DatasetTables(m, ds)),
-                             (sub, lambda: DatasetTables(m, ds).frame_range(3, 9)),
+                             (sub, lambda: DatasetTables(m, ds[3:9])),
                              (tables, lambda: DatasetTables(m, ds)),
-                             (sub, lambda: DatasetTables(m, ds).frame_range(3, 9))):
+                             (sub, lambda: DatasetTables(m, ds[3:9]))):
             loss_g, grad = tables_loss_grad(m, table, v, 1.0, 25.0)
             loss = tables_loss(m, table, v, 1.0, 25.0)
             fresh_loss_g, fresh_grad = tables_loss_grad(m, fresh(), v, 1.0, 25.0)
@@ -369,7 +369,6 @@ class TestTablesConstructor:
             expected = [getattr(pt, field) + (a0 if field in "ij" else 0)
                         for pt, a0 in zip(pts, offsets)]
             assert getattr(tables, name).tobytes() == np.concatenate(expected).tobytes()
-        assert tables.pair_frame.tolist() == sum(([k] * len(pt) for k, pt in enumerate(pts)), [])
         assert tables.atom_start.tolist() == offsets[:-1].tolist()
 
     def test_coincident_frames_named_by_dataset_index(self):
@@ -382,10 +381,14 @@ class TestTablesConstructor:
 
     @pytest.mark.parametrize("lo,hi", [(0, 10), (0, 3), (2, 6), (3, 5), (7, 10), (9, 10)])
     def test_frame_range_equals_table_of_frames(self, lo, hi):
+        # the table of frames lo..hi-1 in the dataset's workspace, as training builds a
+        # minibatch's, equals the table of those frames in a workspace of its own, and
+        # its pairs are those of the dataset's table
         m, ds = random_model(2, trainable_basis=True), mixed_dataset()
-        sub = DatasetTables(m, ds).frame_range(lo, hi)
-        fresh = DatasetTables(m, Dataset(list(ds)[lo:hi]))
-        got, expected = table_arrays(sub), table_arrays(fresh)
+        tables = DatasetTables(m, ds)
+        shared, own = DatasetTables(m, ds[lo:hi], tables.ws), DatasetTables(m, ds[lo:hi])
+        assert shared.ws is tables.ws and own.ws is not tables.ws
+        got, expected = table_arrays(shared), table_arrays(own)
         assert got.keys() == expected.keys()
         for key, value in expected.items():
             if key == "envelope":
@@ -394,9 +397,12 @@ class TestTablesConstructor:
                 assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes()
             else:
                 assert got[key] == value, key
+        pair_frame = tables.atom_frame[tables.gi]
+        assert shared.r.tobytes() == tables.r[(pair_frame >= lo) & (pair_frame < hi)].tobytes()
         v = m.params.values * 1.01
-        assert tables_loss_grad(m, sub, v, 1.0, 9.0)[1].tobytes() == \
-            tables_loss_grad(m, fresh, v, 1.0, 9.0)[1].tobytes()
+        tables_loss_grad(m, tables, v, 1.0, 9.0)   # the shared workspace holds other shapes
+        assert tables_loss_grad(m, shared, v, 1.0, 9.0)[1].tobytes() == \
+            tables_loss_grad(m, own, v, 1.0, 9.0)[1].tobytes()
 
 
 class TestRescale:

@@ -1,5 +1,6 @@
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -202,16 +203,35 @@ class TestTrain:
     def test_divergence_aborts_with_epoch(self, monkeypatch):
         m, ds = self.setup_problem(13)
         cfg = TrainConfig(max_epochs=10, lr0=1e200, weight_schedule=((0, 1.0, 10.0),))
+        # on both paths epoch 1's minibatch overflows (an error under tier-1's warning
+        # filter) while epoch 0 is pending; epoch 0 is still the one named
         with pytest.raises(TrainingDiverged, match="epoch") as in_process:
             train(m, ds, cfg)
-        # with the worker, epoch 1's minibatch overflows (an error under tier-1's
-        # warning filter) while epoch 0 is pending; epoch 0 is still the one named
         monkeypatch.setattr(training, "OVERLAP_FLOOR", 1)
         pinned = cpus(monkeypatch, 2)
         with pytest.raises(TrainingDiverged, match="epoch") as forked:
             train(m, ds, cfg)
         assert str(forked.value) == str(in_process.value) == "non-finite loss at epoch 0"
         assert pinned == [[0], [0, 1]]
+        assert_no_child_left()
+
+    def test_divergence_warns_alike_on_both_paths(self, monkeypatch):
+        # the one-process path once committed each epoch as it ended, so it raised with
+        # no warning, where the forked path first warned of epoch 1's minibatch
+        m, ds = self.setup_problem(13)
+        cfg = TrainConfig(max_epochs=10, lr0=1e200, weight_schedule=((0, 1.0, 10.0),))
+        shown = {}
+        for path, floor in (("one process", training.OVERLAP_FLOOR), ("forked", 1)):
+            monkeypatch.setattr(training, "OVERLAP_FLOOR", floor)
+            pinned = cpus(monkeypatch, 2)
+            with warnings.catch_warnings(record=True) as caught, \
+                    pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0$"):
+                warnings.simplefilter("always")
+                train(m, ds, cfg)
+            shown[path] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+            assert pinned == ([[0], [0, 1]] if path == "forked" else [])
+        assert shown["forked"] == shown["one process"]
+        assert {category for category, *_ in shown["forked"]} == {RuntimeWarning}
         assert_no_child_left()
 
     def test_weight_cycling_recorded_in_history(self):
