@@ -11,7 +11,8 @@ OpenBLAS config, which together decide the rounding) and then
 model (fixed and trainable basis, three layer shapes) on batches with pairs at
 the cutoff, in the switching window and through a periodic cell, on frames of
 one and two atoms, and on batches whose frames keep all their pairs or lose
-some; loss tables, minibatch tables and gradients; 1D and 2D landscapes;
+some; loss tables, minibatch tables and gradients; 1D and 2D landscapes, also
+with frozen blocks on a trainable basis;
 reference datasets; MD ensembles and their dump files; training, also long
 enough to fork its epoch-end worker; models scored against their own
 one-frame labels; and each artifact of one run of each CLI command on tiny
@@ -163,10 +164,13 @@ def cases():
                 yield f"{name}/{label}/loss", digest(astuple(tables_loss(m, table, v, 1.0, 25.0)))
             if hidden == HIDDEN[1]:
                 grid = np.linspace(-1.0, 1.0, 5)
-                for label, result in (
-                        ("landscape1d", landscape_1d(m, dataset, n_dirs=3, t_grid=grid, seed=5)),
-                        ("landscape2d", landscape_2d(m, dataset, t1_grid=grid, t2_grid=grid[1:4],
-                                                     seed=5))):
+                runs = [("landscape1d", landscape_1d, {"n_dirs": 3, "t_grid": grid}),
+                        ("landscape2d", landscape_2d, {"t1_grid": grid, "t2_grid": grid[1:4]})]
+                if trainable:   # the basis blocks and the first neuron of layer 1 held still
+                    runs += [(f"{label}-frozen", run, {**kw, "frozen": [0, 1, 2]})
+                             for label, run, kw in runs]
+                for label, run, kw in runs:
+                    result = run(m, dataset, seed=5, **kw)
                     yield f"{name}/{label}", digest(
                         result.loss_E, result.loss_F,
                         text=json.dumps(result.metadata, sort_keys=True))
