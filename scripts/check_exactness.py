@@ -151,10 +151,10 @@ def cases():
             m.rescale = Rescale(scale=0.4, shift=-1.5, enabled=True)
             layers = "-".join(map(str, hidden)) or "none"
             name = f"nn/{'trainable' if trainable else 'fixed'}/{layers}"
-            yield f"{name}/create", digest(m.params.values)
+            yield f"{name}/create", digest(m.params)
             for label, p, cell, pbc in batches(rng, spec.cutoff, 0.9 * spec.cutoff):
                 yield f"{name}/{label}", digest(*m.energy_forces_batch(p, cell=cell, pbc=pbc))
-            v = m.params.values + 0.05 * rng.standard_normal(len(m.params.values))
+            v = m.params + 0.05 * rng.standard_normal(len(m.params))
             tables = DatasetTables(m, dataset)
             subs = [(f"sub{lo}-{hi}", DatasetTables(m, dataset[lo:hi], tables.ws))
                     for lo, hi in ((0, 10), (10, 27), (27, 30))]   # minibatch tables
@@ -323,7 +323,7 @@ def fixture_cases(ref):
             m, ds, v = labeled_tables_case(trainable, hidden=hidden, n_frames=6)
             loss, grad = tables_loss_grad(m, DatasetTables(m, ds), v, 1.0, 25.0)
             layers = "-".join(map(str, hidden)) or "none"
-            yield f"layout/{kind}/{layers}/create", digest(m.params.values)
+            yield f"layout/{kind}/{layers}/create", digest(m.params)
             yield f"layout/{kind}/{layers}/loss_grad", digest(grad, astuple(loss))
 
         m = random_model(3, trainable_basis=trainable)

@@ -12,10 +12,9 @@ from .landscape import (Direction, LandscapeProfile, Surface2D, filter_normalize
                         interpolate_models, landscape_1d, landscape_2d,
                         orthogonalize_pair, reweight_surface, sample_direction)
 from .md import MDConfig, TrajectoryRecord, init_velocities, run_ensemble
-from .model import (FilterPartition, NeuralPotential, ParameterVector, fit_rescale,
-                    load_checkpoint, loss_eval, save_checkpoint)
-from .analysis import (SlopeFit, ToyRegressionResult, correlate, extrapolation_slope,
-                       learning_curve_slope, rmse_by_split, toy_regression_experiment)
+from .model import NeuralPotential, fit_rescale, load_checkpoint, loss_eval, save_checkpoint
+from .analysis import (SlopeFit, ToyRegressionResult, extrapolation_slope, learning_curve_slope,
+                       rmse_by_split, toy_regression_experiment)
 from .potentials import LennardJones, Morse
 from .training import TrainConfig, TrainReport, apply_weight_schedule, train
 

@@ -93,35 +93,6 @@ def learning_curve_slope(points) -> SlopeFit:
                     n_points=len(n))
 
 
-def _ranks(x):
-    """Midranks (ties share the average rank)."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def correlate(xs, ys) -> dict:
-    """Pearson and Spearman correlation coefficients."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if len(x) != len(y) or len(x) < 3:
-        raise ValueError("need at least 3 paired values")
-    if np.std(x) == 0.0 or np.std(y) == 0.0:
-        raise ValueError("zero variance input")
-    def _pearson(a, b):
-        am, bm = a - a.mean(), b - b.mean()
-        return float(np.sum(am * bm) / np.sqrt(np.sum(am**2) * np.sum(bm**2)))
-    return {"pearson": _pearson(x, y), "spearman": _pearson(_ranks(x), _ranks(y))}
-
-
 # ---------------------------------------------------------------------------
 # linear-regression noise toy
 # ---------------------------------------------------------------------------

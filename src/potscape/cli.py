@@ -217,8 +217,8 @@ def _frozen(config):
     blocks = _get(config, "landscape.frozen_blocks", [], list[int])
     basis = _get(config, "landscape.freeze_basis", False, bool)
     return lambda model: sorted(set(_checked(
-        "landscape.frozen_blocks", model.params.partition.with_frozen, blocks)).union(
-        model.params.partition.blocks_in_layer(0) if basis else ()))
+        "landscape.frozen_blocks", lambda b: landscape_mod.free_blocks(model, b), blocks)).union(
+        k for k, b in enumerate(model.blocks) if basis and b.layer == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +390,16 @@ def cmd_noise_sweep(config, out: Path, seed: int):
     return ["noise_sweep.csv"]
 
 
+def _check_sizes(sizes):
+    if bad := [n for n in sizes if n < 1]:
+        raise ValueError(f"each size must be >= 1, got {bad[0]}")
+
+
 def cmd_learning_curve(config, out: Path, seed: int):
     path = _get(config, "data.path", required=True)
     _, split = _splitter(config, seed, required=True)
-    sizes = _get(config, "curve.sizes", [25, 50, 100, 200], list[int])
+    sizes = _get(config, "curve.sizes", [25, 50, 100, 200],
+                 typing.Annotated[list[int], _check_sizes])
     fit = _trainer(config, seed)
     config.check()
     d_train, tests = split(read_extxyz_file(path))

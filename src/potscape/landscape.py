@@ -18,7 +18,7 @@ import numpy as np
 from . import forked
 from .artifacts import write_csv, write_json
 from .data import Dataset
-from .model import DatasetTables, NeuralPotential, ParameterVector, tables_loss
+from .model import DatasetTables, FilterBlock, NeuralPotential, tables_loss
 from .seeding import substream
 
 
@@ -37,26 +37,40 @@ class Direction:
             raise ValueError("non-finite direction")
 
 
-def sample_direction(p: ParameterVector, seed: int) -> Direction:
-    """I.i.d. standard-normal direction with frozen blocks zeroed; unnormalized."""
+def free_blocks(m: NeuralPotential, frozen=()) -> list[FilterBlock]:
+    """m's filter blocks but those whose indices ``frozen`` lists; ValueError if one
+    is no block."""
+    blocks, frozen = m.blocks, set(int(i) for i in frozen)
+    if stray := sorted(i for i in frozen if not 0 <= i < len(blocks)):
+        raise ValueError(f"block index {stray[0]} is not in 0..{len(blocks) - 1}")
+    return [b for k, b in enumerate(blocks) if k not in frozen]
+
+
+def sample_direction(theta: np.ndarray, free: list[FilterBlock], seed: int) -> Direction:
+    """I.i.d. standard-normal direction, zero outside the ``free`` blocks; unnormalized."""
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal(p.partition.total)
-    values[p.partition.frozen_mask()] = 0.0
+    values = rng.standard_normal(len(theta))
+    frozen = np.ones(len(theta), dtype=bool)
+    for b in free:
+        frozen[b.offset:b.offset + b.length] = False
+    values[frozen] = 0.0
     return Direction(values, normalized=False)
 
 
-def filter_normalize(d: Direction, p: ParameterVector) -> Direction:
-    """Rescale each partition block of d to the norm of the matching block of p.
+def filter_normalize(d: Direction, theta: np.ndarray, free: list[FilterBlock]) -> Direction:
+    """Rescale each ``free`` block of d to the norm of the matching block of theta;
+    the other entries are zero.
 
-    Blocks of p with zero norm map to zero; a zero direction block against a
+    Blocks of theta with zero norm map to zero; a zero direction block against a
     nonzero parameter block is degenerate (resample the direction).
     """
-    if len(d.values) != p.partition.total:
+    if len(d.values) != len(theta):
         raise ValueError("direction/parameter shape mismatch")
     out = np.zeros_like(d.values)
-    for b, sl in p.partition.slices():
-        theta_norm = np.linalg.norm(p.values[sl])
-        if b.frozen or theta_norm == 0.0:
+    for b in free:
+        sl = slice(b.offset, b.offset + b.length)
+        theta_norm = np.linalg.norm(theta[sl])
+        if theta_norm == 0.0:
             continue
         delta_norm = np.linalg.norm(d.values[sl])
         if delta_norm == 0.0:
@@ -66,7 +80,8 @@ def filter_normalize(d: Direction, p: ParameterVector) -> Direction:
     return Direction(out, normalized=True)
 
 
-def orthogonalize_pair(d1: Direction, d2: Direction, p: ParameterVector):
+def orthogonalize_pair(d1: Direction, d2: Direction, theta: np.ndarray,
+                       free: list[FilterBlock]):
     """Gram-Schmidt on the raw vectors, then filter-normalize each."""
     if d1.normalized or d2.normalized:
         raise ValueError("orthogonalize_pair expects unnormalized directions")
@@ -77,8 +92,8 @@ def orthogonalize_pair(d1: Direction, d2: Direction, p: ParameterVector):
     v2 = d2.values - (d2.values @ v1) / (n1 * n1) * v1
     if np.linalg.norm(v2) < 1e-10 * np.linalg.norm(d2.values):
         raise DegenerateDirectionError("directions are parallel")
-    return (filter_normalize(Direction(v1), p),
-            filter_normalize(Direction(v2), p))
+    return (filter_normalize(Direction(v1), theta, free),
+            filter_normalize(Direction(v2), theta, free))
 
 
 @dataclass
@@ -134,9 +149,9 @@ DEFAULT_N_DIRECTIONS = 20
 
 
 def _directions(m: NeuralPotential, frozen, seed: int, n: int):
-    """The parameters with `frozen` blocks marked, and n raw directions from the seed."""
-    pvec = ParameterVector(m.params.values, m.params.partition.with_frozen(frozen))
-    return pvec, [sample_direction(pvec, substream(seed, "direction", k).integers(2**31))
+    """The blocks that `frozen` does not list, and n raw directions from the seed."""
+    free = free_blocks(m, frozen)
+    return free, [sample_direction(m.params, free, substream(seed, "direction", k).integers(2**31))
                   for k in range(n)]
 
 
@@ -200,18 +215,18 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
                  t_grid=None, frozen=(), seed: int = 0) -> LandscapeProfile:
     """RMSE curves along n_dirs filter-normalized random directions.
 
-    `frozen` lists partition block indices excluded from perturbation.  The
+    `frozen` lists the indices of ``m.blocks`` excluded from perturbation.  The
     t=0 loss is evaluated once and shared across directions.  Non-finite grid
     points become +inf and are flagged in the metadata.
     """
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     if not np.any(t_grid == 0.0):
         raise ValueError("t_grid must contain 0")
-    pvec, raw = _directions(m, frozen, seed, n_dirs)
-    theta = m.params.values
+    free, raw = _directions(m, frozen, seed, n_dirs)
+    theta = m.params
     i0 = int(np.nonzero(t_grid == 0.0)[0][0])
     ts = np.delete(t_grid, i0)
-    dirs = [filter_normalize(r, pvec).values for r in raw]
+    dirs = [filter_normalize(r, theta, free).values for r in raw]
     points = [theta] + [theta + t * v for v in dirs for t in ts]
     return LandscapeProfile(t_grid, *_scan(
         m, d, points,   # the base point's losses fill every direction's t = 0 column
@@ -227,9 +242,9 @@ def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
     t2_grid = DEFAULT_T_GRID if t2_grid is None else np.asarray(t2_grid, dtype=float)
     if not np.any(t1_grid == 0.0) or not np.any(t2_grid == 0.0):
         raise ValueError("both grids must contain 0")
-    pvec, raw = _directions(m, frozen, seed, 2)
-    d1, d2 = orthogonalize_pair(*raw, pvec)
-    theta = m.params.values
+    free, raw = _directions(m, frozen, seed, 2)
+    theta = m.params
+    d1, d2 = orthogonalize_pair(*raw, theta, free)
     points = [theta + t1 * d1.values + t2 * d2.values for t1 in t1_grid for t2 in t2_grid]
     return Surface2D(t1_grid, t2_grid, *_scan(
         m, d, points, lambda v: v.reshape(2, len(t1_grid), len(t2_grid)),
@@ -254,7 +269,7 @@ def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
     if evaluation(mA) != evaluation(mB):
         raise ValueError("models must share architecture, descriptor and rescale")
     t_grid = DEFAULT_INTERP_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    a, b = mA.params.values, mB.params.values
+    a, b = mA.params, mB.params
     return LandscapeProfile(t_grid, *_scan(
         mA, d, [(1.0 - t) * a + t * b for t in t_grid], lambda v: v.reshape(2, 1, -1),
         kind="interpolation", model=f"{mA.name}->{mB.name}", seed=None, n_directions=1,

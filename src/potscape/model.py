@@ -2,9 +2,11 @@
 
 Total energy is scale * sum_i net(G_i) + shift * N when rescaling is enabled;
 forces are exact negative gradients via the chain rule through the
-descriptors.  The flat parameter vector is tiled by a filter partition (one
-block per output neuron's incoming row plus its bias; trainable basis centers
-and widths form their own blocks) used for landscape direction normalization.
+descriptors.  ``layout`` is the one place that knows the flat parameter
+vector's order: a trainable basis's centers and widths, then each layer's rows
+of weights plus bias.  ``NeuralPotential.unpack`` reads its chunks as views, and
+``NeuralPotential.blocks`` splits them into the filter blocks (one per row) over
+which landscape directions are normalized.
 """
 
 from __future__ import annotations
@@ -52,64 +54,36 @@ def _tanh_d2(h, d1, out=None):
 ACTIVATIONS = {"tanh": (_tanh, _tanh_d1, _tanh_d2)}
 
 
-@dataclass(frozen=True)
-class FilterBlock:
+class FilterBlock(NamedTuple):
     layer: int    # 0 = descriptor basis, 1.. = network layers
     filter: int   # neuron index within the layer (0/1 = centers/widths for layer 0)
     offset: int
     length: int
-    frozen: bool = False
 
 
-@dataclass
-class FilterPartition:
-    blocks: list[FilterBlock]
-    total: int
+class Chunk(NamedTuple):
+    layer: int        # 0 = descriptor basis, 1.. = network layers
+    offset: int
+    rows: int         # the layer's neurons; centers and widths for the basis
+    row_length: int   # fan-in weights plus bias; n_radial for the basis
 
-    def __post_init__(self):
-        covered = np.zeros(self.total, dtype=bool)
-        for b in self.blocks:
-            if b.offset < 0 or b.offset + b.length > self.total:
-                raise ValueError("block exceeds parameter vector")
-            if covered[b.offset:b.offset + b.length].any():
-                raise ValueError("overlapping blocks")
-            covered[b.offset:b.offset + b.length] = True
-        if not covered.all():
-            raise ValueError("blocks do not tile the parameter vector")
-
-    def slices(self):
-        return [(b, slice(b.offset, b.offset + b.length)) for b in self.blocks]
-
-    def frozen_mask(self) -> np.ndarray:
-        mask = np.zeros(self.total, dtype=bool)
-        for b in self.blocks:
-            if b.frozen:
-                mask[b.offset:b.offset + b.length] = True
-        return mask
-
-    def with_frozen(self, indices) -> "FilterPartition":
-        """Copy with the given block indices marked frozen; ValueError if one is no block."""
-        idx = set(int(i) for i in indices)
-        if stray := sorted(i for i in idx if not 0 <= i < len(self.blocks)):
-            raise ValueError(f"block index {stray[0]} is not in 0..{len(self.blocks) - 1}")
-        blocks = [replace(b, frozen=(k in idx) or b.frozen) for k, b in enumerate(self.blocks)]
-        return FilterPartition(blocks, self.total)
-
-    def blocks_in_layer(self, layer: int) -> list[int]:
-        return [k for k, b in enumerate(self.blocks) if b.layer == layer]
+    @property
+    def end(self) -> int:
+        return self.offset + self.rows * self.row_length
 
 
-@dataclass
-class ParameterVector:
-    values: np.ndarray
-    partition: FilterPartition
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or len(self.values) != self.partition.total:
-            raise ValueError("values length must match partition total")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite parameter")
+def layout(descriptor: DescriptorSpec, hidden) -> list[Chunk]:
+    """The flat parameter vector, chunk by chunk: a trainable basis's centers and
+    widths, then each layer's rows of weights plus bias.  The only place that
+    knows the layout: ``unpack``'s views and the filter blocks both read it."""
+    dims = [descriptor.n_radial, *hidden, 1]
+    shapes = [(0, 2, dims[0])] if descriptor.trainable_basis else []
+    shapes += [(layer, fan_out, fan_in + 1)
+               for layer, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]), 1)]
+    chunks = []
+    for layer, rows, row_length in shapes:
+        chunks.append(Chunk(layer, chunks[-1].end if chunks else 0, rows, row_length))
+    return chunks
 
 
 @dataclass
@@ -122,44 +96,32 @@ class Rescale:
         return (self.scale, self.shift) if self.enabled else (1.0, 0.0)
 
 
-def _layer_dims(n_in: int, hidden) -> list[int]:
-    return [n_in] + list(hidden) + [1]
-
-
-def build_partition(descriptor: DescriptorSpec, hidden) -> FilterPartition:
-    dims = _layer_dims(descriptor.n_radial, hidden)
-    blocks: list[FilterBlock] = []
-    offset = 0
-    if descriptor.trainable_basis:
-        blocks.append(FilterBlock(0, 0, offset, descriptor.n_radial))
-        offset += descriptor.n_radial
-        blocks.append(FilterBlock(0, 1, offset, descriptor.n_radial))
-        offset += descriptor.n_radial
-    for layer in range(1, len(dims)):
-        row = dims[layer - 1] + 1  # weights + bias
-        for f in range(dims[layer]):
-            blocks.append(FilterBlock(layer, f, offset, row))
-            offset += row
-    return FilterPartition(blocks, offset)
-
-
 @dataclass
 class NeuralPotential:
     descriptor: DescriptorSpec
     hidden_layers: tuple
     activation: str
-    params: ParameterVector
+    params: np.ndarray   # the flat parameter vector, in ``layout``'s order
     rescale: Rescale = field(default_factory=Rescale)
     name: str = "model"
+    chunks: list = field(init=False, repr=False, compare=False)   # layout(descriptor, hidden)
+
+    def __post_init__(self):
+        self.chunks = layout(self.descriptor, self.hidden_layers)
+        self.params = np.asarray(self.params, dtype=float)
+        if self.params.shape != (self.chunks[-1].end,):
+            raise ValueError(f"parameter vector of shape {self.params.shape} does not fit "
+                             f"the layout's {self.chunks[-1].end} parameters")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("non-finite parameter")
 
     @classmethod
     def create(cls, descriptor: DescriptorSpec, hidden: tuple[int, ...] = (16, 16),
                activation: str = "tanh", seed: int = 0, name: str = "model") -> "NeuralPotential":
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        partition = build_partition(descriptor, hidden)
         model = cls(descriptor, tuple(hidden), activation,
-                    ParameterVector(np.zeros(partition.total), partition), name=name)
+                    np.zeros(layout(descriptor, hidden)[-1].end), name=name)
         centers, widths, Ws, _ = model.unpack()   # views; the biases stay zero
         if descriptor.trainable_basis:
             centers[:], widths[:] = descriptor.centers, descriptor.widths
@@ -169,30 +131,30 @@ class NeuralPotential:
         return model
 
     def with_values(self, values: np.ndarray) -> "NeuralPotential":
-        return replace(self, params=ParameterVector(np.asarray(values, dtype=float),
-                                                    self.params.partition))
+        return replace(self, params=values)
 
     # -- parameter layout -------------------------------------------------
 
+    @property
+    def blocks(self) -> list[FilterBlock]:
+        """The filter blocks that landscape directions are normalized over: one per
+        row of the layout, a neuron's incoming weights plus its bias, or a trainable
+        basis's centers or widths."""
+        return [FilterBlock(c.layer, f, c.offset + f * c.row_length, c.row_length)
+                for c in self.chunks for f in range(c.rows)]
+
     def unpack(self, values: np.ndarray | None = None):
-        """(centers, widths, [W_l], [b_l]) views into the flat vector, in the layout
-        that ``build_partition`` tiles: a trainable basis's centers and widths, then
-        each layer's rows of weights plus bias.  With a fixed basis, centers and
-        widths are the spec's own arrays, not views: never write through them."""
-        v = self.params.values if values is None else np.asarray(values, dtype=float)
-        k = self.descriptor.n_radial
+        """(centers, widths, [W_l], [b_l]) views into the flat vector, one per chunk of
+        the layout.  With a fixed basis, centers and widths are the spec's own
+        arrays, not views: never write through them."""
+        v = self.params if values is None else np.asarray(values, dtype=float)
+        rows = [v[offset:offset + n * k].reshape(n, k) for _, offset, n, k in self.chunks]
         if self.descriptor.trainable_basis:
-            centers, widths, v = v[:k], v[k:2 * k], v[2 * k:]
+            basis, rows = rows[0], rows[1:]
+            centers, widths = basis[0], basis[1]
         else:
             centers, widths = self.descriptor.centers, self.descriptor.widths
-        Ws, bs = [], []
-        dims = _layer_dims(k, self.hidden_layers)
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            n = fan_out * (fan_in + 1)
-            chunk, v = v[:n].reshape(fan_out, fan_in + 1), v[n:]
-            Ws.append(chunk[:, :-1])
-            bs.append(chunk[:, -1])
-        return centers, widths, Ws, bs
+        return centers, widths, [r[:, :-1] for r in rows], [r[:, -1] for r in rows]
 
     # -- evaluation --------------------------------------------------------
 
@@ -467,7 +429,7 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
         qs.append(q)
         p1s.append(d1f(h, out=ws(f"p1_{layer}", h.shape)))
         ts.append(np.multiply(p1s[-1], q, out=ws(f"t{layer}", h.shape)))
-    grad = np.zeros(model.params.partition.total)
+    grad = np.zeros(len(model.params))
     g_centers, g_widths, gWs, gbs = model.unpack(grad)   # views of grad
     gW_rows = np.multiply(c_atom[:, None], hs[-1], out=ws("gW_rows", hs[-1].shape))
     gW_rows += ts[-1]
@@ -504,7 +466,7 @@ def loss_eval(m: NeuralPotential, d: Dataset, w_E: float = 1.0, w_F: float = 100
     if len(d) == 0:
         raise ValueError("empty dataset")
     tables = DatasetTables(m, d)
-    return tables_loss(m, tables, m.params.values, w_E, w_F)
+    return tables_loss(m, tables, m.params, w_E, w_F)
 
 
 def fit_rescale(m: NeuralPotential, d: Dataset) -> NeuralPotential:
@@ -525,6 +487,12 @@ def fit_rescale(m: NeuralPotential, d: Dataset) -> NeuralPotential:
 CHECKPOINT_FORMAT = "potscape-checkpoint-1"
 
 
+def _partition_table(m: NeuralPotential) -> list:
+    """The filter blocks as checkpoints list them: layer, filter, offset, length and a
+    frozen flag, always false (the flag is kept so that the files keep their bytes)."""
+    return [[*b, False] for b in m.blocks]
+
+
 def save_checkpoint(m: NeuralPotential, path) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -540,14 +508,15 @@ def save_checkpoint(m: NeuralPotential, path) -> None:
         "activation": m.activation,
         "rescale": {"scale": m.rescale.scale, "shift": m.rescale.shift,
                     "enabled": m.rescale.enabled},
-        "params": m.params.values.tolist(),
-        "partition": [[b.layer, b.filter, b.offset, b.length, b.frozen]
-                      for b in m.params.partition.blocks],
+        "params": m.params.tolist(),
+        "partition": _partition_table(m),
     }
     write_json(doc, path)
 
 
 def load_checkpoint(path) -> NeuralPotential:
+    """The model that ``save_checkpoint`` wrote; ValueError, naming the path, unless
+    its partition table is the one rebuilt from its descriptor and hidden layers."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -555,11 +524,17 @@ def load_checkpoint(path) -> NeuralPotential:
     dd = doc["descriptor"]
     spec = DescriptorSpec(dd["n_radial"], np.array(dd["centers"]), np.array(dd["widths"]),
                           dd["cutoff"], dd["trainable_basis"])
-    blocks = [FilterBlock(layer, filt, off, length, frozen)
-              for layer, filt, off, length, frozen in doc["partition"]]
-    partition = FilterPartition(blocks, len(doc["params"]))
-    params = ParameterVector(np.array(doc["params"]), partition)
     rs = doc["rescale"]
-    return NeuralPotential(spec, tuple(doc["hidden_layers"]), doc["activation"], params,
-                           Rescale(rs["scale"], rs["shift"], rs["enabled"]),
-                           name=doc.get("name", "model"))
+    try:
+        m = NeuralPotential(spec, tuple(doc["hidden_layers"]), doc["activation"],
+                            np.array(doc["params"]),
+                            Rescale(rs["scale"], rs["shift"], rs["enabled"]),
+                            name=doc.get("name", "model"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    # json, so that 0 does not pass for false nor 1.0 for 1
+    if json.dumps(doc.get("partition")) != json.dumps(_partition_table(m)):
+        raise ValueError(f"{path}: the partition table is not the layout of "
+                         f"hidden layers {list(m.hidden_layers)} on {spec.n_radial} radial "
+                         f"functions ({'trainable' if spec.trainable_basis else 'fixed'} basis)")
+    return m

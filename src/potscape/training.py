@@ -198,7 +198,7 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
     batch_tables = [DatasetTables(model, d_train[lo:lo + bs], tables.ws)
                     for lo in range(0, n, bs)] if bs < n else [tables]
 
-    values = model.params.values.copy()
+    values = model.params.copy()
     opt = Adam(len(values), amsgrad=cfg.amsgrad)
     sched = PlateauScheduler(cfg.lr0, cfg.plateau_patience, cfg.plateau_factor)
     ema = EMA(values, cfg.ema_decay) if cfg.ema_decay is not None else None

@@ -92,8 +92,25 @@ def labeled_tables_case(trainable, hidden=(8, 7), n_frames=12):
     """A model, a dataset labeled by another model, and a point away from the model's."""
     m = random_model(3, trainable_basis=trainable, hidden=hidden)
     ds = labeled_dataset(random_model(9, hidden=hidden), n_frames, seed=5, energy_offset=0.02)
-    v = m.params.values + 0.05 * np.random.default_rng(4).standard_normal(m.params.partition.total)
+    v = m.params + 0.05 * np.random.default_rng(4).standard_normal(len(m.params))
     return m, ds, v
+
+
+def _merged(table):
+    """The first two layer-1 blocks of a checkpoint's table as one."""
+    k = [row[0] for row in table].index(1)
+    first, second = table[k], table[k + 1]
+    return table[:k] + [[1, 0, first[2], first[3] + second[3], False]] + table[k + 2:]
+
+
+# a checkpoint's partition table -> one that does not match its layout
+TAMPERED_PARTITIONS = {
+    "merged": _merged,
+    "layer": lambda table: [[2, *table[0][1:]]] + table[1:],
+    "offset": lambda table: table[:-1] + [[*table[-1][:2], table[-1][2] + 1, *table[-1][3:]]],
+    "frozen": lambda table: [[*table[0][:4], True]] + table[1:],
+    "zero-for-false": lambda table: [[*table[0][:4], 0]] + table[1:],
+}
 
 
 def pin_frames(n_frames, periodic):

@@ -18,8 +18,8 @@ from potscape.cli import EXIT_OK, run_command
 from potscape.data import Configuration, NoiseSpec, corrupt_labels, generate_reference_dataset
 from potscape.descriptors import DescriptorSpec
 from potscape.entropy import loss_entropy, temperature_sweep, weighted_entropy
-from potscape.landscape import (LandscapeProfile, filter_normalize, interpolate_models,
-                                landscape_1d, sample_direction)
+from potscape.landscape import (LandscapeProfile, filter_normalize, free_blocks,
+                                interpolate_models, landscape_1d, sample_direction)
 from potscape.md import (MDConfig, _check_bonds, init_velocities, instantaneous_temperature,
                          kinetic_energy, masses_for, md_step)
 from potscape.model import (DatasetTables, NeuralPotential, loss_eval,
@@ -86,20 +86,17 @@ def test_03_entropy_shift_rule():
 
 @criterion(4, "per-block norm of normalized directions matches weights to 1e-12; frozen zero")
 def test_04_filter_normalization():
-    from potscape.model import ParameterVector
     for seed in range(100):
         m = random_model(seed, trainable_basis=(seed % 3 == 0))
-        part = m.params.partition
-        if seed % 3 == 0:
-            part = part.with_frozen(part.blocks_in_layer(0))
-        p = ParameterVector(m.params.values, part)
-        d = filter_normalize(sample_direction(p, seed + 7), p)
-        for b, sl in part.slices():
-            if b.frozen:
+        frozen = [k for k, b in enumerate(m.blocks) if b.layer == 0]   # none on a fixed basis
+        free = free_blocks(m, frozen)
+        d = filter_normalize(sample_direction(m.params, free, seed + 7), m.params, free)
+        for k, b in enumerate(m.blocks):
+            sl = slice(b.offset, b.offset + b.length)
+            if k in frozen:
                 assert np.all(d.values[sl] == 0.0)
             else:
-                assert abs(np.linalg.norm(d.values[sl])
-                           - np.linalg.norm(p.values[sl])) < 1e-12
+                assert abs(np.linalg.norm(d.values[sl]) - np.linalg.norm(m.params[sl])) < 1e-12
 
 
 @criterion(5, "landscape center and interpolation endpoints match direct loss to 1e-12")
@@ -145,7 +142,7 @@ def test_06_force_and_gradient_correctness():
         ds = labeled_dataset(m, 3, seed=seed + 60, energy_offset=0.05,
                              force_offset=np.array([0.04, -0.02, 0.01]))
         tables = DatasetTables(m, ds)
-        v0 = m.params.values.copy()
+        v0 = m.params.copy()
         _, grad = tables_loss_grad(m, tables, v0, 1.0, 10.0)
         fd = np.zeros_like(grad)
         hp = 1e-6

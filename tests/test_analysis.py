@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
-from hypothesis import given, settings, strategies as st
 
-from potscape.analysis import (SlopeFit, correlate, extrapolation_slope,
+from potscape.analysis import (SlopeFit, extrapolation_slope,
                                learning_curve_slope, ols, rmse_by_split,
                                toy_regression_experiment, write_rmse_csv,
                                write_slope_json, write_toy_csv)
@@ -106,49 +104,6 @@ class TestLearningCurveSlope:
             m, b = oracle_ols(np.log(eps), np.log(n))
             assert fit.m == pytest.approx(m, rel=1e-12)
             assert fit.b == pytest.approx(b, rel=1e-12)
-
-
-class TestCorrelate:
-    def test_linear_relationship(self):
-        xs = np.arange(10.0)
-        out = correlate(xs, 2.0 * xs + 1.0)
-        assert out["pearson"] == pytest.approx(1.0, abs=1e-12)
-        assert out["spearman"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_reversed_order(self):
-        xs = np.array([1.0, 2.0, 3.0, 4.0])
-        out = correlate(xs, np.array([9.0, 7.0, 5.0, 1.0]))
-        assert out["spearman"] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_matches_scipy_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            xs = rng.normal(0, 2, 15)
-            ys = rng.normal(0, 2, 15) + 0.5 * xs
-            out = correlate(xs, ys)
-            assert out["pearson"] == pytest.approx(scipy.stats.pearsonr(xs, ys)[0], abs=1e-12)
-            assert out["spearman"] == pytest.approx(scipy.stats.spearmanr(xs, ys)[0], abs=1e-12)
-
-    def test_ties_match_scipy(self):
-        xs = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0])
-        ys = np.array([2.0, 1.0, 2.0, 5.0, 4.0, 4.0])
-        out = correlate(xs, ys)
-        assert out["spearman"] == pytest.approx(scipy.stats.spearmanr(xs, ys)[0], abs=1e-12)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            correlate([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
-    def test_affine_invariance(self, a, b):
-        rng = np.random.default_rng(17)
-        xs = rng.normal(0, 1, 12)
-        ys = rng.normal(0, 1, 12)
-        base = correlate(xs, ys)
-        scaled = correlate(a * xs + b, ys)
-        assert scaled["pearson"] == pytest.approx(base["pearson"], abs=1e-10)
-        assert scaled["spearman"] == base["spearman"]
 
 
 class TestToyRegression:

@@ -13,6 +13,7 @@ from potscape.descriptors import DescriptorSpec
 from potscape.model import NeuralPotential, fit_rescale, load_checkpoint
 from potscape.seeding import substream
 from potscape.training import TrainConfig, train
+from tests.conftest import TAMPERED_PARTITIONS
 
 
 PROFILE_HEADER = ",".join(landscape.PROFILE_COLUMNS)
@@ -111,6 +112,26 @@ class TestErrors:
         manifest = read_manifest(tmp_path)
         assert manifest["error"]["message"] == f"{key} not found: /nonexistent.csv"
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command", ["eval", "landscape1d"])
+    @pytest.mark.parametrize("tamper", ["untouched", "merged", "layer", "frozen"])
+    def test_tampered_checkpoint_rejected(self, gen_dir, model_dir, tmp_path, command, tamper):
+        # each tampered table once loaded; a frozen block then stayed still in every
+        # landscape while the landscape's metadata listed no frozen block
+        doc = json.loads((model_dir / "model.json").read_text())
+        if tamper != "untouched":
+            doc["partition"] = TAMPERED_PARTITIONS[tamper](doc["partition"])
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(doc))
+        config = {**TestKeyTable.base(command, gen_dir, model_dir), "model.checkpoint": str(ckpt)}
+        out = tmp_path / "out"
+        if tamper == "untouched":
+            assert run_command(command, config, out) == EXIT_OK
+            return
+        assert run_command(command, config, out) == EXIT_CONFIG
+        message = read_manifest(out)["error"]["message"]
+        assert message.startswith(f"{ckpt}: the partition table is not the layout")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_unwritable_output(self):
         assert run_command("toy-regression",
@@ -257,7 +278,7 @@ class TestErrors:
     def test_degenerate_direction_is_numeric(self, gen_dir, model_dir, tmp_path, monkeypatch):
         # a zero random direction is a numeric fault, not a config error
         monkeypatch.setattr(landscape, "sample_direction",
-                            lambda p, seed: landscape.Direction(np.zeros(p.partition.total)))
+                            lambda theta, free, seed: landscape.Direction(np.zeros(len(theta))))
         config = {"model.checkpoint": str(model_dir / "model.json"),
                   "data.path": str(gen_dir / "dataset.extxyz"), "landscape.points": 3}
         assert run_command("landscape2d", config, tmp_path) == EXIT_NUMERIC
@@ -399,13 +420,16 @@ class TestKeyTable:
         ("toy-regression", "toy.sigma_list", [math.nan]),
         ("toy-regression", "toy.sigma_list", [-1.0]),
         ("toy-regression", "toy.sigma_list", [0.0, math.inf]),
+        ("learning-curve", "curve.sizes", [10, 0]),
+        ("learning-curve", "curve.sizes", [-5, 10]),
     ], ids=["train-model.name", "landscape2d-landscape.w_e", "interp-no-points",
             "interp-empty-range", "landscape1d-decreasing", "md-bond-factor-below-1",
             "md-bond-factor-nan", "entropy-negative-t_e", "entropy-infinite-t_f",
             "sweep-nan-bound", "sweep-one-bound", "landscape2d-negative-w_e",
             "landscape2d-nan-w_e", "landscape2d-infinite-w_f", "entropy-alpha-above-1",
             "entropy-alpha-nan", "sweep-negative-alpha", "sweep-one-point", "noise-sigma-nan",
-            "noise-sigma-negative", "toy-sigma-nan", "toy-sigma-negative", "toy-sigma-inf"])
+            "noise-sigma-negative", "toy-sigma-nan", "toy-sigma-negative", "toy-sigma-inf",
+            "curve-size-zero", "curve-size-negative"])
     def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, profile_dir, tmp_path,
                                              monkeypatch, command, key, value):
         # these values were once cast or checked only after training or after the whole
@@ -414,7 +438,8 @@ class TestKeyTable:
         # entropy temperature, sweep bound, alpha or sweep point count after the profile
         # was read (a patched read_profile_csv fails on any call); a negative surface
         # weight was rejected after the scan, and NaN or inf was written; a NaN noise
-        # level wrote a NaN row, and a negative toy noise level was accepted
+        # level wrote a NaN row, and a negative toy noise level was accepted; a curve
+        # size of 0 failed after the models before it were trained, naming no key
         def work(*args, **kwargs):
             raise AssertionError("the run worked before casting its values")
         for module, name in ((cli, "train"), (landscape, "landscape_2d"),
@@ -506,7 +531,7 @@ class TestKeyTable:
     def test_averaged_weights_are_saved(self, gen_dir, model_dir, tmp_path, key, value, kept):
         config = {**self.base("train", gen_dir, model_dir), key: value}
         assert run_command("train", config, tmp_path) == EXIT_OK
-        saved = load_checkpoint(tmp_path / "model.json").params.values
+        saved = load_checkpoint(tmp_path / "model.json").params
         ds = read_extxyz_file(gen_dir / "dataset.extxyz")
         model = NeuralPotential.create(DescriptorSpec.default(cutoff=5.0, n_radial=6),
                                        hidden=(8, 8),
@@ -515,7 +540,7 @@ class TestKeyTable:
                           weight_schedule=((0, 1.0, 25.0),), **{key.split(".")[1]: value})
         report = train(fit_rescale(model, ds), ds, cfg)
         np.testing.assert_array_equal(saved, getattr(report, kept))
-        plain = load_checkpoint(model_dir / "model.json").params.values
+        plain = load_checkpoint(model_dir / "model.json").params
         np.testing.assert_array_equal(plain, report.best_params)
         assert not np.array_equal(saved, plain)
 

@@ -374,7 +374,7 @@ class TestGenerateIntegrator:
         # zero forces and no thermostat: atoms move in straight lines, and atom 1
         # starts where the 600 K chain's velocities carry it onto atom 0 at step 5
         zero = random_model(0)
-        zero = zero.with_values(np.zeros(zero.params.partition.total))
+        zero = zero.with_values(np.zeros(len(zero.params)))
         species = ["Cu"] * 4
         v = init_velocities(Configuration(np.zeros((4, 3)), species), 600.0,
                             seed=substream(0, "velocities", 1).integers(2**31))

@@ -10,42 +10,43 @@ import pytest
 from potscape import forked, landscape
 from potscape.descriptors import DescriptorSpec
 from potscape.landscape import (DegenerateDirectionError, Direction, LandscapeProfile,
-                                filter_normalize, interpolate_models, landscape_1d,
+                                filter_normalize, free_blocks, interpolate_models, landscape_1d,
                                 landscape_2d, orthogonalize_pair, read_profile_csv,
                                 reweight_surface, sample_direction, write_profile_csv,
                                 write_surface_csv)
-from potscape.model import (FilterBlock, FilterPartition, NeuralPotential,
-                            ParameterVector, Rescale, loss_eval)
+from potscape.model import FilterBlock, NeuralPotential, Rescale, loss_eval
 from potscape.seeding import substream
 from tests.conftest import (assert_no_child_left, cpus, differing_cases, labeled_dataset,
                             random_model)
 
 
 def two_block_vector(values, frozen=(False, False)):
+    """(theta, free blocks): values split into two blocks, less those marked frozen."""
     n = len(values) // 2
-    part = FilterPartition([FilterBlock(1, 0, 0, n, frozen[0]),
-                            FilterBlock(1, 1, n, len(values) - n, frozen[1])], len(values))
-    return ParameterVector(np.asarray(values, dtype=float), part)
+    blocks = [FilterBlock(1, 0, 0, n), FilterBlock(1, 1, n, len(values) - n)]
+    return np.asarray(values, dtype=float), [b for b, f in zip(blocks, frozen) if not f]
+
+
+def block_slices(blocks):
+    return [slice(b.offset, b.offset + b.length) for b in blocks]
 
 
 class TestSampleDirection:
     def test_same_seed_identical(self):
         p = two_block_vector([1.0, 2.0, 3.0, 4.0])
-        d1 = sample_direction(p, 42)
-        d2 = sample_direction(p, 42)
+        d1 = sample_direction(*p, 42)
+        d2 = sample_direction(*p, 42)
         np.testing.assert_array_equal(d1.values, d2.values)
         assert not d1.normalized
 
     def test_all_frozen_gives_zero(self):
         p = two_block_vector([1.0, 2.0, 3.0, 4.0], frozen=(True, True))
-        d = sample_direction(p, 7)
+        d = sample_direction(*p, 7)
         assert np.all(d.values == 0.0)
 
     def test_moment_check(self):
         n = 1_000_000
-        part = FilterPartition([FilterBlock(1, 0, 0, n)], n)
-        p = ParameterVector(np.ones(n), part)
-        d = sample_direction(p, 123)
+        d = sample_direction(np.ones(n), [FilterBlock(1, 0, 0, n)], 123)
         assert abs(d.values.mean()) < 0.01
         assert abs(d.values.std() - 1.0) < 0.01
 
@@ -55,14 +56,14 @@ class TestFilterNormalize:
         # parameter block norm 2 against direction block (3, 4)
         p = two_block_vector([2.0, 0.0, 1.0, 1.0])
         d = Direction(np.array([3.0, 4.0, 1.0, 1.0]))
-        out = filter_normalize(d, p)
+        out = filter_normalize(d, *p)
         np.testing.assert_allclose(out.values[:2], [1.2, 1.6], rtol=1e-15)
         assert out.normalized
 
     def test_dead_parameter_block_zeroed(self):
         p = two_block_vector([0.0, 0.0, 1.0, 1.0])
         d = Direction(np.array([3.0, 4.0, 1.0, 2.0]))
-        out = filter_normalize(d, p)
+        out = filter_normalize(d, *p)
         assert np.all(out.values[:2] == 0.0)
         assert np.linalg.norm(out.values[2:]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
@@ -70,25 +71,24 @@ class TestFilterNormalize:
         p = two_block_vector([2.0, 0.0, 1.0, 1.0])
         d = Direction(np.array([0.0, 0.0, 1.0, 2.0]))
         with pytest.raises(DegenerateDirectionError):
-            filter_normalize(d, p)
+            filter_normalize(d, *p)
 
     def test_norms_match_on_random_models(self):
         worst = 0.0
         for seed in range(100):
             m = random_model(seed, trainable_basis=(seed % 2 == 0))
             p = m.params
-            d = filter_normalize(sample_direction(p, seed + 1), p)
-            for b, sl in p.partition.slices():
-                tn = np.linalg.norm(p.values[sl])
+            d = filter_normalize(sample_direction(p, m.blocks, seed + 1), p, m.blocks)
+            for sl in block_slices(m.blocks):
+                tn = np.linalg.norm(p[sl])
                 dn = np.linalg.norm(d.values[sl])
                 worst = max(worst, abs(dn - tn))
         assert worst < 1e-12
 
     def test_frozen_blocks_stay_zero(self):
         m = random_model(3, trainable_basis=True)
-        part = m.params.partition.with_frozen(m.params.partition.blocks_in_layer(0))
-        p = ParameterVector(m.params.values, part)
-        d = filter_normalize(sample_direction(p, 5), p)
+        free = free_blocks(m, [0, 1])
+        d = filter_normalize(sample_direction(m.params, free, 5), m.params, free)
         k = m.descriptor.n_radial
         assert np.all(d.values[:2 * k] == 0.0)
         assert np.any(d.values[2 * k:] != 0.0)
@@ -99,36 +99,35 @@ class TestOrthogonalize:
         p = two_block_vector([1.0, 1.0, 1.0, 1.0])
         d1 = Direction(np.array([1.0, 1.0, 1.0, 1.0]))
         d2 = Direction(np.array([1.0, -1.0, 1.0, -1.0]))  # orthogonal to d1
-        o1, o2 = orthogonalize_pair(d1, d2, p)
+        o1, o2 = orthogonalize_pair(d1, d2, *p)
         # Gram-Schmidt leaves orthogonal inputs alone; only per-block scaling applies
         for out, src in ((o1, d1), (o2, d2)):
-            for _, sl in p.partition.slices():
+            for sl in block_slices(p[1]):
                 ratio = out.values[sl] / src.values[sl]
                 np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
     def test_raw_outputs_orthogonal(self):
         rng = np.random.default_rng(0)
         n = 64
-        part = FilterPartition([FilterBlock(1, 0, 0, n)], n)
-        p = ParameterVector(rng.standard_normal(n), part)
+        p = rng.standard_normal(n), [FilterBlock(1, 0, 0, n)]
         d1 = Direction(rng.standard_normal(n))
         d2 = Direction(rng.standard_normal(n))
         v1 = d1.values
         v2 = d2.values - (d2.values @ v1) / (v1 @ v1) * v1
         assert abs(v1 @ v2) < 1e-10 * np.linalg.norm(v1) * np.linalg.norm(d2.values)
-        orthogonalize_pair(d1, d2, p)  # must not raise
+        orthogonalize_pair(d1, d2, *p)  # must not raise
 
     def test_parallel_rejected(self):
         p = two_block_vector([1.0, 1.0, 1.0, 1.0])
         d1 = Direction(np.array([1.0, 2.0, 3.0, 4.0]))
         with pytest.raises(DegenerateDirectionError):
-            orthogonalize_pair(d1, Direction(d1.values.copy()), p)
+            orthogonalize_pair(d1, Direction(d1.values.copy()), *p)
 
     def test_normalized_inputs_rejected(self):
         p = two_block_vector([1.0, 1.0, 1.0, 1.0])
         d1 = Direction(np.array([1.0, 2.0, 3.0, 4.0]), normalized=True)
         with pytest.raises(ValueError):
-            orthogonalize_pair(d1, Direction(np.array([4.0, 3.0, 2.0, 1.0])), p)
+            orthogonalize_pair(d1, Direction(np.array([4.0, 3.0, 2.0, 1.0])), *p)
 
 
 class TestLandscape1D:
@@ -182,14 +181,12 @@ class TestLandscape1D:
 
     def test_frozen_blocks_never_perturbed(self):
         m, ds = self.make_setup(5, trainable_basis=True)
-        frozen = m.params.partition.blocks_in_layer(0)
-        part = m.params.partition.with_frozen(frozen)
-        pvec = ParameterVector(m.params.values, part)
-        d = filter_normalize(sample_direction(pvec, 9), pvec)
+        free = free_blocks(m, [k for k, b in enumerate(m.blocks) if b.layer == 0])
+        d = filter_normalize(sample_direction(m.params, free, 9), m.params, free)
         k = m.descriptor.n_radial
         for t in (-1.0, 0.5, 1.0):
-            perturbed = m.params.values + t * d.values
-            np.testing.assert_array_equal(perturbed[:2 * k], m.params.values[:2 * k])
+            perturbed = m.params + t * d.values
+            np.testing.assert_array_equal(perturbed[:2 * k], m.params[:2 * k])
 
     @pytest.mark.parametrize("trainable_basis,freeze_basis",
                              [(False, False), (True, True), (True, False)])
@@ -197,15 +194,15 @@ class TestLandscape1D:
         # the landscape reuses one table (and its cached descriptor matrix) for
         # every point; each point must equal a standalone evaluation exactly
         m, ds = self.make_setup(6, trainable_basis=trainable_basis)
-        frozen = m.params.partition.blocks_in_layer(0) if freeze_basis else []
+        frozen = [k for k, b in enumerate(m.blocks) if freeze_basis and b.layer == 0]
         t_grid = np.linspace(-1.0, 1.0, 5)
         profile = landscape_1d(m, ds, n_dirs=3, t_grid=t_grid, frozen=frozen, seed=7)
-        pvec = ParameterVector(m.params.values, m.params.partition.with_frozen(frozen))
+        free = free_blocks(m, frozen)
         for n in range(3):
-            raw = sample_direction(pvec, substream(7, "direction", n).integers(2**31))
-            d = filter_normalize(raw, pvec).values
+            raw = sample_direction(m.params, free, substream(7, "direction", n).integers(2**31))
+            d = filter_normalize(raw, m.params, free).values
             for i, t in enumerate(t_grid):
-                direct = loss_eval(m.with_values(m.params.values + t * d), ds)
+                direct = loss_eval(m.with_values(m.params + t * d), ds)
                 assert profile.loss_E[n, i] == direct.loss_E
                 assert profile.loss_F[n, i] == direct.loss_F
 
@@ -278,12 +275,12 @@ class TestInterpolation:
         mB = random_model(14)
         ds = labeled_dataset(mA, 2, seed=88, energy_offset=0.01)
         profile = interpolate_models(mA, mB, ds, np.array([0.0, 0.5, 1.0]))
-        mid = mA.with_values(0.5 * (mA.params.values + mB.params.values))
+        mid = mA.with_values(0.5 * (mA.params + mB.params))
         assert profile.loss_E[0, 1] == loss_eval(mid, ds).loss_E
 
     def test_nonfinite_points_reported(self):
         mA = random_model(17)
-        mB = mA.with_values(mA.params.values * 1e300)
+        mB = mA.with_values(mA.params * 1e300)
         ds = labeled_dataset(mA, 2, seed=77, energy_offset=0.01)
         profile = interpolate_models(mA, mB, ds, np.array([0.0, 1.0]))
         assert np.isfinite(profile.loss_E[0, 0]) and profile.loss_E[0, 1] == np.inf
@@ -326,7 +323,7 @@ class TestSplitOverCPUs:
         grid = np.linspace(-1.0, 1.0, 5)
         return [landscape_1d(m, ds, n_dirs=3, t_grid=grid, seed=7),
                 landscape_2d(m, ds, t1_grid=grid, t2_grid=np.linspace(-0.5, 0.5, 3), seed=7),
-                interpolate_models(m, m.with_values(1.1 * m.params.values), ds,
+                interpolate_models(m, m.with_values(1.1 * m.params), ds,
                                    np.linspace(0.0, 1.0, 4))]
 
     @pytest.mark.parametrize("trainable_basis", [False, True])

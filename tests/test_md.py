@@ -443,7 +443,7 @@ class TestBatchedEnsemble:
         # zero weights and no thermostat: no forces, so atoms move in straight
         # lines.  Atom 1 starts where member 1 carries it onto atom 0 at step 5.
         zero = random_model(0)
-        zero = zero.with_values(np.zeros(zero.params.partition.total))
+        zero = zero.with_values(np.zeros(len(zero.params)))
         cfg = MDConfig(temperature=300.0, tau_fs=math.inf, total_time_ps=0.02,
                        n_trajectories=3, bond_list=((0, 1),), failure_bond_length=100.0,
                        seed=2)

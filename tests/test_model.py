@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import astuple
 
@@ -9,64 +10,94 @@ from potscape.data import Configuration, Dataset
 from potscape import model as model_module
 from potscape.descriptors import DescriptorSpec
 from potscape.geometry import SingularGeometryError, pair_table
-from potscape.model import (DatasetTables, FilterBlock, FilterPartition, NeuralPotential,
-                            NumericEvalError, ParameterVector, Rescale, build_partition,
+from potscape.landscape import free_blocks, sample_direction
+from potscape.model import (DatasetTables, NeuralPotential, NumericEvalError, Rescale,
                             fit_rescale, load_checkpoint, loss_eval, save_checkpoint,
                             tables_loss, tables_loss_grad)
-from tests.conftest import (differing_cases, isolated_atom_dataset, labeled_dataset,
-                            labeled_tables_case, random_cluster, random_model, random_rotation)
+from tests.conftest import (TAMPERED_PARTITIONS, differing_cases, exactness,
+                            isolated_atom_dataset, labeled_dataset, labeled_tables_case,
+                            random_cluster, random_model, random_rotation)
+
+
+def tiling(m):
+    """How often each entry of m's parameter vector lies in one of its filter blocks."""
+    covered = np.zeros(len(m.params), dtype=int)
+    for b in m.blocks:
+        covered[b.offset:b.offset + b.length] += 1
+    return covered
 
 
 class TestPartition:
     @pytest.mark.parametrize("trainable", [False, True])
     def test_blocks_tile_vector(self, trainable):
         spec = DescriptorSpec.default(n_radial=8, trainable_basis=trainable)
-        part = build_partition(spec, (16, 16))
-        # FilterPartition.__post_init__ asserts disjoint + exhaustive tiling
+        m = NeuralPotential.create(spec, (16, 16))
+        assert np.all(tiling(m) == 1)   # disjoint and exhaustive
         n_net = 16 * 9 + 16 * 17 + 1 * 17
         expected = n_net + (16 if trainable else 0)
-        assert part.total == expected
-        layers = {b.layer for b in part.blocks}
+        assert len(m.params) == expected
+        layers = {b.layer for b in m.blocks}
         assert layers == ({0, 1, 2, 3} if trainable else {1, 2, 3})
 
     def test_dense_filter_is_row_plus_bias(self):
         spec = DescriptorSpec.default(n_radial=4)
-        part = build_partition(spec, (5,))
-        first_hidden = [b for b in part.blocks if b.layer == 1]
+        blocks = NeuralPotential.create(spec, (5,)).blocks
+        first_hidden = [b for b in blocks if b.layer == 1]
         assert len(first_hidden) == 5
         assert all(b.length == 5 for b in first_hidden)  # 4 weights + bias
-        out = [b for b in part.blocks if b.layer == 2]
+        out = [b for b in blocks if b.layer == 2]
         assert len(out) == 1 and out[0].length == 6
 
-    def test_overlap_and_gap_rejected(self):
-        with pytest.raises(ValueError):
-            FilterPartition([FilterBlock(1, 0, 0, 3), FilterBlock(1, 1, 2, 3)], 5)
-        with pytest.raises(ValueError):
-            FilterPartition([FilterBlock(1, 0, 0, 3)], 5)
+    def test_overlap_and_gap_rejected(self, tmp_path):
+        # a partition table enters only with a checkpoint, which must tile the vector
+        path = tmp_path / "model.json"
+        save_checkpoint(NeuralPotential.create(DescriptorSpec.default(n_radial=2), (1,)), path)
+        doc = json.loads(path.read_text())
+        assert doc["partition"] == [[1, 0, 0, 3, False], [2, 0, 3, 2, False]]
+        for table in ([[1, 0, 0, 3, False], [2, 0, 2, 3, False]],   # overlapping
+                      [[1, 0, 0, 3, False]]):                       # a gap
+            path.write_text(json.dumps({**doc, "partition": table}))
+            with pytest.raises(ValueError, match="partition table"):
+                load_checkpoint(path)
 
     def test_with_frozen(self):
         spec = DescriptorSpec.default(n_radial=4, trainable_basis=True)
-        part = build_partition(spec, (5,))
-        frozen = part.with_frozen(part.blocks_in_layer(0))
-        mask = frozen.frozen_mask()
-        assert mask[:8].all() and not mask[8:].any()
+        m = NeuralPotential.create(spec, (5,))
+        d = sample_direction(m.params, free_blocks(m, [0, 1]), 3).values
+        assert np.all(d[:8] == 0.0) and np.all(d[8:] != 0.0)
 
     @pytest.mark.parametrize("index", [-1, 8, 999])
     def test_with_frozen_rejects_a_stray_index(self, index):
         # such an index once froze nothing, while landscape metadata listed it as frozen
-        part = build_partition(DescriptorSpec.default(n_radial=4, trainable_basis=True), (5,))
-        assert len(part.blocks) == 8
+        m = NeuralPotential.create(DescriptorSpec.default(n_radial=4, trainable_basis=True), (5,))
+        assert len(m.blocks) == 8
         with pytest.raises(ValueError, match=f"block index {index} is not in 0..7"):
-            part.with_frozen([0, index])
+            free_blocks(m, [0, index])
+
+
+@pytest.mark.parametrize("trainable", [False, True])
+@pytest.mark.parametrize("hidden", exactness.HIDDEN)
+def test_blocks_are_the_unpack_rows(trainable, hidden):
+    """Each filter block is the row of ``unpack`` that it names, and the blocks tile the
+    vector: one per neuron, and one each for a trainable basis's centers and widths."""
+    m = random_model(0, hidden=hidden, trainable_basis=trainable)
+    assert np.all(tiling(m) == 1)
+    assert len(m.blocks) == sum(hidden) + 1 + 2 * trainable
+    values = np.arange(len(m.params), dtype=float)   # every entry its own index
+    centers, widths, Ws, bs = m.unpack(values)
+    for b in m.blocks:
+        row = (((centers, widths)[b.filter]) if b.layer == 0
+               else np.append(Ws[b.layer - 1][b.filter], bs[b.layer - 1][b.filter]))
+        assert np.array_equal(values[b.offset:b.offset + b.length], row)
 
 
 class TestEvaluation:
     def test_all_weights_zero_constant_energy(self):
         m = random_model(0, rescaled=False)
-        values = np.zeros_like(m.params.values)
+        values = np.zeros_like(m.params)
         _, _, Ws, bs = m.unpack(values)
         m = m.with_values(values)
-        v = m.params.values.copy()
+        v = m.params.copy()
         # set only the output bias: constant site energy
         _, _, Ws, bs = m.unpack(v)
         bs[-1][0] = 0.7  # view write-through
@@ -143,12 +174,12 @@ class TestBatchEvaluation:
         array is assigned, and after in-place writes to it."""
         m = random_model(2, trainable_basis=trainable)
         pos = np.random.default_rng(3).uniform(-2.5, 2.5, (2, 5, 3))
-        base = m.params.values.copy()
+        base = m.params.copy()
         before = m.energy_forces_batch(pos)
-        m.params.values = 1.01 * base
+        m.params = 1.01 * base
         after = m.energy_forces_batch(pos)
         fresh = m.with_values(1.01 * base).energy_forces_batch(pos)
-        m.params.values[:] = base
+        m.params[:] = base
         again = m.energy_forces_batch(pos)
         assert not np.array_equal(before[0], after[0])
         for a, b in zip(after + again, fresh + before):
@@ -221,7 +252,7 @@ class TestParameterGradient:
             frames.append(Configuration(pos, ["Ar"] * 5, energy=rng.normal(-8, 1),
                                         forces=rng.normal(0, 0.4, (5, 3))))
         tables = DatasetTables(m, Dataset(frames))
-        v0 = m.params.values.copy()
+        v0 = m.params.copy()
         _, grad = tables_loss_grad(m, tables, v0, 1.0, 10.0)
         h = 1e-6
         fd = np.zeros_like(grad)
@@ -242,7 +273,7 @@ class TestParameterGradient:
                                 energy=rng.normal(-4, 1), forces=rng.normal(0, 0.3, (4, 3)))
                   for k in range(3)]
         tables = DatasetTables(m, Dataset(frames))
-        v0 = m.params.values.copy()
+        v0 = m.params.copy()
         _, grad = tables_loss_grad(m, tables, v0, 1.0, 5.0)
         h = 1e-6
         fd = np.zeros_like(grad)
@@ -262,7 +293,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("trainable", [False, True])
     def test_point_after_another_point(self, trainable):
         m, ds, b = labeled_tables_case(trainable)
-        a = m.params.values
+        a = m.params
         tables = DatasetTables(m, ds)
         first = tables_loss(m, tables, a, 1.0, 10.0)
         _, grad_first = tables_loss_grad(m, tables, a, 1.0, 10.0)
@@ -312,7 +343,7 @@ class TestWorkspace:
         tables = DatasetTables(m, ds)
         pair_array = len(tables.gi) * m.descriptor.n_radial * 8   # bytes of one (P, K)
         # the first point builds the basis in new arrays, the second keeps its scratch
-        tables_loss(m, tables, m.params.values, 1.0, 1.0)
+        tables_loss(m, tables, m.params, 1.0, 1.0)
         tables_loss(m, tables, v, 1.0, 1.0)
         tracemalloc.start()
         try:
@@ -399,7 +430,7 @@ class TestTablesConstructor:
                 assert got[key] == value, key
         pair_frame = tables.atom_frame[tables.gi]
         assert shared.r.tobytes() == tables.r[(pair_frame >= lo) & (pair_frame < hi)].tobytes()
-        v = m.params.values * 1.01
+        v = m.params * 1.01
         tables_loss_grad(m, tables, v, 1.0, 9.0)   # the shared workspace holds other shapes
         assert tables_loss_grad(m, shared, v, 1.0, 9.0)[1].tobytes() == \
             tables_loss_grad(m, own, v, 1.0, 9.0)[1].tobytes()
@@ -446,12 +477,24 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
         again = load_checkpoint(path)
-        np.testing.assert_array_equal(again.params.values, m.params.values)
+        np.testing.assert_array_equal(again.params, m.params)
         assert again.hidden_layers == m.hidden_layers
         assert again.rescale == m.rescale
         assert again.descriptor.trainable_basis == trainable
         pos = random_cluster(5, 2)
         np.testing.assert_array_equal(m.energy_forces(pos)[1], again.energy_forces(pos)[1])
+
+    @pytest.mark.parametrize("tamper", TAMPERED_PARTITIONS)
+    def test_tampered_partition_rejected(self, tmp_path, tamper):
+        # each once loaded; a frozen block then stayed still in every landscape
+        # while the landscape's metadata listed no frozen block
+        path = tmp_path / "model.json"
+        save_checkpoint(random_model(21, trainable_basis=True), path)
+        doc = json.loads(path.read_text())
+        doc["partition"] = TAMPERED_PARTITIONS[tamper](doc["partition"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{path}: the partition table is not the layout"):
+            load_checkpoint(path)
 
     def test_rejects_other_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -461,9 +504,8 @@ class TestCheckpoint:
 
 
 def test_parameter_vector_validation():
-    spec = DescriptorSpec.default(n_radial=4)
-    part = build_partition(spec, (3,))
-    with pytest.raises(ValueError):
-        ParameterVector(np.zeros(part.total + 1), part)
-    with pytest.raises(ValueError):
-        ParameterVector(np.full(part.total, np.nan), part)
+    m = NeuralPotential.create(DescriptorSpec.default(n_radial=4), (3,))
+    n = len(m.params)
+    for bad in (np.zeros(n + 1), np.zeros((1, n)), np.full(n, np.nan)):
+        with pytest.raises(ValueError):
+            m.with_values(bad)

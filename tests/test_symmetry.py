@@ -15,22 +15,21 @@ from dataclasses import astuple
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from potscape.landscape import Direction, filter_normalize
-from potscape.model import (DatasetTables, ParameterVector, load_checkpoint, save_checkpoint,
-                            tables_loss, tables_loss_grad)
+from potscape.landscape import Direction, filter_normalize, free_blocks
+from potscape.model import (DatasetTables, load_checkpoint, save_checkpoint, tables_loss,
+                            tables_loss_grad)
 from tests.conftest import labeled_dataset, random_cluster, random_model
 
 HIDDEN = ((16, 16), (5, 4, 3), (3,))
 
 
 def flat(m):
-    return m.params.values
+    return m.params
 
 
 def normalized(m, values, direction, frozen):
     """filter_normalize of ``direction`` against ``values`` with the ``frozen`` blocks of m."""
-    p = ParameterVector(values, m.params.partition.with_frozen(frozen))
-    return filter_normalize(Direction(direction), p).values
+    return filter_normalize(Direction(direction), values, free_blocks(m, frozen)).values
 
 
 def sign_pattern(m, rng):

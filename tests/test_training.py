@@ -128,7 +128,7 @@ class TestTrain:
         m, ds = self.setup_problem()
         cfg = TrainConfig(max_epochs=5, lr0=0.0, weight_schedule=((0, 1.0, 10.0),))
         report = train(m, ds, cfg)
-        np.testing.assert_array_equal(report.final_params, m.params.values)
+        np.testing.assert_array_equal(report.final_params, m.params)
         combined = [row["combined"] for row in report.history]
         assert len(set(combined)) == 1
 
@@ -164,7 +164,7 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=15, batch_size=3, lr0=0.01, ema_decay=decay,
                           weight_schedule=((0, 1.0, 10.0),))
         report = train(m, ds, cfg)
-        expect = m.params.values.copy()
+        expect = m.params.copy()
         for it in iterates:
             expect = decay * expect + (1.0 - decay) * it
         np.testing.assert_allclose(report.ema_params, expect, rtol=0, atol=0)
@@ -175,7 +175,7 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=25, lr0=0.02, ema_decay=0.9,
                           weight_schedule=((0, 1.0, 10.0),))
         report = train(m, ds, cfg)
-        visited = np.vstack([m.params.values] + iterates)
+        visited = np.vstack([m.params] + iterates)
         assert np.all(report.ema_params >= visited.min(axis=0) - 1e-15)
         assert np.all(report.ema_params <= visited.max(axis=0) + 1e-15)
 
