@@ -8,7 +8,7 @@ from .data import (Configuration, Dataset, NoiseSpec, corrupt_labels, dataset_st
 from .descriptors import DescriptorSpec
 from .entropy import (EntropyReport, entropy_from_profile, loss_entropy,
                       temperature_sweep, weighted_entropy)
-from .landscape import (Direction, LandscapeProfile, Surface2D, filter_normalize,
+from .landscape import (Direction, LandscapeProfile, Surface2D, filter_normalize, free_blocks,
                         interpolate_models, landscape_1d, landscape_2d,
                         orthogonalize_pair, reweight_surface, sample_direction)
 from .md import MDConfig, TrajectoryRecord, init_velocities, run_ensemble
