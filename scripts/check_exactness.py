@@ -156,7 +156,7 @@ def cases():
                 yield f"{name}/{label}", digest(*m.energy_forces_batch(p, cell=cell, pbc=pbc))
             v = m.params + 0.05 * rng.standard_normal(len(m.params))
             tables = DatasetTables(m, dataset)
-            subs = [(f"sub{lo}-{hi}", DatasetTables(m, dataset[lo:hi], tables.ws))
+            subs = [(f"sub{lo}-{hi}", DatasetTables(m, dataset[lo:hi]))
                     for lo, hi in ((0, 10), (10, 27), (27, 30))]   # minibatch tables
             for label, table in [("table", tables)] + subs:
                 loss, grad = tables_loss_grad(m, table, v, 1.0, 25.0)

@@ -59,41 +59,7 @@ def envelope(r, cutoff):
     return np.where(beyond, 0.0, s), np.where(beyond, 0.0, ds / cutoff)
 
 
-class Workspace:
-    """Named arrays that evaluations write into instead of allocating.
-
-    ``ws(name, shape)`` returns an array of that shape over the first elements
-    of the buffer kept under ``name``; the buffer is reallocated only when a
-    request needs more room than it has.  So repeated evaluations reuse the same
-    memory, and evaluations of different sizes can share one workspace.  An
-    array holds what its last writer put there.
-    """
-
-    def __init__(self):
-        self._arrays = {}   # name -> (buffer, last array handed out)
-
-    def __call__(self, name, shape, dtype=float):
-        kept = self._arrays.get(name)
-        if kept is not None and kept[1].shape == shape and kept[1].dtype == dtype:
-            return kept[1]
-        size = math.prod(shape)
-        if kept is None or len(kept[0]) < size or kept[0].dtype != dtype:
-            buf = np.empty(size, dtype)
-        else:
-            buf = kept[0]
-        arr = buf[:size].reshape(shape)
-        self._arrays[name] = (buf, arr)
-        return arr
-
-
-def new_array(name, shape, dtype=float):
-    """The workspace that keeps nothing: a new array for every request.  For
-    one-off evaluations, such as MD steps, whose shapes change from call to call."""
-    return np.empty(shape, dtype)
-
-
-def basis_values(r, centers, widths, cutoff, with_param_grads=False, env=None,
-                 ws=None, out=None):
+def basis_values(r, centers, widths, cutoff, with_param_grads=False, env=None):
     """Per-pair basis values e (P, K) plus de/dr, and optionally the
     basis-parameter derivatives de/dc, de/dw, d2e/drdc, d2e/drdw.
 
@@ -103,51 +69,38 @@ def basis_values(r, centers, widths, cutoff, with_param_grads=False, env=None,
     written C-ordered (P, K), the layout in which the force contraction
     ``einsum("pd,pd->p", de, ...)`` keeps its bits.  Every element is the same
     sequence of IEEE operations in either layout, so the values do not depend
-    on it.
-
-    ``env`` is ``envelope(r, cutoff)`` when the caller keeps it.  Intermediates
-    and e are written into the Workspace ``ws``, the derivatives into ``out``
-    (by default ``ws``; ``new_array`` if neither is given), so the returned
-    arrays are overwritten by the next call that writes the same workspaces.
+    on it.  ``env`` is ``envelope(r, cutoff)`` when the caller keeps it.
     """
-    ws = new_array if ws is None else ws
-    out = ws if out is None else out
     r = np.asarray(r, dtype=float)
     fc, dfc = envelope(r, cutoff) if env is None else env
-    shape = (len(centers), len(r))
     w = widths[:, None]
-    dr = np.subtract(r, centers[:, None], out=ws("basis.dr", shape))
-    q = np.square(dr, out=ws("basis.q", shape))
-    if with_param_grads:
-        dr2 = ws("basis.dr2", shape)
-        dr2[...] = q
+    dr = np.subtract(r, centers[:, None])
+    q = np.square(dr)
+    dr2 = q.copy() if with_param_grads else None
     q *= -w
     np.exp(q, out=q)
     # de/dr = q * (-2 w dr * fc + fc'), over dr unless the parameter derivatives need it
-    a = np.multiply(-2.0 * w, dr, out=ws("basis.a", shape) if with_param_grads else dr)
+    a = np.multiply(-2.0 * w, dr, out=None if with_param_grads else dr)
     a *= fc
     a += dfc
-    de_dr = out("basis.de_dr", shape[::-1])
+    de_dr = np.empty(q.shape[::-1])
     np.multiply(q, a, out=de_dr.T)
     extra = None
     if with_param_grads:
-        tmp = ws("basis.tmp", shape)
-        de_dc = np.multiply(q, 2.0, out=out("basis.de_dc", shape))
+        de_dc = q * 2.0
         de_dc *= w
         de_dc *= dr
         de_dc *= fc
-        de_dw = np.negative(q, out=out("basis.de_dw", shape))
+        de_dw = -q
         de_dw *= dr2
         de_dw *= fc
-        d2_rc = np.multiply(2.0 * w, dr, out=out("basis.d2_rc", shape))
+        d2_rc = 2.0 * w * dr
         d2_rc *= a
-        d2_rc += np.multiply(2.0 * w, fc, out=tmp)
+        d2_rc += 2.0 * w * fc
         d2_rc *= q
-        d2_rw = np.negative(dr2, out=out("basis.d2_rw", shape))
+        d2_rw = -dr2
         d2_rw *= a
-        tmp = np.multiply(dr, 2.0, out=tmp)
-        tmp *= fc
-        d2_rw -= tmp
+        d2_rw -= dr * 2.0 * fc
         d2_rw *= q
         extra = (de_dc.T, de_dw.T, d2_rc.T, d2_rw.T)
     e = np.multiply(q, fc, out=q)

@@ -111,7 +111,7 @@ def pair_table(positions, cutoff, cell=None, pbc=None) -> PairTable:
     return PairTable(i, j, r, d / r[:, None])
 
 
-def scatter_add(index, values, n: int, out=None) -> np.ndarray:
+def scatter_add(index, values, n: int) -> np.ndarray:
     """Row sums onto n atoms: out[a] = sum of values[p] over pairs with index[p] == a.
 
     One ``bincount`` per column accumulates each atom's sum sequentially in
@@ -119,9 +119,9 @@ def scatter_add(index, values, n: int, out=None) -> np.ndarray:
     for bit; it skips the k-times longer flat index that one bincount over all
     columns needs.  Rows that no pair reaches are exactly zero.  A column is
     read without a copy when it is contiguous, as in the transpose of a C-ordered
-    (k, P) array.  The sums are written into ``out`` if it is given.
+    (k, P) array.
     """
-    out = np.empty((n, values.shape[1])) if out is None else out
+    out = np.empty((n, values.shape[1]))
     for c in range(values.shape[1]):
         out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
     return out

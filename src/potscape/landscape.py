@@ -232,7 +232,7 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
         m, d, points,   # the base point's losses fill every direction's t = 0 column
         lambda v: np.insert(v[:, 1:].reshape(2, n_dirs, len(ts)), i0, v[:, :1], axis=2),
         kind="landscape1d", model=m.name, seed=seed, n_directions=n_dirs,
-        frozen_blocks=sorted(int(i) for i in frozen), grid=_grid(t_grid)))
+        frozen_blocks=sorted({int(i) for i in frozen}), grid=_grid(t_grid)))
 
 
 def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
@@ -249,7 +249,7 @@ def landscape_2d(m: NeuralPotential, d: Dataset, t1_grid=None, t2_grid=None,
     return Surface2D(t1_grid, t2_grid, *_scan(
         m, d, points, lambda v: v.reshape(2, len(t1_grid), len(t2_grid)),
         kind="landscape2d", model=m.name, seed=seed,
-        frozen_blocks=sorted(int(i) for i in frozen), grid1=_grid(t1_grid),
+        frozen_blocks=sorted({int(i) for i in frozen}), grid1=_grid(t1_grid),
         grid2=_grid(t2_grid), orthogonalized_before_normalization=True))
 
 

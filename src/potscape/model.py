@@ -15,13 +15,13 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from .artifacts import write_json
 from .data import Dataset
-from .descriptors import DescriptorSpec, Workspace, basis_values, envelope, new_array
+from .descriptors import DescriptorSpec, basis_values, envelope
 from .geometry import R_MIN, SingularGeometryError, pair_table, scatter_add
 
 
@@ -35,20 +35,17 @@ class NumericEvalError(ArithmeticError):
 
 
 # activation name -> (value, first, second derivative): the derivatives are in
-# terms of h = act(z), the second also of the first, d1 = act'(z); each writes `out`
+# terms of h = act(z), the second also of the first, d1 = act'(z); the value writes `out`
 def _tanh(z, out=None):
     return np.tanh(z, out=out)
 
 
-def _tanh_d1(h, out=None):
-    out = np.multiply(h, h, out=out)
-    return np.subtract(1.0, out, out=out)
+def _tanh_d1(h):
+    return 1.0 - h * h
 
 
-def _tanh_d2(h, d1, out=None):
-    out = np.multiply(h, -2.0, out=out)
-    out *= d1
-    return out
+def _tanh_d2(h, d1):
+    return h * -2.0 * d1
 
 
 ACTIVATIONS = {"tanh": (_tanh, _tanh_d1, _tanh_d2)}
@@ -72,10 +69,17 @@ class Chunk(NamedTuple):
         return self.offset + self.rows * self.row_length
 
 
+def check_hidden(hidden):
+    """Each hidden layer at least one neuron wide: a layer of none makes every force zero."""
+    if bad := [n for n in hidden if n < 1]:
+        raise ValueError(f"each hidden layer width must be >= 1, got {bad[0]}")
+
+
 def layout(descriptor: DescriptorSpec, hidden) -> list[Chunk]:
     """The flat parameter vector, chunk by chunk: a trainable basis's centers and
     widths, then each layer's rows of weights plus bias.  The only place that
     knows the layout: ``unpack``'s views and the filter blocks both read it."""
+    check_hidden(hidden)
     dims = [descriptor.n_radial, *hidden, 1]
     shapes = [(0, 2, dims[0])] if descriptor.trainable_basis else []
     shapes += [(layer, fan_out, fan_in + 1)
@@ -116,7 +120,8 @@ class NeuralPotential:
             raise ValueError("non-finite parameter")
 
     @classmethod
-    def create(cls, descriptor: DescriptorSpec, hidden: tuple[int, ...] = (16, 16),
+    def create(cls, descriptor: DescriptorSpec,
+               hidden: Annotated[tuple[int, ...], check_hidden] = (16, 16),
                activation: str = "tanh", seed: int = 0, name: str = "model") -> "NeuralPotential":
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -176,12 +181,10 @@ class NeuralPotential:
         B, n = positions.shape[:2]
         centers, widths, Ws, bs = self.unpack()
         pt = pair_table(positions, self.descriptor.cutoff, cell=cell, pbc=pbc)
-        # the pair count changes with every call, so nothing is worth keeping
-        e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff, ws=new_array)
+        e, de, _ = basis_values(pt.r, centers, widths, self.descriptor.cutoff)
         G = scatter_add(pt.i, e, B * n).reshape(B, n, -1)
         with np.errstate(over="ignore", invalid="ignore"):   # reported as NumericEvalError
-            out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n,
-                           n, new_array)
+            out = _forward(self, Ws, bs, G, de, pt.i, pt.j, pt.unit, B * n, np.arange(B) * n, n)
             # the sum is finite when every site energy is; else they are checked
             finite = math.isfinite(np.add.reduce(out.y)) or np.isfinite(out.y).all()
         if not finite:
@@ -200,7 +203,7 @@ class _Forward(NamedTuple):
     E: np.ndarray     # (M,) frame energies, eV
 
 
-def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms, ws) -> _Forward:
+def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) -> _Forward:
     """Descriptors -> MLP -> input gradient -> forces and energies.
 
     The frames' atoms are numbered consecutively: pairs (gi, gj) with unit
@@ -213,41 +216,35 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms, ws
     gather is ``np.take``, a row copy cheaper than fancy indexing that yields
     the same rows in pair order, and the force scatter keeps that order too.
 
-    Every array is written into the Workspace ``ws``, so the results are
-    overwritten by the next evaluation into it.  The layouts keep the bits: the
-    layers are ``h @ W.T`` (``(W @ h.T).T`` rounds differently), de and the
-    gathered input gradient are both C-ordered (P, K) in the per-pair einsum,
-    and the elementwise steps are the same IEEE operations, in place.
+    The layouts keep the bits: the layers are ``h @ W.T`` (``(W @ h.T).T``
+    rounds differently), and de and the gathered input gradient are both
+    C-ordered (P, K) in the per-pair einsum.
     """
     scale, shift = model.rescale.effective()
     act, d1 = ACTIVATIONS[model.activation][:2]
-    rows = G.shape[:-1]
     hs = [G]
-    for layer, (W, b) in enumerate(zip(Ws[:-1], bs[:-1]), 1):
-        z = np.matmul(hs[-1], W.T, out=ws(f"h{layer}", rows + (len(b),)))
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        z = hs[-1] @ W.T
         z += b
         hs.append(act(z, out=z))
-    y = np.matmul(hs[-1], Ws[-1].T, out=ws("y", rows + (1,)))
+    y = hs[-1] @ Ws[-1].T
     y += bs[-1]
     y = y.ravel()
-    # d y / d G, back through the layers, each layer's g over the last one's
-    g = ws("g", hs[-1].shape)
-    g[...] = Ws[-1]
+    # d y / d G, back through the layers
+    g = np.broadcast_to(Ws[-1], hs[-1].shape)
     for layer in range(len(hs) - 2, -1, -1):
-        t = d1(hs[layer + 1], out=ws("d1", hs[layer + 1].shape))
+        t = d1(hs[layer + 1])
         t *= g
-        g = np.matmul(t, Ws[layer], out=ws("g", hs[layer].shape))
+        g = t @ Ws[layer]
     n_pairs, k = len(gi), g.shape[-1]
-    g_pairs = np.take(g.reshape(n_atoms, k), gi, axis=0, mode="clip",
-                      out=ws("g_pairs", (n_pairs, k)))
-    s = np.einsum("pd,pd->p", de, g_pairs, out=ws("s", (n_pairs,)))
+    g_pairs = np.take(g.reshape(n_atoms, k), gi, axis=0, mode="clip")
+    s = np.einsum("pd,pd->p", de, g_pairs)
     s *= scale
     # columns x, y, z of [contrib, -contrib] for the pairs [gi, gj]
-    contrib = ws("contrib", (3, 2 * n_pairs))
+    contrib = np.empty((3, 2 * n_pairs))
     np.multiply(s, unit.T, out=contrib[:, :n_pairs])
     np.negative(contrib[:, :n_pairs], out=contrib[:, n_pairs:])
-    ends = np.concatenate([gi, gj], out=ws("ends", (2 * n_pairs,), gi.dtype))
-    F = scatter_add(ends, contrib.T, n_atoms, out=ws("F", (n_atoms, 3)))
+    F = scatter_add(np.concatenate([gi, gj]), contrib.T, n_atoms)
     # sequential per-frame sums, so one frame and a table of frames agree bit for bit
     E = scale * (np.add.reduceat(y, atom_start) if len(y) else np.zeros(0)) + shift * natoms
     return _Forward(y, hs, F, E)
@@ -288,16 +285,10 @@ class DatasetTables:
     Geometry (pair distances/unit vectors) and the basis envelope never change.
     The descriptor matrix G and the basis derivatives are kept per table and
     rebuilt only when the basis parameters change (a trainable basis under
-    perturbation), so the arrays that ``basis`` returns are overwritten by the
-    next evaluation with other basis parameters.  Every other array of an
-    evaluation is written into the Workspace ``ws``, a new one unless it is
-    given, so that a minibatch's table can share its dataset's: a loss point
-    allocates no per-pair or per-atom array.  So ``tables_loss`` and
-    ``tables_loss_grad`` on tables that share a workspace must not run
-    concurrently.
+    perturbation).
     """
 
-    def __init__(self, model: NeuralPotential, frames, ws: Workspace | None = None):
+    def __init__(self, model: NeuralPotential, frames):
         frames = list(frames)
         if any(c.energy is None or c.forces is None for c in frames):
             raise ValueError("loss evaluation requires energy and force labels")
@@ -328,8 +319,6 @@ class DatasetTables:
         self.f_ref = np.vstack([c.forces for c in frames])
         self.n_frames, self.n_atoms = len(frames), len(self.f_ref)
         self.atom_frame = np.repeat(np.arange(self.n_frames), natoms)
-        self.ws = Workspace() if ws is None else ws
-        self._kept = Workspace()   # G and the basis derivatives of the cache key
         self._cache_key = self._cache = None
 
     def basis(self, centers, widths, with_param_grads=False):
@@ -338,27 +327,20 @@ class DatasetTables:
         G is C-ordered (A, K) and de C-ordered (P, K), as the forward pass needs
         them to keep its bits; the parameter derivatives are (P, K) views of
         pair-contiguous (K, P) arrays (see ``basis_values``).  They are kept
-        until a call with other parameters overwrites them.
+        until a call with other parameters replaces them.
         """
         key = (centers.tobytes(), widths.tobytes(), bool(with_param_grads))
         if self._cache_key != key:
-            # a basis built before is rebuilt per point (a trainable one), so its
-            # scratch is kept; a fixed basis is built once and keeps none
-            scratch = new_array if self._cache_key is None else self.ws
-            self._cache_key = None   # the kept arrays are overwritten below
             e, de, extra = basis_values(self.r, centers, widths, self.cutoff,
-                                        with_param_grads=with_param_grads, env=self.envelope,
-                                        ws=scratch, out=self._kept)
-            G = scatter_add(self.gi, e, self.n_atoms,
-                            out=self._kept("G", (self.n_atoms, len(centers))))
-            self._cache = (G, de, extra)
+                                        with_param_grads=with_param_grads, env=self.envelope)
+            self._cache = (scatter_add(self.gi, e, self.n_atoms), de, extra)
             self._cache_key = key
         return self._cache
 
 
 def _table_forward(model, tables, Ws, bs, G, de) -> _Forward:
     return _forward(model, Ws, bs, G, de, tables.gi, tables.gj, tables.unit,
-                    tables.n_atoms, tables.atom_start, tables.natoms, tables.ws)
+                    tables.n_atoms, tables.atom_start, tables.natoms)
 
 
 def _residuals(tables, fw: _Forward, w_E, w_F):
@@ -369,8 +351,7 @@ def _residuals(tables, fw: _Forward, w_E, w_F):
     eres = (fw.E - tables.e_ref) / tables.natoms
     fres = np.subtract(fw.F, tables.f_ref, out=fw.F)
     mse_E = float(np.mean(eres**2))
-    mse_F = float(np.sum(np.square(fres, out=tables.ws("fres2", fres.shape)))
-                  / (3.0 * tables.n_atoms))
+    mse_F = float(np.sum(np.square(fres)) / (3.0 * tables.n_atoms))
     combined = w_E * mse_E + w_F * mse_F
     loss = LossValues(np.sqrt(mse_E) * 1000.0, np.sqrt(mse_F) * 1000.0,
                       combined, mse_E, mse_F)
@@ -391,15 +372,12 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
 
     The force-loss term needs the derivative of the descriptor-space input
     gradient, which is propagated with a forward tangent pass followed by a
-    reverse pass through both the primal and tangent variables.  Like the
-    forward pass, it writes its per-pair and per-atom arrays into the table's
-    workspace, keeping the products' forms and the operands' layouts.
+    reverse pass through both the primal and tangent variables.
     """
     centers, widths, Ws, bs = model.unpack(values)
     scale = model.rescale.effective()[0]
     trainable = model.descriptor.trainable_basis
     _, d1f, d2f = ACTIVATIONS[model.activation]
-    ws = tables.ws
 
     G, de, extra = tables.basis(np.asarray(centers), np.asarray(widths),
                                 with_param_grads=trainable)
@@ -411,50 +389,49 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     P, K = de.shape
 
     # seeds: d combined / d y_a (energy path) and tangent V (force path)
-    c_atom = np.take(eres / tables.natoms, tables.atom_frame, mode="clip",
-                     out=ws("c_atom", (A,)))
+    c_atom = np.take(eres / tables.natoms, tables.atom_frame, mode="clip")
     c_atom *= scale * w_E * (2.0 / M)
-    rho = np.multiply(fres, 2.0 * w_F / (3.0 * A), out=ws("rho", (A, 3)))
-    rho_i = np.take(rho, tables.gi, axis=0, mode="clip", out=ws("rho_i", (P, 3)))
-    rho_i -= np.take(rho, tables.gj, axis=0, mode="clip", out=ws("rho_j", (P, 3)))
-    beta = np.einsum("pk,pk->p", tables.unit, rho_i, out=ws("beta", (P,)))
+    rho = fres * (2.0 * w_F / (3.0 * A))
+    rho_i = np.take(rho, tables.gi, axis=0, mode="clip")
+    rho_i -= np.take(rho, tables.gj, axis=0, mode="clip")
+    beta = np.einsum("pk,pk->p", tables.unit, rho_i)
     beta *= scale
-    beta_de = np.multiply(beta, de.T, out=ws("beta_de", (K, P)))
-    V = scatter_add(tables.gi, beta_de.T, A, out=ws("V", (A, K)))
+    beta_de = np.empty((K, P))   # C-ordered, so that the scatter reads contiguous columns
+    np.multiply(beta, de.T, out=beta_de)
+    V = scatter_add(tables.gi, beta_de.T, A)
 
     # combined reverse pass: Phi = sum_a c_a * y_a + g_a . V_a
     p1s, qs, ts = [], [], [V]
-    for layer, (W, h) in enumerate(zip(Ws[:-1], hs[1:]), 1):
-        q = np.matmul(ts[-1], W.T, out=ws(f"q{layer}", h.shape))
-        qs.append(q)
-        p1s.append(d1f(h, out=ws(f"p1_{layer}", h.shape)))
-        ts.append(np.multiply(p1s[-1], q, out=ws(f"t{layer}", h.shape)))
+    for W, h in zip(Ws[:-1], hs[1:]):
+        qs.append(ts[-1] @ W.T)
+        p1s.append(d1f(h))
+        ts.append(p1s[-1] * qs[-1])
     grad = np.zeros(len(model.params))
     g_centers, g_widths, gWs, gbs = model.unpack(grad)   # views of grad
-    gW_rows = np.multiply(c_atom[:, None], hs[-1], out=ws("gW_rows", hs[-1].shape))
+    gW_rows = c_atom[:, None] * hs[-1]
     gW_rows += ts[-1]
     gWs[-1][:] = gW_rows.sum(axis=0, keepdims=True)
     gbs[-1][:] = c_atom.sum()
-    hbar = np.multiply(c_atom[:, None], Ws[-1], out=ws("hbar", hs[-1].shape))
+    hbar = c_atom[:, None] * Ws[-1]
     tbar = np.broadcast_to(Ws[-1], hbar.shape)
     for idx in range(len(Ws) - 2, -1, -1):
         h, p1 = hs[idx + 1], p1s[idx]
-        p2 = d2f(h, p1, out=ws("p2", h.shape))
+        p2 = d2f(h, p1)
         p2 *= qs[idx]
         p2 *= tbar
-        zbar = np.multiply(p1, hbar, out=ws("zbar", h.shape))
+        zbar = p1 * hbar
         zbar += p2
-        qbar = np.multiply(p1, tbar, out=ws("qbar", h.shape))
+        qbar = p1 * tbar
         np.add(zbar.T @ hs[idx], qbar.T @ ts[idx], out=gWs[idx])
         gbs[idx][:] = zbar.sum(axis=0)
-        hbar = np.matmul(zbar, Ws[idx], out=ws("hbar", hs[idx].shape))
-        tbar = np.matmul(qbar, Ws[idx], out=ws("tbar", hs[idx].shape))
+        hbar = zbar @ Ws[idx]
+        tbar = qbar @ Ws[idx]
     Xbar, Vbar = hbar, tbar
 
     if trainable:
         de_dc, de_dw, d2_rc, d2_rw = extra
-        xb = np.take(Xbar, tables.gi, axis=0, mode="clip", out=ws("xb", (P, K)))
-        vb = np.take(Vbar, tables.gi, axis=0, mode="clip", out=ws("vb", (P, K)))
+        xb = np.take(Xbar, tables.gi, axis=0, mode="clip")
+        vb = np.take(Vbar, tables.gi, axis=0, mode="clip")
         vb *= beta[:, None]
         np.add(np.einsum("pd,pd->d", xb, de_dc), np.einsum("pd,pd->d", vb, d2_rc), out=g_centers)
         np.add(np.einsum("pd,pd->d", xb, de_dw), np.einsum("pd,pd->d", vb, d2_rw), out=g_widths)

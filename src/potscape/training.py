@@ -160,7 +160,7 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
     Best-epoch selection uses the held-out split when provided, otherwise the
     training loss.  Deterministic given (seed, config, dataset): batches are
     contiguous frame ranges in fixed order, each with its own table of those
-    frames, which shares the full table's workspace.
+    frames.
 
     Each epoch ends with the loss over the full training table, and over the
     validation table if there is one.  The next epoch's minibatches depend on
@@ -195,7 +195,7 @@ def train(model: NeuralPotential, d_train: Dataset, cfg: TrainConfig,
     tables = DatasetTables(model, d_train)
     val_tables = DatasetTables(model, d_val) if d_val is not None else None
     n, bs = len(d_train), cfg.batch_size or len(d_train)
-    batch_tables = [DatasetTables(model, d_train[lo:lo + bs], tables.ws)
+    batch_tables = [DatasetTables(model, d_train[lo:lo + bs])
                     for lo in range(0, n, bs)] if bs < n else [tables]
 
     values = model.params.copy()

@@ -422,6 +422,8 @@ class TestKeyTable:
         ("toy-regression", "toy.sigma_list", [0.0, math.inf]),
         ("learning-curve", "curve.sizes", [10, 0]),
         ("learning-curve", "curve.sizes", [-5, 10]),
+        ("train", "model.hidden", [0]),
+        ("train", "model.hidden", [16, 0]),
     ], ids=["train-model.name", "landscape2d-landscape.w_e", "interp-no-points",
             "interp-empty-range", "landscape1d-decreasing", "md-bond-factor-below-1",
             "md-bond-factor-nan", "entropy-negative-t_e", "entropy-infinite-t_f",
@@ -429,7 +431,7 @@ class TestKeyTable:
             "landscape2d-nan-w_e", "landscape2d-infinite-w_f", "entropy-alpha-above-1",
             "entropy-alpha-nan", "sweep-negative-alpha", "sweep-one-point", "noise-sigma-nan",
             "noise-sigma-negative", "toy-sigma-nan", "toy-sigma-negative", "toy-sigma-inf",
-            "curve-size-zero", "curve-size-negative"])
+            "curve-size-zero", "curve-size-negative", "hidden-zero", "hidden-16-0"])
     def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, profile_dir, tmp_path,
                                              monkeypatch, command, key, value):
         # these values were once cast or checked only after training or after the whole
@@ -439,7 +441,8 @@ class TestKeyTable:
         # was read (a patched read_profile_csv fails on any call); a negative surface
         # weight was rejected after the scan, and NaN or inf was written; a NaN noise
         # level wrote a NaN row, and a negative toy noise level was accepted; a curve
-        # size of 0 failed after the models before it were trained, naming no key
+        # size of 0 failed after the models before it were trained, naming no key; a
+        # hidden layer of width 0 trained a model whose forces were identically zero
         def work(*args, **kwargs):
             raise AssertionError("the run worked before casting its values")
         for module, name in ((cli, "train"), (landscape, "landscape_2d"),

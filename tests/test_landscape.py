@@ -222,6 +222,16 @@ class TestLandscape1D:
         assert profile.metadata["nonfinite_points"] or np.all(np.isfinite(profile.loss_E))
 
 
+@pytest.mark.parametrize("run,grids", [(landscape_1d, {"n_dirs": 2, "t_grid": [-1.0, 0.0]}),
+                                       (landscape_2d, {"t1_grid": [0.0], "t2_grid": [0.0, 1.0]})],
+                         ids=["1d", "2d"])
+def test_frozen_blocks_recorded_once(run, grids):
+    # a repeated index was once written as given, [0, 3, 3], though two blocks froze
+    m = random_model(3, hidden=(4,), trainable_basis=True)
+    ds = labeled_dataset(m, 2, seed=53, energy_offset=0.02)
+    assert run(m, ds, frozen=[3, 3, 0], **grids).metadata["frozen_blocks"] == [0, 3]
+
+
 class TestLandscape2D:
     def test_center_and_axis_consistency(self):
         m = random_model(8)

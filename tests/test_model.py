@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -65,6 +66,18 @@ class TestPartition:
         m = NeuralPotential.create(spec, (5,))
         d = sample_direction(m.params, free_blocks(m, [0, 1]), 3).values
         assert np.all(d[:8] == 0.0) and np.all(d[8:] != 0.0)
+
+    @pytest.mark.parametrize("hidden", [(0,), (16, 0), (-1, 4)], ids=["0", "16-0", "minus-1-4"])
+    def test_create_rejects_an_empty_layer(self, hidden, tmp_path):
+        # a width of 0 once made a model whose forces were identically zero
+        with pytest.raises(ValueError, match="hidden layer width must be >= 1"):
+            NeuralPotential.create(DescriptorSpec.default(), hidden)
+        path = tmp_path / "model.json"   # nor does a checkpoint that lists one load
+        save_checkpoint(NeuralPotential.create(DescriptorSpec.default(), (4,)), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "hidden_layers": list(hidden)}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: each hidden layer width")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("index", [-1, 8, 999])
     def test_with_frozen_rejects_a_stray_index(self, index):
@@ -287,8 +300,8 @@ class TestParameterGradient:
 
 
 class TestWorkspace:
-    """A table evaluates its points in a kept workspace, shared with its minibatches' tables;
-    no point may see what another point left there."""
+    """A table keeps the basis of its last point, and a trainable basis is rebuilt at every
+    point; no point may see what another point left there."""
 
     @pytest.mark.parametrize("trainable", [False, True])
     def test_point_after_another_point(self, trainable):
@@ -307,7 +320,7 @@ class TestWorkspace:
     def test_interleaved_tables_equal_fresh_tables(self, trainable):
         m, ds, v = labeled_tables_case(trainable)
         tables = DatasetTables(m, ds)
-        sub = DatasetTables(m, ds[3:9], tables.ws)   # frames 3-8, in the workspace of `tables`
+        sub = DatasetTables(m, ds[3:9])   # frames 3-8
         for table, fresh in ((tables, lambda: DatasetTables(m, ds)),
                              (sub, lambda: DatasetTables(m, ds[3:9])),
                              (tables, lambda: DatasetTables(m, ds)),
@@ -338,20 +351,20 @@ class TestWorkspace:
             e, f, _ = m.with_values(v).energy_forces(pos[b])
             assert E[b] == e and np.array_equal(F[b], f)
 
-    def test_repeated_point_allocates_no_pair_array(self):
+    def test_repeated_points_accumulate_no_arrays(self):
+        # a trainable basis is rebuilt at every point; the table keeps only the last
+        # point's, so what it holds does not grow with the points it evaluated
         m, ds, v = labeled_tables_case(True, n_frames=300)
         tables = DatasetTables(m, ds)
         pair_array = len(tables.gi) * m.descriptor.n_radial * 8   # bytes of one (P, K)
-        # the first point builds the basis in new arrays, the second keeps its scratch
-        tables_loss(m, tables, m.params, 1.0, 1.0)
-        tables_loss(m, tables, v, 1.0, 1.0)
         tracemalloc.start()
         try:
-            for k in range(1, 4):   # a trainable basis is rebuilt at every point
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
+            tables_loss(m, tables, m.params, 1.0, 1.0)
+            tables_loss(m, tables, v, 1.0, 1.0)
+            kept = tracemalloc.get_traced_memory()[0]
+            for k in range(1, 5):
                 tables_loss(m, tables, v * (1.0 + 0.01 * k), 1.0, 1.0)
-                assert tracemalloc.get_traced_memory()[1] - before < pair_array / 2
+                assert tracemalloc.get_traced_memory()[0] - kept < pair_array / 2
         finally:
             tracemalloc.stop()
 
@@ -383,9 +396,8 @@ def mixed_dataset():
 
 
 def table_arrays(tables):
-    """Every attribute of a table but its workspace and basis cache."""
-    return {k: v for k, v in vars(tables).items() if k not in ("ws", "_kept", "_cache_key",
-                                                                 "_cache")}
+    """Every attribute of a table but its basis cache."""
+    return {k: v for k, v in vars(tables).items() if k not in ("_cache_key", "_cache")}
 
 
 class TestTablesConstructor:
@@ -412,14 +424,14 @@ class TestTablesConstructor:
 
     @pytest.mark.parametrize("lo,hi", [(0, 10), (0, 3), (2, 6), (3, 5), (7, 10), (9, 10)])
     def test_frame_range_equals_table_of_frames(self, lo, hi):
-        # the table of frames lo..hi-1 in the dataset's workspace, as training builds a
-        # minibatch's, equals the table of those frames in a workspace of its own, and
-        # its pairs are those of the dataset's table
+        # the table of frames lo..hi-1, built after the dataset's as training builds a
+        # minibatch's, equals the table of those frames built alone, and its pairs are
+        # those of the dataset's table
         m, ds = random_model(2, trainable_basis=True), mixed_dataset()
+        own = DatasetTables(m, ds[lo:hi])
         tables = DatasetTables(m, ds)
-        shared, own = DatasetTables(m, ds[lo:hi], tables.ws), DatasetTables(m, ds[lo:hi])
-        assert shared.ws is tables.ws and own.ws is not tables.ws
-        got, expected = table_arrays(shared), table_arrays(own)
+        sub = DatasetTables(m, ds[lo:hi])
+        got, expected = table_arrays(sub), table_arrays(own)
         assert got.keys() == expected.keys()
         for key, value in expected.items():
             if key == "envelope":
@@ -429,10 +441,10 @@ class TestTablesConstructor:
             else:
                 assert got[key] == value, key
         pair_frame = tables.atom_frame[tables.gi]
-        assert shared.r.tobytes() == tables.r[(pair_frame >= lo) & (pair_frame < hi)].tobytes()
+        assert sub.r.tobytes() == tables.r[(pair_frame >= lo) & (pair_frame < hi)].tobytes()
         v = m.params * 1.01
-        tables_loss_grad(m, tables, v, 1.0, 9.0)   # the shared workspace holds other shapes
-        assert tables_loss_grad(m, shared, v, 1.0, 9.0)[1].tobytes() == \
+        tables_loss_grad(m, tables, v, 1.0, 9.0)   # the dataset's table evaluates first
+        assert tables_loss_grad(m, sub, v, 1.0, 9.0)[1].tobytes() == \
             tables_loss_grad(m, own, v, 1.0, 9.0)[1].tobytes()
 
 

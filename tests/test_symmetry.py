@@ -5,19 +5,24 @@ column maps every pre-activation of that neuron to its negative and every produc
 that reads it to itself, with the same rounding.  So a model at D * theta, for a
 +-1 pattern D built through ``unpack`` views, must give the same energies, forces,
 losses and checkpoints as the model at theta, bit for bit, and its parameter
-gradient and filter-normalized directions must be D times the original ones.  A
-layout that pairs the wrong entries with a neuron, or a product that reads a
-transposed weight, breaks these equalities.
+gradient and filter-normalized directions must be D times the original ones; so
+training must write the same history and parameters D times the original ones,
+and MD the same trajectories.  A layout that pairs the wrong entries with a
+neuron, or a product that reads a transposed weight, breaks these equalities.
 """
 
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from potscape.data import Configuration
 from potscape.landscape import Direction, filter_normalize, free_blocks
+from potscape.md import MDConfig, infer_bond_list, run_ensemble
 from potscape.model import (DatasetTables, load_checkpoint, save_checkpoint, tables_loss,
                             tables_loss_grad)
+from potscape.training import TrainConfig, train
 from tests.conftest import labeled_dataset, random_cluster, random_model
 
 HIDDEN = ((16, 16), (5, 4, 3), (3,))
@@ -82,3 +87,27 @@ def test_sign_flip_is_exact(tmp_path_factory, hidden, trainable, seed):
     assert np.array_equal(flat(again), D * theta)
     for a, b in zip(m.energy_forces_batch(pos), again.energy_forces_batch(pos)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("hidden", HIDDEN, ids=lambda h: "-".join(map(str, h)))
+@pytest.mark.parametrize("trainable", [False, True])
+def test_sign_flip_trains_and_integrates_alike(hidden, trainable):
+    # minibatches, AMSGrad and an EMA; then MD of the best parameters
+    m = random_model(5, hidden=hidden, trainable_basis=trainable)
+    ds = labeled_dataset(random_model(6, hidden=hidden), 5, seed=11, energy_offset=0.02)
+    D = sign_pattern(m, np.random.default_rng(len(hidden) + 10 * trainable))
+    flipped = m.with_values(D * flat(m))
+    cfg = TrainConfig(max_epochs=40, batch_size=2, lr0=0.01, amsgrad=True, ema_decay=0.9,
+                      plateau_patience=5)
+    report, report_f = train(m, ds, cfg, d_val=ds[3:]), train(flipped, ds, cfg, d_val=ds[3:])
+    assert report_f.history == report.history and report_f.best_epoch == report.best_epoch
+    for name in ("final_params", "best_params", "ema_params"):
+        assert np.array_equal(getattr(report_f, name), D * getattr(report, name)), name
+
+    pos = random_cluster(5, 12)
+    md = MDConfig(temperature=600.0, total_time_ps=0.04, n_trajectories=4,
+                  failure_bond_length=3.2, bond_list=infer_bond_list(pos), seed=3)
+    records = [[r.to_dict() for r in run_ensemble(model, Configuration(pos, ["Ar"] * 5), md)[0]]
+               for model in (m.with_values(report.best_params),
+                             flipped.with_values(report_f.best_params))]
+    assert records[1] == records[0]
