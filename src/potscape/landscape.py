@@ -263,7 +263,7 @@ def interpolate_models(mA: NeuralPotential, mB: NeuralPotential, d: Dataset,
     def evaluation(m):
         s = m.descriptor
         basis = () if s.trainable_basis else (s.centers.tolist(), s.widths.tolist())
-        return (m.hidden_layers, m.activation, m.rescale.effective(), s.n_radial, s.cutoff,
+        return (m.hidden_layers, m.rescale.effective(), s.n_radial, s.cutoff,
                 s.trainable_basis, basis)
 
     if evaluation(mA) != evaluation(mB):

@@ -1,4 +1,4 @@
-"""Compact neural potential: atom-wise MLP over radial descriptors.
+"""Compact neural potential: atom-wise tanh MLP over radial descriptors.
 
 Total energy is scale * sum_i net(G_i) + shift * N when rescaling is enabled;
 forces are exact negative gradients via the chain rule through the
@@ -32,23 +32,6 @@ class NumericEvalError(ArithmeticError):
     def __init__(self, message, frames=()):
         super().__init__(message)
         self.frames = tuple(frames)
-
-
-# activation name -> (value, first, second derivative): the derivatives are in
-# terms of h = act(z), the second also of the first, d1 = act'(z); the value writes `out`
-def _tanh(z, out=None):
-    return np.tanh(z, out=out)
-
-
-def _tanh_d1(h):
-    return 1.0 - h * h
-
-
-def _tanh_d2(h, d1):
-    return h * -2.0 * d1
-
-
-ACTIVATIONS = {"tanh": (_tanh, _tanh_d1, _tanh_d2)}
 
 
 class FilterBlock(NamedTuple):
@@ -104,7 +87,6 @@ class Rescale:
 class NeuralPotential:
     descriptor: DescriptorSpec
     hidden_layers: tuple
-    activation: str
     params: np.ndarray   # the flat parameter vector, in ``layout``'s order
     rescale: Rescale = field(default_factory=Rescale)
     name: str = "model"
@@ -122,11 +104,9 @@ class NeuralPotential:
     @classmethod
     def create(cls, descriptor: DescriptorSpec,
                hidden: Annotated[tuple[int, ...], check_hidden] = (16, 16),
-               activation: str = "tanh", seed: int = 0, name: str = "model") -> "NeuralPotential":
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        model = cls(descriptor, tuple(hidden), activation,
-                    np.zeros(layout(descriptor, hidden)[-1].end), name=name)
+               seed: int = 0, name: str = "model") -> "NeuralPotential":
+        model = cls(descriptor, tuple(hidden), np.zeros(layout(descriptor, hidden)[-1].end),
+                    name=name)
         centers, widths, Ws, _ = model.unpack()   # views; the biases stay zero
         if descriptor.trainable_basis:
             centers[:], widths[:] = descriptor.centers, descriptor.widths
@@ -163,7 +143,7 @@ class NeuralPotential:
 
     # -- evaluation --------------------------------------------------------
 
-    def energy_forces(self, positions, species=None, cell=None, pbc=None):
+    def energy_forces(self, positions, cell=None, pbc=None):
         """Energy (eV), forces (eV/A), per-atom energies for raw arrays."""
         E, F, y = self.energy_forces_batch(np.asarray(positions, dtype=float)[None],
                                            cell=cell, pbc=pbc)
@@ -199,6 +179,7 @@ class NeuralPotential:
 class _Forward(NamedTuple):
     y: np.ndarray     # (A,) network outputs (site energies before rescaling)
     hs: list          # layer inputs; hs[0] is the descriptor matrix G
+    d1s: list         # tanh'(z) = 1 - h**2 of each hidden layer's output h = hs[l + 1]
     F: np.ndarray     # (A, 3) forces, eV/A
     E: np.ndarray     # (M,) frame energies, eV
 
@@ -221,21 +202,21 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     C-ordered (P, K) in the per-pair einsum.
     """
     scale, shift = model.rescale.effective()
-    act, d1 = ACTIVATIONS[model.activation][:2]
-    hs = [G]
+    hs, d1s = [G], []
     for W, b in zip(Ws[:-1], bs[:-1]):
         z = hs[-1] @ W.T
         z += b
-        hs.append(act(z, out=z))
+        h = np.tanh(z, out=z)
+        d1 = h * h
+        hs.append(h)
+        d1s.append(np.subtract(1.0, d1, out=d1))
     y = hs[-1] @ Ws[-1].T
     y += bs[-1]
     y = y.ravel()
     # d y / d G, back through the layers
     g = np.broadcast_to(Ws[-1], hs[-1].shape)
     for layer in range(len(hs) - 2, -1, -1):
-        t = d1(hs[layer + 1])
-        t *= g
-        g = t @ Ws[layer]
+        g = (d1s[layer] * g) @ Ws[layer]
     n_pairs, k = len(gi), g.shape[-1]
     g_pairs = np.take(g.reshape(n_atoms, k), gi, axis=0, mode="clip")
     s = np.einsum("pd,pd->p", de, g_pairs)
@@ -247,7 +228,7 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     F = scatter_add(np.concatenate([gi, gj]), contrib.T, n_atoms)
     # sequential per-frame sums, so one frame and a table of frames agree bit for bit
     E = scale * (np.add.reduceat(y, atom_start) if len(y) else np.zeros(0)) + shift * natoms
-    return _Forward(y, hs, F, E)
+    return _Forward(y, hs, d1s, F, E)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +358,11 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     centers, widths, Ws, bs = model.unpack(values)
     scale = model.rescale.effective()[0]
     trainable = model.descriptor.trainable_basis
-    _, d1f, d2f = ACTIVATIONS[model.activation]
 
     G, de, extra = tables.basis(np.asarray(centers), np.asarray(widths),
                                 with_param_grads=trainable)
     fw = _table_forward(model, tables, Ws, bs, G, de)
-    hs = fw.hs
+    hs, p1s = fw.hs, fw.d1s
     eres, fres, loss = _residuals(tables, fw, w_E, w_F)
     M = tables.n_frames
     A = tables.n_atoms
@@ -401,11 +381,10 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     V = scatter_add(tables.gi, beta_de.T, A)
 
     # combined reverse pass: Phi = sum_a c_a * y_a + g_a . V_a
-    p1s, qs, ts = [], [], [V]
-    for W, h in zip(Ws[:-1], hs[1:]):
+    qs, ts = [], [V]
+    for W, p1 in zip(Ws[:-1], p1s):
         qs.append(ts[-1] @ W.T)
-        p1s.append(d1f(h))
-        ts.append(p1s[-1] * qs[-1])
+        ts.append(p1 * qs[-1])
     grad = np.zeros(len(model.params))
     g_centers, g_widths, gWs, gbs = model.unpack(grad)   # views of grad
     gW_rows = c_atom[:, None] * hs[-1]
@@ -415,8 +394,8 @@ def tables_loss_grad(model: NeuralPotential, tables: DatasetTables, values, w_E,
     hbar = c_atom[:, None] * Ws[-1]
     tbar = np.broadcast_to(Ws[-1], hbar.shape)
     for idx in range(len(Ws) - 2, -1, -1):
-        h, p1 = hs[idx + 1], p1s[idx]
-        p2 = d2f(h, p1)
+        p1 = p1s[idx]
+        p2 = hs[idx + 1] * -2.0 * p1   # tanh''(z) = -2 h tanh'(z)
         p2 *= qs[idx]
         p2 *= tbar
         zbar = p1 * hbar
@@ -482,7 +461,7 @@ def save_checkpoint(m: NeuralPotential, path) -> None:
             "trainable_basis": m.descriptor.trainable_basis,
         },
         "hidden_layers": list(m.hidden_layers),
-        "activation": m.activation,
+        "activation": "tanh",
         "rescale": {"scale": m.rescale.scale, "shift": m.rescale.shift,
                     "enabled": m.rescale.enabled},
         "params": m.params.tolist(),
@@ -498,13 +477,14 @@ def load_checkpoint(path) -> NeuralPotential:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
+    if doc.get("activation") != "tanh":
+        raise ValueError(f"{path}: activation {doc.get('activation')!r} is not tanh")
     dd = doc["descriptor"]
     spec = DescriptorSpec(dd["n_radial"], np.array(dd["centers"]), np.array(dd["widths"]),
                           dd["cutoff"], dd["trainable_basis"])
     rs = doc["rescale"]
     try:
-        m = NeuralPotential(spec, tuple(doc["hidden_layers"]), doc["activation"],
-                            np.array(doc["params"]),
+        m = NeuralPotential(spec, tuple(doc["hidden_layers"]), np.array(doc["params"]),
                             Rescale(rs["scale"], rs["shift"], rs["enabled"]),
                             name=doc.get("name", "model"))
     except ValueError as exc:

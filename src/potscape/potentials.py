@@ -43,7 +43,7 @@ class _PairPotential:
         v, dv = self._raw(r)
         return _switched(v, dv, r, self.switch_start, self.cutoff)
 
-    def energy_forces(self, positions, species=None, cell=None, pbc=None):
+    def energy_forces(self, positions, cell=None, pbc=None):
         """Total switched pair energy and analytic forces (eV, eV/A) of one frame."""
         energy, forces = self.energy_forces_batch(np.asarray(positions, dtype=float)[None],
                                                   cell=cell, pbc=pbc)

@@ -385,6 +385,7 @@ class TestKeyTable:
         ("md", "potential.kind"),
         ("md", "data.species"),
         ("md", "md.bond_factor"),
+        ("train", "model.activation"),   # the network is tanh
     ])
     def test_unread_key_rejected(self, gen_dir, model_dir, tmp_path, command, key):
         # each of the last six once exited 0 with the key silently ignored
@@ -472,7 +473,7 @@ class TestKeyTable:
         fit = ("train.max_epochs, train.batch_size, train.lr0, train.amsgrad, train.ema_decay, "
                "train.plateau_patience, train.plateau_factor, train.weight_schedule, "
                "train.swa_tail, model.cutoff, model.n_radial, model.first_center, "
-               "model.trainable_basis, model.hidden, model.activation, model.rescale")
+               "model.trainable_basis, model.hidden, model.rescale")
         grid = "landscape.t_min, landscape.t_max, landscape.points"
         frozen = "landscape.frozen_blocks, landscape.freeze_basis"
         reads = {

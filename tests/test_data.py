@@ -327,7 +327,7 @@ class TestGenerate:
                                         burn_in_steps=200, stride=5)
         assert len(ds) == 100
         for c in ds:
-            e, f = lj.energy_forces(c.positions, species=c.species, cell=c.cell, pbc=c.pbc)
+            e, f = lj.energy_forces(c.positions, cell=c.cell, pbc=c.pbc)
             assert abs(e - c.energy) <= 1e-10 * max(1.0, abs(e))
             np.testing.assert_allclose(c.forces, f, rtol=1e-10, atol=1e-12)
 
