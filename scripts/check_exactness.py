@@ -81,10 +81,85 @@ def digest(*arrays, text: str = "") -> str:
     return h.hexdigest()
 
 
+# seeded builders of positions, models and labelled data; the tests use them too
+
+def random_cluster(n_atoms, seed, box=2.5, min_dist=1.6):
+    """Well-separated random positions (rejection sampled; seed may be a Generator)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        pos = rng.uniform(-box, box, (n_atoms, 3))
+        d = np.linalg.norm(pos[None] - pos[:, None], axis=-1)
+        np.fill_diagonal(d, np.inf)
+        if d.min() > min_dist:
+            return pos
+
+
 def clusters(rng, b):
     """b frames of 6 atoms at least 1.6 A apart, drawn from rng."""
-    from tests.conftest import random_cluster
     return np.stack([random_cluster(6, rng, box=3.0) for _ in range(b)])
+
+
+def pin_frames(n_frames, periodic):
+    """(positions, cell, pbc) of frames of 6 atoms: a pair in the switching window of
+    a cutoff of 6 A, pairs beyond it and an isolated atom; in a periodic cell of 16 A,
+    wrapped so that pairs cross its faces."""
+    base = np.vstack([random_cluster(4, 5, box=2.0, min_dist=1.9), np.zeros((2, 3))])
+    base[4] = base[0] + [5.7, 0.0, 0.0]
+    base[5] = [8.0, 8.0, 8.0] if periodic else [40.0, 0.0, 0.0]
+    shake = 0.05 * np.random.default_rng(11).standard_normal((n_frames, 5, 3))
+    frames = np.repeat(base[None], n_frames, axis=0)
+    frames[1:, :5] += shake[1:]
+    if periodic:
+        return frames % 16.0, np.diag([16.0, 16.0, 16.0]), [True] * 3
+    return frames, None, None
+
+
+def random_model(seed, n_radial=6, hidden=(8, 7), trainable_basis=False,
+                 rescaled=True):
+    from potscape.descriptors import DescriptorSpec
+    from potscape.model import NeuralPotential, Rescale
+
+    spec = DescriptorSpec.default(cutoff=5.0, n_radial=n_radial,
+                                  trainable_basis=trainable_basis)
+    m = NeuralPotential.create(spec, hidden=hidden, seed=seed)
+    if rescaled:
+        m.rescale = Rescale(scale=1.3, shift=-2.1, enabled=True)
+    return m
+
+
+def labeled_dataset(model, n_frames, n_atoms=5, seed=0, energy_offset=0.0,
+                    force_offset=None):
+    """Dataset labeled with the model's own predictions (optionally offset)."""
+    from potscape.data import Configuration, Dataset
+
+    frames = []
+    for k in range(n_frames):
+        pos = random_cluster(n_atoms, seed + 1000 * k)
+        e, f, _ = model.energy_forces(pos)
+        if force_offset is not None:
+            f = f + force_offset
+        frames.append(Configuration(pos, ["Ar"] * n_atoms,
+                                    energy=e + energy_offset, forces=f))
+    return Dataset(frames, name="self-labeled")
+
+
+def isolated_atom_dataset(m):
+    """Random frames plus a last frame whose atom 2 sits exactly at the cutoff
+    (5 A) from atom 0 and whose last atom has no neighbor at all."""
+    from potscape.data import Configuration, Dataset
+
+    pos = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 5.0], [40.0, 0.0, 0.0]])
+    e, f, _ = m.energy_forces(pos)
+    frames = list(labeled_dataset(m, 3, seed=2))
+    return Dataset(frames + [Configuration(pos, ["Ar"] * 4, energy=e, forces=f)])
+
+
+def labeled_tables_case(trainable, hidden=(8, 7), n_frames=12):
+    """A model, a dataset labeled by another model, and a point away from the model's."""
+    m = random_model(3, trainable_basis=trainable, hidden=hidden)
+    ds = labeled_dataset(random_model(9, hidden=hidden), n_frames, seed=5, energy_offset=0.02)
+    v = m.params + 0.05 * np.random.default_rng(4).standard_normal(len(m.params))
+    return m, ds, v
 
 
 def batches(rng, cutoff, switch_start):
@@ -240,7 +315,6 @@ def overlap_cases(ref):
     Patience 3 and the schedule's change make the plateau decay the rate."""
     from potscape.data import Configuration, Dataset
     from potscape.training import HISTORY_COLUMNS, TrainConfig, train
-    from tests.conftest import random_model
 
     rng = np.random.default_rng(20261020)
     frames = [Configuration(p, ["Cu"] * 6, *ref.energy_forces(p)) for p in clusters(rng, 160)]
@@ -260,7 +334,6 @@ def small_and_mixed_cases(ref):
     cutoff, some of them, or all: the pair tables' and pair sums' shortcuts."""
     from potscape.data import generate_reference_dataset, write_extxyz
     from potscape.potentials import LennardJones
-    from tests.conftest import random_cluster, random_model
 
     rng = np.random.default_rng(20261019)
     lj = LennardJones(epsilon=0.2, sigma=2.2, cutoff=6.0)
@@ -289,7 +362,7 @@ def small_and_mixed_cases(ref):
 
 
 def fixture_cases(ref):
-    """Cases set up as in the tests (tests/conftest.py's helpers), on their own seeds."""
+    """Cases set up with the builders above, as in the tests, on their own seeds."""
     from potscape.analysis import rmse_by_split
     from potscape.data import Configuration, generate_reference_dataset, write_extxyz
     from potscape.landscape import landscape_1d, write_profile_csv
@@ -297,8 +370,6 @@ def fixture_cases(ref):
     from potscape.model import DatasetTables, loss_eval, tables_loss_grad
     from potscape.potentials import LennardJones, Morse, build_cluster
     from potscape.training import TrainConfig, train
-    from tests.conftest import (isolated_atom_dataset, labeled_dataset, labeled_tables_case,
-                                pin_frames, random_cluster, random_model)
 
     # pair potentials on frames with a switched pair, pairs beyond the cutoff and an
     # isolated atom; then two frames of 12 atoms, whose energies sum 8 or more terms
@@ -397,5 +468,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))   # for tests.conftest
     sys.exit(main())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -211,7 +212,14 @@ def _grid(t) -> dict:
     return {"min": float(t[0]), "max": float(t[-1]), "points": len(t)}
 
 
-def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTIONS,
+def check_n_dirs(n: int):
+    """Raise ValueError unless a profile has at least one direction."""
+    if n < 1:
+        raise ValueError(f"the direction count must be >= 1, got {n}")
+
+
+def landscape_1d(m: NeuralPotential, d: Dataset,
+                 n_dirs: Annotated[int, check_n_dirs] = DEFAULT_N_DIRECTIONS,
                  t_grid=None, frozen=(), seed: int = 0) -> LandscapeProfile:
     """RMSE curves along n_dirs filter-normalized random directions.
 
@@ -219,6 +227,7 @@ def landscape_1d(m: NeuralPotential, d: Dataset, n_dirs: int = DEFAULT_N_DIRECTI
     t=0 loss is evaluated once and shared across directions.  Non-finite grid
     points become +inf and are flagged in the metadata.
     """
+    check_n_dirs(n_dirs)
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     if not np.any(t_grid == 0.0):
         raise ValueError("t_grid must contain 0")

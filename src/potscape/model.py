@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Annotated, NamedTuple
+from typing import Annotated, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -179,7 +180,7 @@ class NeuralPotential:
 class _Forward(NamedTuple):
     y: np.ndarray     # (A,) network outputs (site energies before rescaling)
     hs: list          # layer inputs; hs[0] is the descriptor matrix G
-    d1s: list         # tanh'(z) = 1 - h**2 of each hidden layer's output h = hs[l + 1]
+    d1s: list         # tanh' = 1 - h**2 of each hidden layer, h = hs[l + 1]
     F: np.ndarray     # (A, 3) forces, eV/A
     E: np.ndarray     # (M,) frame energies, eV
 
@@ -470,28 +471,56 @@ def save_checkpoint(m: NeuralPotential, path) -> None:
     write_json(doc, path)
 
 
+def _is_json(value, kind) -> bool:
+    """Whether ``value`` is a JSON ``kind``: for ``int`` an integer and for ``float`` a
+    finite number, neither a boolean; for ``list[X]`` a list of X."""
+    if kind in (int, float):
+        return (isinstance(value, int) and not isinstance(value, bool) or
+                kind is float and isinstance(value, float) and math.isfinite(value))
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_is_json(v, *get_args(kind)) for v in value)
+    return isinstance(value, kind)
+
+
+def _entry(doc, key, kind):
+    """The value at the dotted ``key`` of the JSON document ``doc``; ValueError naming
+    the key unless it is there and a JSON ``kind`` (see ``_is_json``)."""
+    value = doc
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise ValueError(f"no {key} entry")
+        value = value[part]
+    if not _is_json(value, kind):
+        raise ValueError(f"{key} must be {kind.__name__ if isinstance(kind, type) else kind}, "
+                         f"got {reprlib.repr(value)}")
+    return value
+
+
 def load_checkpoint(path) -> NeuralPotential:
-    """The model that ``save_checkpoint`` wrote; ValueError, naming the path, unless
-    its partition table is the one rebuilt from its descriptor and hidden layers."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a model checkpoint: {path}")
-    if doc.get("activation") != "tanh":
-        raise ValueError(f"{path}: activation {doc.get('activation')!r} is not tanh")
-    dd = doc["descriptor"]
-    spec = DescriptorSpec(dd["n_radial"], np.array(dd["centers"]), np.array(dd["widths"]),
-                          dd["cutoff"], dd["trainable_basis"])
-    rs = doc["rescale"]
+    """The model that ``save_checkpoint`` wrote; ValueError, naming the path, for a file
+    that is not JSON, an entry that is missing or of the wrong JSON type, an activation
+    other than tanh, or a partition table other than the one rebuilt from its
+    descriptor and hidden layers."""
     try:
-        m = NeuralPotential(spec, tuple(doc["hidden_layers"]), np.array(doc["params"]),
-                            Rescale(rs["scale"], rs["shift"], rs["enabled"]),
-                            name=doc.get("name", "model"))
-    except ValueError as exc:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError("not a model checkpoint")
+        if (activation := _entry(doc, "activation", str)) != "tanh":
+            raise ValueError(f"activation {activation!r} is not tanh")
+        spec = DescriptorSpec(*(_entry(doc, f"descriptor.{key}", kind) for key, kind in (
+            ("n_radial", int), ("centers", list[float]), ("widths", list[float]),
+            ("cutoff", float), ("trainable_basis", bool))))
+        m = NeuralPotential(spec, tuple(_entry(doc, "hidden_layers", list[int])),
+                            np.array(_entry(doc, "params", list[float]), dtype=float),
+                            Rescale(*(_entry(doc, f"rescale.{key}", kind) for key, kind in (
+                                ("scale", float), ("shift", float), ("enabled", bool)))),
+                            name=_entry(doc, "name", str) if "name" in doc else "model")
+        # json, so that 0 does not pass for false nor 1.0 for 1
+        if json.dumps(doc.get("partition")) != json.dumps(_partition_table(m)):
+            raise ValueError(f"the partition table is not the layout of hidden layers "
+                             f"{list(m.hidden_layers)} on {spec.n_radial} radial functions "
+                             f"({'trainable' if spec.trainable_basis else 'fixed'} basis)")
+    except ValueError as exc:   # json's decoding errors too
         raise ValueError(f"{path}: {exc}") from None
-    # json, so that 0 does not pass for false nor 1.0 for 1
-    if json.dumps(doc.get("partition")) != json.dumps(_partition_table(m)):
-        raise ValueError(f"{path}: the partition table is not the layout of "
-                         f"hidden layers {list(m.hidden_layers)} on {spec.n_radial} radial "
-                         f"functions ({'trainable' if spec.trainable_basis else 'fixed'} basis)")
     return m

@@ -1,14 +1,14 @@
+import functools
 import hashlib
 import importlib.util
+import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from potscape.data import Configuration, Dataset
-from potscape.descriptors import DescriptorSpec
-from potscape.model import NeuralPotential, Rescale
 from potscape.potentials import Morse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,16 +26,11 @@ def load_script(name):
 exactness = load_script("check_exactness")
 flatness = load_script("run_flatness_vs_stability")
 
-
-def random_cluster(n_atoms, seed, box=2.5, min_dist=1.6):
-    """Well-separated random positions (rejection sampled; seed may be a Generator)."""
-    rng = np.random.default_rng(seed)
-    while True:
-        pos = rng.uniform(-box, box, (n_atoms, 3))
-        d = np.linalg.norm(pos[None] - pos[:, None], axis=-1)
-        np.fill_diagonal(d, np.inf)
-        if d.min() > min_dist:
-            return pos
+# the seeded builders that the exactness corpus and the tests share
+random_cluster, pin_frames, random_model = (exactness.random_cluster, exactness.pin_frames,
+                                            exactness.random_model)
+labeled_dataset, isolated_atom_dataset, labeled_tables_case = (
+    exactness.labeled_dataset, exactness.isolated_atom_dataset, exactness.labeled_tables_case)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -47,53 +42,12 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def random_model(seed, n_radial=6, hidden=(8, 7), trainable_basis=False,
-                 rescaled=True):
-    spec = DescriptorSpec.default(cutoff=5.0, n_radial=n_radial,
-                                  trainable_basis=trainable_basis)
-    m = NeuralPotential.create(spec, hidden=hidden, seed=seed)
-    if rescaled:
-        m.rescale = Rescale(scale=1.3, shift=-2.1, enabled=True)
-    return m
-
-
 def md_state(positions, velocities, targets, energy, forces):
     """An ``md.md_step`` state: B members (velocities (B, N, 3)) at one start frame."""
     b = len(velocities)
     return (np.arange(b), np.array(targets, dtype=float),
             np.broadcast_to(positions, velocities.shape).copy(), velocities,
             np.broadcast_to(forces, velocities.shape).copy(), np.full(b, float(energy)))
-
-
-def labeled_dataset(model, n_frames, n_atoms=5, seed=0, energy_offset=0.0,
-                    force_offset=None):
-    """Dataset labeled with the model's own predictions (optionally offset)."""
-    frames = []
-    for k in range(n_frames):
-        pos = random_cluster(n_atoms, seed + 1000 * k)
-        e, f, _ = model.energy_forces(pos)
-        if force_offset is not None:
-            f = f + force_offset
-        frames.append(Configuration(pos, ["Ar"] * n_atoms,
-                                    energy=e + energy_offset, forces=f))
-    return Dataset(frames, name="self-labeled")
-
-
-def isolated_atom_dataset(m):
-    """Random frames plus a last frame whose atom 2 sits exactly at the cutoff
-    (5 A) from atom 0 and whose last atom has no neighbor at all."""
-    pos = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 5.0], [40.0, 0.0, 0.0]])
-    e, f, _ = m.energy_forces(pos)
-    frames = list(labeled_dataset(m, 3, seed=2))
-    return Dataset(frames + [Configuration(pos, ["Ar"] * 4, energy=e, forces=f)])
-
-
-def labeled_tables_case(trainable, hidden=(8, 7), n_frames=12):
-    """A model, a dataset labeled by another model, and a point away from the model's."""
-    m = random_model(3, trainable_basis=trainable, hidden=hidden)
-    ds = labeled_dataset(random_model(9, hidden=hidden), n_frames, seed=5, energy_offset=0.02)
-    v = m.params + 0.05 * np.random.default_rng(4).standard_normal(len(m.params))
-    return m, ds, v
 
 
 def _merged(table):
@@ -113,19 +67,36 @@ TAMPERED_PARTITIONS = {
 }
 
 
-def pin_frames(n_frames, periodic):
-    """(positions, cell, pbc) of frames of 6 atoms: a pair in the switching window of
-    a cutoff of 6 A, pairs beyond it and an isolated atom; in a periodic cell of 16 A,
-    wrapped so that pairs cross its faces."""
-    base = np.vstack([random_cluster(4, 5, box=2.0, min_dist=1.9), np.zeros((2, 3))])
-    base[4] = base[0] + [5.7, 0.0, 0.0]
-    base[5] = [8.0, 8.0, 8.0] if periodic else [40.0, 0.0, 0.0]
-    shake = 0.05 * np.random.default_rng(11).standard_normal((n_frames, 5, 3))
-    frames = np.repeat(base[None], n_frames, axis=0)
-    frames[1:, :5] += shake[1:]
-    if periodic:
-        return frames % 16.0, np.diag([16.0, 16.0, 16.0]), [True] * 3
-    return frames, None, None
+def _edited(key, *value):
+    """A checkpoint's document -> its JSON text with ``value`` at the dotted ``key``, or
+    without the key."""
+    def edit(doc):
+        doc = json.loads(json.dumps(doc))   # a deep copy
+        *path, last = key.split(".")
+        entries = functools.reduce(dict.__getitem__, path, doc)
+        if value:
+            entries[last], = value
+        else:
+            del entries[last]
+        return json.dumps(doc)
+    return edit
+
+
+# a checkpoint's document -> the text of a malformed one
+MALFORMED_CHECKPOINTS = {
+    "not-json": lambda doc: json.dumps(doc)[:-1],
+    "list": lambda doc: json.dumps([doc]),
+    "no-params": _edited("params"),
+    "no-rescale": _edited("rescale"),
+    "no-cutoff": _edited("descriptor.cutoff"),
+    "cutoff-text": _edited("descriptor.cutoff", "5"),
+    "hidden-16": _edited("hidden_layers", 16),
+    "scale-abc": _edited("rescale.scale", "abc"),
+    "scale-nan": _edited("rescale.scale", math.nan),
+    "shift-true": _edited("rescale.shift", True),
+    "enabled-text": _edited("rescale.enabled", "false"),
+    "relu": _edited("activation", "relu"),
+}
 
 
 def cpus(monkeypatch, n):

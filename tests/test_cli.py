@@ -13,7 +13,7 @@ from potscape.descriptors import DescriptorSpec
 from potscape.model import NeuralPotential, fit_rescale, load_checkpoint
 from potscape.seeding import substream
 from potscape.training import TrainConfig, train
-from tests.conftest import TAMPERED_PARTITIONS
+from tests.conftest import MALFORMED_CHECKPOINTS, TAMPERED_PARTITIONS
 
 
 PROFILE_HEADER = ",".join(landscape.PROFILE_COLUMNS)
@@ -114,23 +114,29 @@ class TestErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("command", ["eval", "landscape1d"])
-    @pytest.mark.parametrize("tamper", ["untouched", "merged", "layer", "frozen"])
+    @pytest.mark.parametrize("tamper", ["untouched", "merged", "layer", "frozen",
+                                        *MALFORMED_CHECKPOINTS])
     def test_tampered_checkpoint_rejected(self, gen_dir, model_dir, tmp_path, command, tamper):
         # each tampered table once loaded; a frozen block then stayed still in every
-        # landscape while the landscape's metadata listed no frozen block
+        # landscape while the landscape's metadata listed no frozen block; each malformed
+        # checkpoint once died with a traceback and no manifest, exited 2 as another error
+        # type, exited 3 or, given "false" for false, exited 0 with rescaled energies
         doc = json.loads((model_dir / "model.json").read_text())
-        if tamper != "untouched":
+        if tamper in TAMPERED_PARTITIONS:
             doc["partition"] = TAMPERED_PARTITIONS[tamper](doc["partition"])
         ckpt = tmp_path / "model.json"
-        ckpt.write_text(json.dumps(doc))
+        ckpt.write_text(MALFORMED_CHECKPOINTS[tamper](doc) if tamper in MALFORMED_CHECKPOINTS
+                        else json.dumps(doc))
         config = {**TestKeyTable.base(command, gen_dir, model_dir), "model.checkpoint": str(ckpt)}
         out = tmp_path / "out"
         if tamper == "untouched":
             assert run_command(command, config, out) == EXIT_OK
             return
         assert run_command(command, config, out) == EXIT_CONFIG
-        message = read_manifest(out)["error"]["message"]
-        assert message.startswith(f"{ckpt}: the partition table is not the layout")
+        error = read_manifest(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{ckpt}: " if tamper in MALFORMED_CHECKPOINTS else
+                                           f"{ckpt}: the partition table is not the layout")
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_unwritable_output(self):
@@ -425,6 +431,8 @@ class TestKeyTable:
         ("learning-curve", "curve.sizes", [-5, 10]),
         ("train", "model.hidden", [0]),
         ("train", "model.hidden", [16, 0]),
+        ("landscape1d", "landscape.n_directions", 0),
+        ("landscape1d", "landscape.n_directions", -2),
     ], ids=["train-model.name", "landscape2d-landscape.w_e", "interp-no-points",
             "interp-empty-range", "landscape1d-decreasing", "md-bond-factor-below-1",
             "md-bond-factor-nan", "entropy-negative-t_e", "entropy-infinite-t_f",
@@ -432,7 +440,8 @@ class TestKeyTable:
             "landscape2d-nan-w_e", "landscape2d-infinite-w_f", "entropy-alpha-above-1",
             "entropy-alpha-nan", "sweep-negative-alpha", "sweep-one-point", "noise-sigma-nan",
             "noise-sigma-negative", "toy-sigma-nan", "toy-sigma-negative", "toy-sigma-inf",
-            "curve-size-zero", "curve-size-negative", "hidden-zero", "hidden-16-0"])
+            "curve-size-zero", "curve-size-negative", "hidden-zero", "hidden-16-0",
+            "n-directions-zero", "n-directions-negative"])
     def test_bad_value_fails_before_any_work(self, gen_dir, model_dir, profile_dir, tmp_path,
                                              monkeypatch, command, key, value):
         # these values were once cast or checked only after training or after the whole
@@ -443,7 +452,8 @@ class TestKeyTable:
         # weight was rejected after the scan, and NaN or inf was written; a NaN noise
         # level wrote a NaN row, and a negative toy noise level was accepted; a curve
         # size of 0 failed after the models before it were trained, naming no key; a
-        # hidden layer of width 0 trained a model whose forces were identically zero
+        # hidden layer of width 0 trained a model whose forces were identically zero; a
+        # landscape of no directions wrote a header-only profile
         def work(*args, **kwargs):
             raise AssertionError("the run worked before casting its values")
         for module, name in ((cli, "train"), (landscape, "landscape_2d"),

@@ -162,6 +162,13 @@ class TestLandscape1D:
         with pytest.raises(ValueError):
             landscape_1d(m, ds, n_dirs=1, t_grid=np.linspace(0.1, 1, 5), seed=0)
 
+    @pytest.mark.parametrize("n_dirs", [0, -2])
+    def test_requires_a_direction(self, n_dirs):
+        # such a count once gave a profile of no curves, written as a header-only CSV
+        m, ds = self.make_setup(3)
+        with pytest.raises(ValueError, match="direction count must be >= 1"):
+            landscape_1d(m, ds, n_dirs=n_dirs, seed=0)
+
     def test_quadratic_loss_symmetric(self):
         # linear readout (no hidden layers) + self-labeled data: the combined
         # loss is exactly quadratic with its minimum at the current parameters

@@ -15,9 +15,9 @@ from potscape.landscape import free_blocks, sample_direction
 from potscape.model import (DatasetTables, NeuralPotential, NumericEvalError, Rescale,
                             fit_rescale, load_checkpoint, loss_eval, save_checkpoint,
                             tables_loss, tables_loss_grad)
-from tests.conftest import (TAMPERED_PARTITIONS, differing_cases, exactness,
-                            isolated_atom_dataset, labeled_dataset, labeled_tables_case,
-                            random_cluster, random_model, random_rotation)
+from tests.conftest import (MALFORMED_CHECKPOINTS, TAMPERED_PARTITIONS, differing_cases,
+                            exactness, isolated_atom_dataset, labeled_dataset,
+                            labeled_tables_case, random_cluster, random_model, random_rotation)
 
 
 def tiling(m):
@@ -507,6 +507,17 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{path}: the partition table is not the layout"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("malformed", MALFORMED_CHECKPOINTS)
+    def test_malformed_rejected(self, tmp_path, malformed):
+        # each once raised another error type, or loaded a model that failed at its first
+        # evaluation or, given "false" for false, rescaled its energies
+        path = tmp_path / "model.json"
+        save_checkpoint(random_model(21), path)
+        path.write_text(MALFORMED_CHECKPOINTS[malformed](json.loads(path.read_text())))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as info:
+            load_checkpoint(path)
+        assert type(info.value) is ValueError
 
     def test_rejects_other_json(self, tmp_path):
         path = tmp_path / "x.json"

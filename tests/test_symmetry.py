@@ -1,4 +1,5 @@
-"""Exact symmetry oracle: a sign flip of hidden neurons leaves a tanh network unchanged.
+"""Symmetry oracles: a sign flip or a permutation of hidden neurons leaves a tanh
+network unchanged.
 
 tanh is odd, so negating a hidden neuron's incoming row and bias and its outgoing
 column maps every pre-activation of that neuron to its negative and every product
@@ -9,6 +10,13 @@ gradient and filter-normalized directions must be D times the original ones; so
 training must write the same history and parameters D times the original ones,
 and MD the same trajectories.  A layout that pairs the wrong entries with a
 neuron, or a product that reads a transposed weight, breaks these equalities.
+
+Permuting each hidden layer's neurons independently (and a trainable basis's
+radial functions with the first layer's columns) reorders the sums that read
+them, so the model at theta[P] must give the same results only to rounding, and
+gradients and directions mapped by P.  Unlike a sign flip, it sees a 1 - h**2
+taken from the wrong layer (1 - h**2 is even in h) and a filter block that
+straddles two neurons (a block's norm is sign-blind).
 """
 
 from dataclasses import astuple
@@ -111,3 +119,61 @@ def test_sign_flip_trains_and_integrates_alike(hidden, trainable):
                for model in (m.with_values(report.best_params),
                              flipped.with_values(report_f.best_params))]
     assert records[1] == records[0]
+
+
+def neuron_permutation(m, rng):
+    """Indices P with theta[P] the parameters of m with each hidden layer's neurons
+    permuted (rows of W_l and b_l, columns of W_l+1) and, for a trainable basis, its
+    radial functions with the first layer's columns; each permutation moves some entry."""
+    def shuffled(n):
+        p = rng.permutation(n)
+        return np.roll(p, 1) if np.array_equal(p, np.arange(n)) else p
+
+    P = np.arange(len(flat(m)), dtype=float)
+    centers, widths, Ws, bs = m.unpack(P)   # views of P
+    if m.descriptor.trainable_basis:
+        q = shuffled(len(centers))
+        centers[:], widths[:] = centers[q], widths[q]
+        Ws[0][:] = Ws[0][:, q]
+    for W, b, W_next in zip(Ws[:-1], bs[:-1], Ws[1:]):
+        p = shuffled(len(b))
+        W[:], b[:] = W[p], b[p]
+        W_next[:] = W_next[:, p]
+    return P.astype(int)
+
+
+def assert_close(actual, desired):
+    """Equal but for the rounding of sums taken in another order."""
+    desired = np.asarray(desired)
+    np.testing.assert_allclose(actual, desired, rtol=1e-10,
+                               atol=1e-12 * np.abs(desired).max(initial=0.0))
+
+
+@pytest.mark.parametrize("hidden", HIDDEN, ids=lambda h: "-".join(map(str, h)))
+@pytest.mark.parametrize("trainable", [False, True])
+def test_neuron_permutation_maps_results(hidden, trainable):
+    rng = np.random.default_rng(len(hidden) + 10 * trainable)
+    m = random_model(7, hidden=hidden, trainable_basis=trainable)
+    ds = labeled_dataset(random_model(8, hidden=hidden), 3, seed=21, energy_offset=0.02)
+    P = neuron_permutation(m, rng)
+    theta = flat(m)
+    permuted = m.with_values(theta[P])
+
+    pos = np.stack([random_cluster(5, rng) for _ in range(2)])
+    for a, b in zip(m.energy_forces_batch(pos), permuted.energy_forces_batch(pos)):
+        assert_close(b, a)
+
+    loss, grad = tables_loss_grad(m, DatasetTables(m, ds), theta, 1.0, 25.0)
+    loss_p, grad_p = tables_loss_grad(permuted, DatasetTables(permuted, ds), theta[P], 1.0, 25.0)
+    assert_close(astuple(loss_p), astuple(loss))
+    assert_close(grad_p, grad[P])
+
+    raw = rng.standard_normal(len(theta))
+    tables = DatasetTables(m, ds)
+    for frozen in ([], [0, 1]) if trainable else ([],):
+        d = normalized(m, theta, raw, frozen)
+        d_p = normalized(permuted, theta[P], raw[P], frozen)
+        assert_close(d_p, d[P])
+        for alpha in (-1.0, 0.5):
+            assert_close(astuple(tables_loss(permuted, tables, theta[P] + alpha * d_p, 1.0, 25.0)),
+                         astuple(tables_loss(m, tables, theta + alpha * d, 1.0, 25.0)))
