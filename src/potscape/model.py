@@ -219,8 +219,10 @@ def _forward(model, Ws, bs, G, de, gi, gj, unit, n_atoms, atom_start, natoms) ->
     for layer in range(len(hs) - 2, -1, -1):
         g = (d1s[layer] * g) @ Ws[layer]
     n_pairs, k = len(gi), g.shape[-1]
-    g_pairs = np.take(g.reshape(n_atoms, k), gi, axis=0, mode="clip")
-    s = np.einsum("pd,pd->p", de, g_pairs)
+    # the gathered (P, K) rows are freed right after the contraction; kept to the end
+    # of the call beside the 1 - h**2 arrays, they left a heap top that malloc
+    # trimmed and faulted back in at every landscape point
+    s = np.einsum("pd,pd->p", de, np.take(g.reshape(n_atoms, k), gi, axis=0, mode="clip"))
     s *= scale
     # columns x, y, z of [contrib, -contrib] for the pairs [gi, gj]
     contrib = np.empty((3, 2 * n_pairs))
